@@ -29,7 +29,7 @@ print()
 print("=== flat-ball and warped sweeps share the exponential limit ===")
 eb = euclid_ball_sweep(1.0, 0.5, ns)
 wp = warped_sweep(-1.0, 0.5, ns)
-print(f"flat-ball limit {eb.rows[0].limit:.6f}; cross-check vs quadrature "
+print(f"flat-ball limit {eb.rows[0].limit:.6f}; cross-check vs jacobi.v_inverse "
       f"max dev {eb.extras['cross_check_max']:.2e}")
 print(f"warped values from above: {[round(r.value, 5) for r in wp.rows[:4]]}")
 

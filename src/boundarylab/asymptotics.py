@@ -131,8 +131,11 @@ def hemisphere_sweep(kappa: float, eta: float, n_values) -> SweepReport:
 
 def euclid_ball_sweep(lam: float, eta: float, n_values) -> SweepReport:
     """Closed-form flat-ball values (n/lam)(1 - eta^(1/n)) with the
-    exponential-ray limit; each row is cross-checked against the
-    quadrature route through the ball-function inverse."""
+    exponential-ray limit.  ``cross_check_max`` is the largest difference
+    from ``jacobi.v_inverse`` on the same flat ball, which evaluates the
+    same closed form as C (1 - e^(log(eta)/n)) through expm1, so it
+    measures rounding only.  The quadrature reference for the ball
+    kernels is the oracle test ``tests/test_jacobi_oracle.py``."""
     if not lam > 0:
         raise DomainError(f"lam must be positive, got {lam}")
     if not 0.0 < eta < 1.0:

@@ -287,6 +287,8 @@ def comparison_bound(kind, eta: float) -> float:
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must lie in (0, 1], got {eta}")
     if isinstance(kind, FiniteN):
+        if not (kind.N > 1 and math.isfinite(kind.N)):
+            raise DomainError(f"N must be finite and exceed 1, got {kind.N}")
         cc = kind.cc
         if cc.is_ball:
             return jacobi.v_inverse(kind.N, cc, eta)

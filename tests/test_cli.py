@@ -124,6 +124,16 @@ class TestCompare:
         assert code == 0
         assert json.loads(out)["rows"][0]["bound"] == 0.0
 
+    @pytest.mark.parametrize("N,kappa", [("inf", "1"), ("nan", "1"), ("inf", "-0.25")])
+    def test_nonfinite_N_exits_2(self, capsys, N, kappa):
+        code, out, err = run(
+            capsys, "compare", "--regime", "finite", "--N", N,
+            "--kappa", kappa, "--lambda", "0.5", "--eta", "0.5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "N must be finite" in err
+
 
 class TestSpectrum:
     def test_uniform_interval(self, capsys, problem_file):

@@ -305,3 +305,41 @@ class TestTwist:
     def test_dimension_guard(self):
         with pytest.raises(DomainError):
             jacobi.TwistParams(1, 0.0, 1.0, 0.0)
+
+
+class TestInputContract:
+    """Non-finite N, r and eta raise DomainError instead of a silent value."""
+
+    @pytest.mark.parametrize("N", [math.nan, math.inf])
+    def test_nonfinite_N(self, N):
+        cc = classify(1.0, 0.5)
+        with pytest.raises(DomainError):
+            v_ball(N, cc, 0.1)
+        with pytest.raises(DomainError):
+            v_inverse(N, cc, 0.5)
+        with pytest.raises(DomainError):
+            s_growth(N, cc, 0.1)
+
+    def test_nan_radius(self):
+        cc = classify(1.0, 0.5)
+        with pytest.raises(DomainError):
+            v_ball(3.0, cc, math.nan)
+        with pytest.raises(DomainError):
+            s_growth(3.0, cc, math.nan)
+        with pytest.raises(DomainError):
+            gaussian_tail(classify_infinite(1.0, 0.0), math.nan)
+
+    def test_nonfinite_gaussian_radius(self):
+        with pytest.raises(DomainError):
+            gaussian_tail(classify_infinite(1.0, 0.0), math.inf)
+
+    def test_nan_eta(self):
+        with pytest.raises(DomainError):
+            v_inverse(3.0, classify(1.0, 0.5), math.nan)
+        with pytest.raises(DomainError):
+            gaussian_tail_inverse(classify_infinite(1.0, 0.0), math.nan)
+
+    def test_improper_growth_still_allowed(self):
+        assert s_growth(3.0, classify(1.0, 0.0), math.inf) == pytest.approx(
+            s_growth(3.0, classify(1.0, 0.0), math.pi / 2), rel=1e-14
+        )
