@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     """Cumulative integral of uniformly sampled y with O(h^4) accuracy.
@@ -47,3 +49,39 @@ def cumulative_auto(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     if dt.size >= 2 and np.allclose(dt, dt[0], rtol=1e-12, atol=0.0):
         return cumulative_simpson(y, float(dt[0]))
     return cumulative_trapezoid(y, t)
+
+
+def pl_density(t, theta, min_points: int):
+    """Checked (t, theta, cumulative mass at t) of a gridded density on [0, T]."""
+    t, theta = np.asarray(t, dtype=float), np.asarray(theta, dtype=float)
+    if t.ndim != 1 or t.shape != theta.shape:
+        raise DomainError("grid and density must be matching 1-d arrays")
+    if t.size < min_points:
+        raise DomainError(f"grid needs >= {min_points} points, got {t.size}")
+    if not (np.isfinite(t).all() and np.isfinite(theta).all()):
+        raise DomainError("grid and density must be finite")
+    if t[0] != 0.0 or np.any(np.diff(t) <= 0):
+        raise DomainError("grid must increase strictly from 0")
+    if np.any(theta <= 0):
+        raise DomainError("density must be positive on the grid")
+    return t, theta, cumulative_auto(theta, t)
+
+
+def pl_cumulative(x, grid: np.ndarray, theta: np.ndarray, cum: np.ndarray):
+    """Mass of theta from grid[0] to x (clamped): ``cum`` at the knots plus
+    the exact trapezoid of the piecewise-linear interpolant over the partial
+    cell.  A float gives a float and an ndarray an ndarray, with the same
+    operations per element, so an array call equals the scalar calls bitwise.
+    """
+    scalar = not isinstance(x, np.ndarray)
+    if scalar:
+        x = min(max(float(x), float(grid[0])), float(grid[-1]))
+        i = min(int(grid.searchsorted(x, side="right")), grid.size - 1) - 1
+    else:
+        x = np.clip(x.astype(float, copy=False), grid[0], grid[-1])
+        i = np.minimum(grid.searchsorted(x, side="right"), grid.size - 1) - 1
+    t0, th0 = grid[i], theta[i]
+    dx = x - t0
+    thx = th0 + (theta[i + 1] - th0) * dx / (grid[i + 1] - t0)
+    out = cum[i] + 0.5 * dx * (th0 + thx)
+    return float(out) if scalar else out

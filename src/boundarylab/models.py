@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import jacobi, screens
-from ._integrate import cumulative_auto
+from ._integrate import cumulative_trapezoid, pl_cumulative, pl_density
 from .errors import DomainError, RegimeError
 from .jacobi import CurvatureClass, InfiniteCurvature, TwistParams
 
@@ -328,33 +328,16 @@ class RadialDensity:
     """A gridded radial density theta on [0, T] (not necessarily normalized)."""
 
     def __init__(self, t, theta):
-        t = np.asarray(t, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        if t.ndim != 1 or t.shape != theta.shape or t.size < 2:
-            raise DomainError("radial density needs matching 1-d arrays")
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise DomainError("grid must increase strictly from 0")
-        if np.any(theta <= 0):
-            raise DomainError("density must be positive on its grid")
-        self.t = t
-        self.theta = theta
-        self._cum = cumulative_auto(theta, t)
+        self.t, self.theta, self._cum = pl_density(t, theta, min_points=2)
 
     @property
     def total(self) -> float:
         return float(self._cum[-1])
 
-    def _cum_at(self, x: float) -> float:
-        # integrate the piecewise-linear interpolant exactly up to x
-        x = min(max(float(x), self.t[0]), self.t[-1])
-        i = min(int(np.searchsorted(self.t, x, side="right")) - 1, self.t.size - 2)
-        t0, t1 = self.t[i], self.t[i + 1]
-        th = self.theta[i] + (self.theta[i + 1] - self.theta[i]) * (x - t0) / (t1 - t0)
-        return float(self._cum[i] + 0.5 * (x - t0) * (self.theta[i] + th))
-
-    def mass(self, a: float, b: float) -> float:
-        """Integral of theta over [a, b]."""
-        return self._cum_at(b) - self._cum_at(a)
+    def mass(self, a, b):
+        """Integral of theta over [a, b]; a and b are floats or arrays."""
+        return (pl_cumulative(b, self.t, self.theta, self._cum)
+                - pl_cumulative(a, self.t, self.theta, self._cum))
 
     def screen(self) -> screens.GridScreen:
         return screens.GridScreen(self.t, self._cum / self.total, full_support=True)
@@ -403,10 +386,7 @@ def _random_log_slope_excess(rng, T: float, grid: np.ndarray) -> np.ndarray:
     knots = np.linspace(0.0, T, rng.integers(4, 9))
     eps = rng.uniform(0.0, 1.5, size=knots.size)
     eps[rng.integers(0, knots.size)] = rng.uniform(0.3, 1.5)  # never identically 0
-    vals = np.interp(grid, knots, eps)
-    return np.concatenate(
-        [[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))]
-    )
+    return cumulative_trapezoid(np.interp(grid, knots, eps), grid)
 
 
 def generate_admissible_finite(

@@ -9,7 +9,9 @@ used by :func:`rayleigh`, so min-max holds at machine precision.
 
 The module also scans the Dirichlet isoperimetric constant, computes
 boundary separation distances of the interval by exact 1D packing, and
-audits every eigenvalue inequality of the theory.
+audits every eigenvalue inequality of the theory.  The distance-to-boundary
+screen and the isoperimetric scan are array evaluations of one cumulative-mass
+primitive (``_integrate.pl_cumulative``); bisections and polishes call it per scalar.
 """
 
 from __future__ import annotations
@@ -17,16 +19,17 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq, minimize_scalar
 
 from . import screens
-from ._integrate import cumulative_auto
+from ._integrate import cumulative_auto, pl_cumulative, pl_density
 from .errors import DomainError
 from .models import ModelSpace, boundary_screen
 
@@ -75,21 +78,12 @@ class RadialProblem:
     note: str = ""
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        theta = np.asarray(self.theta, dtype=float)
+        grid, theta, cum = pl_density(self.grid, self.theta, min_points=16)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "theta", theta)
-        if grid.ndim != 1 or grid.shape != theta.shape:
-            raise DomainError("grid and theta must be matching 1-d arrays")
-        if grid.size < 16:
-            raise DomainError(f"grid needs >= 16 points, got {grid.size}")
-        if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-            raise DomainError("grid must increase strictly from 0")
-        if np.any(theta <= 0):
-            raise DomainError("theta must be positive on the grid")
         if self.left_bc is not Endpoint.DIRICHLET and self.right_bc is not Endpoint.DIRICHLET:
             raise DomainError("at least one endpoint must be Dirichlet")
-        object.__setattr__(self, "_cum", cumulative_auto(theta, grid))
+        object.__setattr__(self, "_cum", cum)
 
     # -- geometry -------------------------------------------------------
     @property
@@ -100,17 +94,13 @@ class RadialProblem:
     def total_mass(self) -> float:
         return float(self._cum[-1])
 
-    def mass(self, a: float, b: float) -> float:
-        """Integral of theta over [a, b] (piecewise-linear density)."""
+    def mass(self, a, b):
+        """Integral of theta over [a, b] (piecewise-linear density);
+        a and b are floats or arrays."""
         return self._cum_at(b) - self._cum_at(a)
 
-    def _cum_at(self, x: float) -> float:
-        g, th = self.grid, self.theta
-        x = min(max(float(x), 0.0), self.length)
-        i = min(int(np.searchsorted(g, x, side="right")) - 1, g.size - 2)
-        t0, t1 = g[i], g[i + 1]
-        thx = th[i] + (th[i + 1] - th[i]) * (x - t0) / (t1 - t0)
-        return float(self._cum[i] + 0.5 * (x - t0) * (th[i] + thx))
+    def _cum_at(self, x):
+        return pl_cumulative(x, self.grid, self.theta, self._cum)
 
     def theta_at(self, x: float) -> float:
         return float(np.interp(x, self.grid, self.theta))
@@ -155,13 +145,16 @@ class RadialProblem:
             header = json.loads(lines[0][1:].strip())
         except json.JSONDecodeError as exc:
             raise DomainError(f"bad JSON header: {exc}") from None
-        rows = list(csv.reader(lines[1:]))
-        if not rows or rows[0] != ["t", "theta"]:
+        if len(lines) < 2 or next(csv.reader(lines[1:2])) != ["t", "theta"]:
             raise DomainError("expected a 't,theta' CSV header row")
+        body = lines[2:]
         try:
-            data = np.array([[float(a), float(b)] for a, b in rows[1:]])
+            data = np.loadtxt(body, delimiter=",", quotechar='"', comments=None,
+                              ndmin=2) if body else np.empty((0, 2))
         except ValueError as exc:
             raise DomainError(f"bad CSV row: {exc}") from None
+        if data.shape != (len(body), 2):  # loadtxt skips blank lines
+            raise DomainError("bad CSV row: every row needs exactly t,theta")
         return cls(
             data[:, 0],
             data[:, 1],
@@ -188,21 +181,25 @@ class SpectrumResult:
             raise DomainError("eigenvalues must ascend")
 
 
+def _cells(p: RadialProblem):
+    """Cell widths, face densities and dual-cell widths of the scheme."""
+    h = np.diff(p.grid)
+    dual = np.empty(p.grid.size)
+    dual[1:-1] = 0.5 * (h[1:] + h[:-1])
+    dual[0] = 0.5 * h[0]
+    dual[-1] = 0.5 * h[-1]
+    return h, 0.5 * (p.theta[1:] + p.theta[:-1]), dual
+
+
 def _pencil(p: RadialProblem):
     """Stiffness/mass quadratic forms of the finite-volume scheme.
 
     Returns (keep, S_diag, S_off, M_diag) over the kept nodes; Dirichlet
     endpoint nodes are eliminated, a Neumann endpoint keeps a half cell.
     """
-    t, th = p.grid, p.theta
-    h = np.diff(t)
-    th_face = 0.5 * (th[1:] + th[:-1])
+    h, th_face, dual = _cells(p)
     w = th_face / h  # face conductances
-    n = t.size
-    dual = np.empty(n)
-    dual[1:-1] = 0.5 * (h[1:] + h[:-1])
-    dual[0] = 0.5 * h[0]
-    dual[-1] = 0.5 * h[-1]
+    n = p.grid.size
     lo = 1 if p.left_bc is Endpoint.DIRICHLET else 0
     hi = n - 1 if p.right_bc is Endpoint.DIRICHLET else n
     keep = np.arange(lo, hi)
@@ -211,7 +208,7 @@ def _pencil(p: RadialProblem):
     np.add.at(S_diag, np.arange(1, n), w)
     S_diag = S_diag[keep]
     S_off = w[keep[:-1]]  # faces between consecutive kept nodes
-    M_diag = (th * dual)[keep]
+    M_diag = (p.theta * dual)[keep]
     return keep, S_diag, S_off, M_diag
 
 
@@ -240,10 +237,7 @@ def dirichlet_spectrum(p: RadialProblem, k: int) -> SpectrumResult:
     vals = _eigenvalues(p, k)
     err = math.nan
     if m % 2 == 0 and m // 2 >= 16 and k <= m // 8:
-        coarse = RadialProblem(
-            p.grid[::2], p.theta[::2], p.left_bc, p.right_bc,
-            p.nonneg_ricci_f, p.nonneg_mean_curv, p.note,
-        )
+        coarse = replace(p, grid=p.grid[::2], theta=p.theta[::2])
         cvals = _eigenvalues(coarse, k)
         err = float(np.max(np.abs(cvals - vals) / np.abs(vals)) / 3.0)
     return SpectrumResult(vals, p.grid.size, err)
@@ -267,13 +261,8 @@ def rayleigh(p: RadialProblem, phi) -> float:
             phi[idx] = 0.0
     if not np.any(phi != 0.0):
         raise DomainError("phi must not vanish identically")
-    h = np.diff(p.grid)
-    th_face = 0.5 * (p.theta[1:] + p.theta[:-1])
+    h, th_face, dual = _cells(p)
     num = float(np.sum(th_face * np.diff(phi) ** 2 / h))
-    dual = np.empty(p.grid.size)
-    dual[1:-1] = 0.5 * (h[1:] + h[:-1])
-    dual[0] = 0.5 * h[0]
-    dual[-1] = 0.5 * h[-1]
     den = float(np.sum(p.theta * dual * phi**2))
     if den == 0.0:
         raise DomainError("phi has zero weighted mass")
@@ -314,7 +303,7 @@ def isoperimetric_constant(p: RadialProblem) -> float:
     if cand[-1] != t[-1]:
         cand = np.append(cand, t[-1])
     th = np.interp(cand, t, p.theta)
-    cum = np.array([p._cum_at(x) for x in cand])
+    cum = p._cum_at(cand)
     mass = cum[None, :] - cum[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (th[:, None] + th[None, :]) / mass
@@ -338,10 +327,15 @@ def isoperimetric_constant(p: RadialProblem) -> float:
         )
         b = float(res.x)
     best = min(best, _ratio_two_sided(p, a, b))
-    for touch, bc in ((_ratio_touch_right, p.right_bc), (_ratio_touch_left, p.left_bc)):
+    # sets touching a Neumann end; the masses are p.mass(x, L) and p.mass(0, x)
+    for touch, bc, mass in (
+        (_ratio_touch_right, p.right_bc, p._cum_at(p.length) - cum),
+        (_ratio_touch_left, p.left_bc, cum - p._cum_at(0.0)),
+    ):
         if bc is not Endpoint.NEUMANN:
             continue
-        vals = np.array([touch(p, x) for x in cand])
+        with np.errstate(divide="ignore"):
+            vals = np.where(mass > 0, th / mass, math.inf)
         k = int(np.argmin(vals))
         best = min(best, float(vals[k]))
         x0 = float(cand[k])
@@ -372,15 +366,14 @@ def problem_screen(p: RadialProblem) -> screens.GridScreen:
         rs = np.unique(np.concatenate([
             p.grid[p.grid <= L / 2], L - p.grid[p.grid >= L / 2], [L / 2],
         ]))
-        F = np.array([(p.mass(0.0, r) + p.mass(L - r, L)) / total for r in rs])
-        F = np.maximum.accumulate(np.minimum(F, 1.0))  # guard float jitter
-        F[-1] = 1.0
-        return screens.GridScreen(rs, F, full_support=True)
-    if p.right_bc is Endpoint.NEUMANN:
-        return screens.GridScreen(p.grid, p._cum / total, full_support=True)
-    # boundary on the right: rho = L - t
-    rs = L - p.grid[::-1]
-    F = np.maximum.accumulate(np.array([p.mass(L - r, L) / total for r in rs]))
+        F = (p.mass(0.0, rs) + p.mass(L - rs, L)) / total
+    elif p.right_bc is Endpoint.NEUMANN:
+        rs, F = p.grid, p._cum / total
+    else:  # boundary on the right: rho = L - t
+        rs = L - p.grid[::-1]
+        F = p.mass(L - rs, L) / total
+    # guard float jitter, and Simpson knot tables that dip for a rough theta
+    F = np.maximum.accumulate(np.minimum(F, 1.0, out=F), out=F)
     F[-1] = 1.0
     return screens.GridScreen(rs, F, full_support=True)
 
@@ -401,31 +394,25 @@ def interval_bsep(p: RadialProblem, etas) -> float:
     total = p.total_mass
     left_b = p.left_bc is Endpoint.DIRICHLET
     right_b = p.right_bc is Endpoint.DIRICHLET
-    import itertools
-
     perms = set(itertools.permutations(etas))
 
     def feasible(D: float) -> bool:
         for perm in perms:
-            pos = D if left_b else 0.0
-            end = pos
-            ok = True
+            pos = end = D if left_b else 0.0
             for eta in perm:
                 if pos >= p.length:
-                    ok = False
                     break
-                target = p._cum_at(pos) + eta * total
+                c_pos = p._cum_at(pos)
+                target = c_pos + eta * total
                 if target > total * (1.0 + 1e-12):
-                    ok = False
                     break
                 b = p._mass_inverse(min(target, total))
-                if p.mass(pos, b) < eta * total * (1.0 - 1e-9):
-                    ok = False
+                if p._cum_at(b) - c_pos < eta * total * (1.0 - 1e-9):
                     break
-                end = b
-                pos = b + D
-            if ok and end <= p.length - (D if right_b else 0.0) + 1e-12:
-                return True
+                end, pos = b, b + D
+            else:
+                if end <= p.length - (D if right_b else 0.0) + 1e-12:
+                    return True
         return False
 
     lo, hi = 0.0, p.length
@@ -433,6 +420,9 @@ def interval_bsep(p: RadialProblem, etas) -> float:
         return 0.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
+        # a midpoint on a tested end fixes the bracket (hi = L is untested)
+        if mid == lo or (mid == hi and hi < p.length):
+            break
         if feasible(mid):
             lo = mid
         else:
@@ -498,19 +488,7 @@ class AuditReport:
         return all(e.passed for e in self.entries)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "meta": self.meta,
-                "entries": [
-                    {
-                        "name": e.name, "k": e.k, "eta": e.eta,
-                        "lhs": e.lhs, "rhs": e.rhs, "relation": e.relation,
-                        "margin": e.margin, "passed": e.passed,
-                    }
-                    for e in self.entries
-                ],
-            }
-        )
+        return json.dumps({"meta": self.meta, "entries": [asdict(e) for e in self.entries]})
 
     def to_csv(self) -> str:
         buf = io.StringIO()

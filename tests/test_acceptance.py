@@ -116,9 +116,10 @@ def test_criterion_01_model_closed_forms():
 
 
 def test_criterion_02_flat_ball_reproduction():
-    """(n/lam)(1 - eta^(1/n)) matches the quadrature inverse to 1e-9 and
-    approaches its limit at the stated O(1/n) rate."""
-    with criterion(2, "flat-ball closed form vs quadrature route and rate"):
+    """(n/lam)(1 - eta^(1/n)) matches jacobi.v_inverse, a second evaluation
+    of the same closed form, to 1e-9 and approaches its limit at the stated
+    O(1/n) rate."""
+    with criterion(2, "flat-ball closed form vs v_inverse evaluation and rate"):
         for lam in (1.0, 0.5):
             for eta in (0.25, 0.5, 0.75):
                 ns = [2 ** j for j in range(1, 10)]  # 2 .. 512

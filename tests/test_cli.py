@@ -307,3 +307,18 @@ class TestDeterminismAndSvg:
         )
         assert code == 2
         assert "error" in err
+
+
+class TestNonFiniteProblemFile:
+    @pytest.mark.parametrize("command", ["spectrum", "audit"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_theta_exits_2(self, capsys, tmp_path, command, bad):
+        t = np.linspace(0.0, 1.0, 65)
+        text = RadialProblem(t, np.ones_like(t)).to_csv()
+        text = text.replace("\n0.5,1\n", f"\n0.5,{bad}\n")
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, command, "--file", str(path), "--k", "2")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err

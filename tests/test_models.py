@@ -257,3 +257,15 @@ class TestSerialization:
     def test_bad_params_rejected(self):
         with pytest.raises(DomainError):
             model_from_json('{"tag": "ball", "n": 3}')
+
+
+class TestRadialDensityContract:
+    @pytest.mark.parametrize("where, bad", [
+        ("theta", math.nan), ("theta", math.inf), ("t", math.nan), ("t", math.inf),
+    ])
+    def test_nonfinite_input_rejected(self, where, bad):
+        t = np.linspace(0.0, 1.0, 64)
+        theta = np.ones_like(t)
+        (t if where == "t" else theta)[-1] = bad
+        with pytest.raises(DomainError):
+            models.RadialDensity(t, theta)

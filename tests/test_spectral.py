@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boundarylab import screens
 from boundarylab.errors import DomainError
-from boundarylab.models import ModelSpace
+from boundarylab.models import ModelSpace, RadialDensity
 from boundarylab.spectral import (
     Endpoint,
     RadialProblem,
@@ -371,3 +373,233 @@ class TestProblemIO:
     def test_inradius_conventions(self):
         assert inradius(uniform_problem(64)) == pytest.approx(0.5)
         assert inradius(uniform_problem(64, right=Endpoint.NEUMANN)) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the cumulative-mass primitive and its array callers
+# ---------------------------------------------------------------------------
+
+@st.composite
+def pl_problems(draw, bcs=(Endpoint.DIRICHLET, Endpoint.DIRICHLET)):
+    """Random problem on a uniform or a nonuniform grid of 16-80 points."""
+    n = draw(st.integers(16, 80))
+    if draw(st.booleans()):
+        grid = np.linspace(0.0, draw(st.floats(0.05, 20.0)), n)
+    else:
+        steps = draw(st.lists(st.floats(1e-3, 2.0), min_size=n - 1, max_size=n - 1))
+        grid = np.concatenate([[0.0], np.cumsum(steps)])
+    theta = np.exp(draw(st.lists(st.floats(-6.0, 6.0), min_size=n, max_size=n)))
+    return RadialProblem(grid, theta, left_bc=bcs[0], right_bc=bcs[1])
+
+
+def _probe_points(p, draw):
+    """Knots, cell midpoints, random interior points, and clamped points."""
+    g, L = p.grid, p.length
+    inner = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    return np.concatenate([
+        g, 0.5 * (g[1:] + g[:-1]), L * np.asarray(inner),
+        [-1.0, -1e-300, 0.0, -0.0, L, np.nextafter(L, np.inf), 1.5 * L + 3.0],
+    ])
+
+
+def _cum_at_oracle(p, x):
+    """The scalar cumulative mass as it was written before the primitive."""
+    g, th = p.grid, p.theta
+    x = min(max(float(x), 0.0), p.length)
+    i = min(int(np.searchsorted(g, x, side="right")) - 1, g.size - 2)
+    t0, t1 = g[i], g[i + 1]
+    thx = th[i] + (th[i + 1] - th[i]) * (x - t0) / (t1 - t0)
+    return float(p._cum[i] + 0.5 * (x - t0) * (th[i] + thx))
+
+
+class TestCumulativeMassPrimitive:
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_array_equals_scalar_calls(self, data):
+        p = data.draw(pl_problems())
+        xs = _probe_points(p, data.draw)
+        arr = p._cum_at(xs)
+        scalar = np.array([p._cum_at(float(x)) for x in xs])
+        oracle = np.array([_cum_at_oracle(p, x) for x in xs])
+        assert arr.shape == xs.shape
+        assert np.all(arr == scalar) and np.all(scalar == oracle)
+
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_radial_density_mass_matches_problem(self, data):
+        p = data.draw(pl_problems())
+        d = RadialDensity(p.grid, p.theta)
+        xs = _probe_points(p, data.draw)
+        assert np.all(d.mass(0.0, xs) == p.mass(0.0, xs))
+        assert all(d.mass(0.0, float(x)) == p.mass(0.0, float(x)) for x in xs)
+
+    def test_clamped_ends(self):
+        p = uniform_problem(101, L=2.0)
+        assert p._cum_at(-5.0) == 0.0
+        assert np.all(p._cum_at(np.array([2.0, 7.0])) == p._cum_at(2.0))
+        assert p.mass(0.0, p.length) == pytest.approx(2.0, rel=1e-14)
+
+
+def _screen_oracle(p):
+    """problem_screen's knots and CDF, built point by point from p.mass."""
+    L, total = p.length, p.total_mass
+    if p.left_bc is Endpoint.DIRICHLET and p.right_bc is Endpoint.DIRICHLET:
+        rs = np.unique(np.concatenate([
+            p.grid[p.grid <= L / 2], L - p.grid[p.grid >= L / 2], [L / 2],
+        ]))
+        F = np.array([(p.mass(0.0, r) + p.mass(L - r, L)) / total for r in rs])
+    elif p.right_bc is Endpoint.NEUMANN:
+        rs = p.grid
+        F = np.array([p.mass(0.0, r) / total for r in rs])
+    else:
+        rs = L - p.grid[::-1]
+        F = np.array([p.mass(L - r, L) / total for r in rs])
+    F = np.maximum.accumulate(np.minimum(F, 1.0))
+    F[-1] = 1.0
+    return rs, F
+
+
+class TestProblemScreenEquivalence:
+    @pytest.mark.parametrize("bcs", [
+        (Endpoint.DIRICHLET, Endpoint.DIRICHLET),
+        (Endpoint.DIRICHLET, Endpoint.NEUMANN),
+        (Endpoint.NEUMANN, Endpoint.DIRICHLET),
+    ])
+    @given(data=st.data())
+    def test_equals_pointwise_oracle(self, bcs, data):
+        p = data.draw(pl_problems(bcs))
+        s = problem_screen(p)
+        rs, F = _screen_oracle(p)
+        assert np.array_equal(s.t, rs)
+        assert np.array_equal(s.F, F)
+
+    @pytest.mark.parametrize("spike, left, right", [
+        # Simpson's knot table dips after the first node
+        (2, Endpoint.DIRICHLET, Endpoint.NEUMANN),
+        # the PL mass over [0, L] exceeds the table's total
+        (16, Endpoint.NEUMANN, Endpoint.DIRICHLET),
+    ])
+    def test_rough_density_on_a_coarse_grid(self, spike, left, right):
+        t = np.linspace(0.0, 1.0, 17)
+        theta = np.ones_like(t)
+        theta[1], theta[spike] = math.exp(-2.0), math.exp(3.0)
+        s = problem_screen(RadialProblem(t, theta, left_bc=left, right_bc=right))
+        assert np.all(np.diff(s.F) >= 0) and s.F[0] >= 0 and s.F[-1] == 1.0
+
+
+def _interval_bsep_oracle(p, etas):
+    """interval_bsep as a fixed 60-step bisection that recomputes masses."""
+    import itertools
+
+    etas = [float(e) for e in etas]
+    if any(e > 1 for e in etas) or sum(etas) > 1.0:
+        return 0.0
+    total = p.total_mass
+    left_b = p.left_bc is Endpoint.DIRICHLET
+    right_b = p.right_bc is Endpoint.DIRICHLET
+
+    def feasible(D):
+        for perm in set(itertools.permutations(etas)):
+            pos = D if left_b else 0.0
+            end, ok = pos, True
+            for eta in perm:
+                if pos >= p.length:
+                    ok = False
+                    break
+                target = p._cum_at(pos) + eta * total
+                if target > total * (1.0 + 1e-12):
+                    ok = False
+                    break
+                b = p._mass_inverse(min(target, total))
+                if p.mass(pos, b) < eta * total * (1.0 - 1e-9):
+                    ok = False
+                    break
+                end, pos = b, b + D
+            if ok and end <= p.length - (D if right_b else 0.0) + 1e-12:
+                return True
+        return False
+
+    lo, hi = 0.0, p.length
+    if not feasible(lo):
+        return 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestIntervalBsepEquivalence:
+    @pytest.mark.parametrize("bcs", [
+        (Endpoint.DIRICHLET, Endpoint.DIRICHLET),
+        (Endpoint.DIRICHLET, Endpoint.NEUMANN),
+        (Endpoint.NEUMANN, Endpoint.DIRICHLET),
+    ])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_equals_full_bisection(self, bcs, data):
+        p = data.draw(pl_problems(bcs))
+        etas = data.draw(st.lists(st.floats(0.02, 0.45), min_size=1, max_size=2))
+        assert interval_bsep(p, etas) == _interval_bsep_oracle(p, etas)
+
+    def test_no_masses_reach_the_far_end(self):
+        # every D is feasible: the last midpoint rounds onto the untested L
+        p = uniform_problem(64, right=Endpoint.NEUMANN)
+        assert interval_bsep(p, []) == _interval_bsep_oracle(p, []) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# input contract: non-finite grids and densities
+# ---------------------------------------------------------------------------
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_theta_rejected(self, bad):
+        t = np.linspace(0.0, 1.0, 33)
+        theta = np.ones_like(t)
+        theta[7] = bad
+        with pytest.raises(DomainError):
+            RadialProblem(t, theta)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_grid_rejected(self, bad):
+        t = np.linspace(0.0, 1.0, 33)
+        t[-1] = bad
+        with pytest.raises(DomainError):
+            RadialProblem(t, np.ones_like(t))
+
+    def test_csv_with_nan_theta_rejected(self):
+        p = uniform_problem(33)
+        text = p.to_csv().replace("\n0.5,1\n", "\n0.5,nan\n")
+        assert "nan" in text
+        with pytest.raises(DomainError):
+            RadialProblem.from_csv(text)
+
+
+class TestCsvParsing:
+    def test_roundtrip_is_exact(self):
+        rng = np.random.default_rng(3)
+        t = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-4, 1.0, 500))])
+        p = RadialProblem(t, np.exp(rng.normal(size=t.size) * 5))
+        p2 = RadialProblem.from_csv(p.to_csv())
+        assert np.array_equal(p2.grid, p.grid) and np.array_equal(p2.theta, p.theta)
+
+    @pytest.mark.parametrize("row", ["0.5", "0.5,1,2", "0.5,x", "", "0.5;1"])
+    def test_malformed_row_rejected(self, row):
+        lines = uniform_problem(33).to_csv().splitlines()
+        lines[10] = row
+        with pytest.raises(DomainError, match="bad CSV row"):
+            RadialProblem.from_csv("\n".join(lines) + "\n")
+
+    def test_quoted_fields_accepted(self):
+        p = uniform_problem(33)
+        lines = p.to_csv().splitlines()
+        lines[5] = ",".join(f'"{v}"' for v in lines[5].split(","))
+        p2 = RadialProblem.from_csv("\n".join(lines))
+        assert np.array_equal(p2.grid, p.grid)
+
+    def test_header_without_rows_rejected(self):
+        with pytest.raises(DomainError):
+            RadialProblem.from_csv("# {}\nt,theta\n")
