@@ -15,21 +15,29 @@ Subpackages by capability:
 * :mod:`boundarylab.asymptotics` -- distribution laws, critical scale
   orders, and concentration classification;
 * :mod:`boundarylab.cli`         -- the command-line front end.
+
+The six layer modules load on first use (``boundarylab.spectral``,
+``from boundarylab import spectral`` or ``import *``), so a process pays
+only for the layers, and the SciPy submodules, that it touches.
 """
 
-from . import asymptotics, graphs, jacobi, models, screens, spectral
+import importlib
+
 from .errors import DomainError, RegimeError
 
 __version__ = "0.1.0"
 
+_LAYERS = ("asymptotics", "graphs", "jacobi", "models", "screens", "spectral")
+
 __all__ = [
-    "asymptotics",
-    "graphs",
-    "jacobi",
-    "models",
-    "screens",
-    "spectral",
+    *_LAYERS,
     "DomainError",
     "RegimeError",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in _LAYERS:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,8 +15,12 @@ import sys
 
 import numpy as np
 
-from . import asymptotics, graphs, jacobi, models, screens, spectral
 from .errors import DomainError, RegimeError
+
+# Each command imports its own layer modules: a fresh process then loads
+# only what it runs (``graph`` none of scipy.special/linalg/optimize/integrate,
+# ``compare`` no scipy.linalg); interpreter start plus import is most of a
+# command's wall time.
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -91,41 +95,47 @@ def _read_file(path: str) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def _model_from_args(args) -> models.ModelSpace:
+def _need(args, owner: str, *names):
+    """Raise ``DomainError("<owner> needs --flag")`` for the first missing flag."""
+    for name in names:
+        if getattr(args, name) is None:
+            flag = {"lam": "--lambda"}.get(name, f"--{name}")
+            raise DomainError(f"{owner} needs {flag}")
+
+
+def _model_from_args(args):
+    from . import models
+
     if args.descriptor:
         return models.model_from_json(args.descriptor)
     if not args.tag:
         raise DomainError("need --tag or --descriptor")
     tag = args.tag
+    owner = f"model tag {tag!r}"
     if tag == "ball":
-        _need(args, "n", "kappa", "lam")
+        _need(args, owner, "n", "kappa", "lam")
         return models.ModelSpace.ball(args.n, args.kappa, args.lam)
     if tag == "warped":
-        _need(args, "n", "kappa")
+        _need(args, owner, "n", "kappa")
         return models.ModelSpace.warped(args.n, args.kappa)
     if tag == "half_gaussian":
-        _need(args, "K", "lam")
+        _need(args, owner, "K", "lam")
         return models.ModelSpace.half_gaussian(args.K, args.lam)
     if tag == "exponential":
-        _need(args, "lam")
+        _need(args, owner, "lam")
         return models.ModelSpace.exponential(args.lam)
     if tag == "weighted_warped_exp":
-        _need(args, "n", "N", "kappa")
+        _need(args, owner, "n", "N", "kappa")
         return models.ModelSpace.weighted_warped_exp(args.n, args.N, args.kappa)
     if tag == "weighted_warped_gauss":
-        _need(args, "n", "kappa", "delta")
+        _need(args, owner, "n", "kappa", "delta")
         return models.ModelSpace.weighted_warped_gauss(args.n, args.kappa, args.delta)
     raise DomainError(f"unknown tag {tag!r}")
 
 
-def _need(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            flag = {"lam": "--lambda"}.get(name, f"--{name}")
-            raise DomainError(f"model tag {args.tag!r} needs {flag}")
-
-
 def cmd_model(args) -> int:
+    from . import models
+
     m = _model_from_args(args)
     etas = args.eta or [0.5]
     rows = [
@@ -153,17 +163,20 @@ def cmd_model(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import jacobi, models
+
     etas = args.eta or [0.5]
+    owner = f"regime {args.regime!r}"
     if args.regime == "finite":
-        _need_compare(args, "N", "kappa", "lam")
+        _need(args, owner, "N", "kappa", "lam")
         kind = models.FiniteN(args.N, jacobi.classify(args.kappa, args.lam))
         params = {"N": args.N, "kappa": args.kappa, "lambda": args.lam}
     elif args.regime == "twisted":
-        _need_compare(args, "n", "kappa", "lam", "delta")
+        _need(args, owner, "n", "kappa", "lam", "delta")
         kind = models.Twisted(jacobi.TwistParams(args.n, args.kappa, args.lam, args.delta))
         params = {"n": args.n, "kappa": args.kappa, "lambda": args.lam, "delta": args.delta}
     elif args.regime == "infinite":
-        _need_compare(args, "K", "lam")
+        _need(args, owner, "K", "lam")
         kind = models.Infinite(jacobi.classify_infinite(args.K, args.lam))
         params = {"K": args.K, "Lambda": args.lam}
     else:
@@ -183,14 +196,9 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _need_compare(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            flag = {"lam": "--lambda"}.get(name, f"--{name}")
-            raise DomainError(f"regime {args.regime!r} needs {flag}")
-
-
 def cmd_spectrum(args) -> int:
+    from . import spectral
+
     p = spectral.RadialProblem.from_csv(_read_file(args.file))
     res = spectral.dirichlet_spectrum(p, args.k)
     err = res.estimated_discretization_error
@@ -214,6 +222,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from . import spectral
+
     p = spectral.RadialProblem.from_csv(_read_file(args.file))
     report = spectral.audit_inequalities(p, args.k, args.eta or [0.5])
     if args.format == "json":
@@ -230,6 +240,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from . import graphs
+
     g = graphs.BoundaryGraph.from_json(_read_file(args.file))
     if args.subcommand == "rho":
         if args.format == "json":
@@ -255,6 +267,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import asymptotics
+
     cfg = json.loads(_read_file(args.config))
     family = cfg.get("family")
     if family is None:

@@ -49,8 +49,10 @@ class BoundaryGraph:
             u, v, w = int(e[0]), int(e[1]), float(e[2])
             if not (0 <= u < n and 0 <= v < n):
                 raise DomainError(f"edge ({u}, {v}) references a missing vertex")
-            if w <= 0:
-                raise DomainError(f"edge ({u}, {v}) must have positive length, got {w}")
+            if not 0 < w < math.inf:  # also rejects NaN
+                raise DomainError(
+                    f"edge ({u}, {v}) must have finite positive length, got {w}"
+                )
             self.edges.append((u, v, w))
             adj[u].append((v, w))
             adj[v].append((u, w))
@@ -63,6 +65,8 @@ class BoundaryGraph:
         measure = np.asarray(measure, dtype=float)
         if measure.shape != (n,):
             raise DomainError(f"measure must have one weight per vertex ({n})")
+        if not np.isfinite(measure).all():
+            raise DomainError("measure weights must be finite")
         if np.any(measure < 0):
             raise DomainError("measure weights must be >= 0")
         if abs(measure.sum() - 1.0) > 1e-12:

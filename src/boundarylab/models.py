@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+import scipy
 
 from . import jacobi, screens
 from ._integrate import cumulative_trapezoid, pl_cumulative, pl_density
@@ -233,9 +233,11 @@ def normalization_audit(m: ModelSpace) -> float:
     if m.tag == "weighted_warped_gauss":
         a = m.gauss_rate
         cn = 0.5 * (m.n - 1) * (m.lam * math.exp(-2.0 * m.delta) - 2.0 * m.delta)
-        denom, _ = quad(lambda u: math.exp(-0.5 * a * u * u), 1.0, np.inf, limit=200)
+        denom, _ = scipy.integrate.quad(
+            lambda u: math.exp(-0.5 * a * u * u), 1.0, np.inf, limit=200,
+        )
         sphere_volume = math.exp(-cn) / denom
-        radial, _ = quad(
+        radial, _ = scipy.integrate.quad(
             lambda t: math.exp(cn) * math.exp(-0.5 * a * (t + 1.0) ** 2),
             0.0,
             np.inf,
@@ -245,9 +247,9 @@ def normalization_audit(m: ModelSpace) -> float:
     # remaining models are normalized by construction: integrate the screen
     s = boundary_screen(m)
     hi = s.scan_upper()
-    total, _ = quad(s.pdf, 0.0, hi, limit=200)
+    total, _ = scipy.integrate.quad(s.pdf, 0.0, hi, limit=200)
     if math.isinf(s.upper_support):
-        tail, _ = quad(s.pdf, hi, np.inf, limit=200)
+        tail, _ = scipy.integrate.quad(s.pdf, hi, np.inf, limit=200)
         total += tail
     return total
 
@@ -368,8 +370,8 @@ def volume_ratio_audit(
     elif isinstance(kind, Infinite):
         ic = kind.ic
         w = lambda t: np.exp(-0.5 * ic.K * t * t - ic.Lam * t)  # noqa: E731
-        num, _ = quad(w, 0.0, R, limit=200)
-        den, _ = quad(w, 0.0, r, limit=200)
+        num, _ = scipy.integrate.quad(w, 0.0, R, limit=200)
+        den, _ = scipy.integrate.quad(w, 0.0, r, limit=200)
         rhs = num / den
     else:
         raise DomainError(f"unknown comparison kind {kind!r}")

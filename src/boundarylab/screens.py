@@ -23,10 +23,8 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
+import scipy
 
-from . import jacobi
 from ._integrate import cumulative_simpson as _cumulative_simpson
 from .errors import DomainError
 
@@ -49,6 +47,15 @@ __all__ = [
 _MASS_TOL = 1e-12
 _TABLE_SIZE = 1 << 15  # intervals in the cached CDF table of a DensityScreen
 _TAIL_CUTOFF = 1e-13
+
+
+def _require_finite(what: str, x) -> None:
+    """Raise ``DomainError`` unless ``x`` (a number or an array) is finite
+    throughout; NaN compares false, so the ordered checks alone let it by.
+    Numbers take ``math.isfinite``: numpy costs microseconds per scalar."""
+    finite = np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x)
+    if not finite:
+        raise DomainError(f"{what} must be finite")
 
 
 class ObsBounds(NamedTuple):
@@ -131,6 +138,8 @@ class GridScreen(Screen):
         F = np.asarray(F, dtype=float)
         if t.ndim != 1 or t.shape != F.shape or t.size < 2:
             raise DomainError("grid screen needs matching 1-d knot arrays")
+        _require_finite("grid screen knots", t)
+        _require_finite("grid screen CDF values", F)
         if t[0] != 0.0:
             raise DomainError("grid screens start at t = 0")
         if np.any(np.diff(t) <= 0):
@@ -207,6 +216,8 @@ class AtomScreen(Screen):
         p = np.asarray(p, dtype=float)
         if t.ndim != 1 or t.shape != p.shape or t.size == 0:
             raise DomainError("atom screen needs matching 1-d arrays")
+        _require_finite("atom locations", t)
+        _require_finite("atom masses", p)
         if np.any(t < 0):
             raise DomainError("atoms must sit at t >= 0")
         if np.any(p < 0):
@@ -319,7 +330,7 @@ class DensityScreen(Screen):
         table = _cumulative_simpson(ys, ts[1] - ts[0])
         resid = 0.0
         if math.isinf(self.upper_support):
-            resid, _ = quad(pdf, self._hi, np.inf, epsabs=1e-14, limit=200)
+            resid, _ = scipy.integrate.quad(pdf, self._hi, np.inf, epsabs=1e-14, limit=200)
         total = table[-1] + resid
         if abs(total - 1.0) > 1e-9:
             raise DomainError(
@@ -334,7 +345,7 @@ class DensityScreen(Screen):
             return self.upper_support
         hi = 1.0
         while True:
-            tail, _ = quad(self.pdf, hi, np.inf, epsabs=1e-14, limit=200)
+            tail, _ = scipy.integrate.quad(self.pdf, hi, np.inf, epsabs=1e-14, limit=200)
             if tail < _TAIL_CUTOFF:
                 return hi
             hi *= 2.0
@@ -350,11 +361,11 @@ class DensityScreen(Screen):
             return 0.0
         if t >= self._hi:
             if math.isinf(self.upper_support):
-                tail, _ = quad(self.pdf, t, np.inf, epsabs=1e-14, limit=200)
+                tail, _ = scipy.integrate.quad(self.pdf, t, np.inf, epsabs=1e-14, limit=200)
                 return min(1.0, 1.0 - tail / self._norm)
             return 1.0
         i = int(np.searchsorted(self._ts, t, side="right")) - 1
-        extra, _ = quad(self.pdf, self._ts[i], t, epsabs=1e-14, limit=50)
+        extra, _ = scipy.integrate.quad(self.pdf, self._ts[i], t, epsabs=1e-14, limit=50)
         return min(1.0, self._Fs[i] + extra / self._norm)
 
     def cdf_fast(self, ts):
@@ -382,7 +393,9 @@ class DensityScreen(Screen):
             return float(lo)
         if fhi <= 0.0:
             return float(hi)
-        return float(brentq(lambda r: self.cdf(r) - xi, lo, hi, xtol=1e-14, rtol=8.9e-16))
+        return float(scipy.optimize.brentq(
+            lambda r: self.cdf(r) - xi, lo, hi, xtol=1e-14, rtol=8.9e-16,
+        ))
 
     def bsep(self, eta):
         # continuous strictly positive density: right and left quantiles agree
@@ -456,7 +469,13 @@ def _build_exponential(rate: float) -> DensityScreen:
     return DensityScreen(pdf, math.inf, family="exponential", params={"rate": rate})
 
 
+# The two builders below are the only users of ``jacobi``; importing it
+# here keeps scipy.special out of processes that never build a catalog
+# screen (graph commands, spectra, audits).
+
 def _build_ball(N: float, kappa: float, lam: float) -> DensityScreen:
+    from . import jacobi
+
     cc = jacobi.classify(kappa, lam)
     if not cc.is_ball:
         raise DomainError(f"({kappa}, {lam}) is not in the ball regime")
@@ -472,10 +491,12 @@ def _build_ball(N: float, kappa: float, lam: float) -> DensityScreen:
 
 
 def _build_half_gaussian(K: float, Lam: float) -> DensityScreen:
+    from . import jacobi
+
     ic = jacobi.classify_infinite(K, Lam)
     if not ic.admissible:
         raise DomainError(f"(K, Lam) = ({K}, {Lam}) is not admissible")
-    z, _ = quad(
+    z, _ = scipy.integrate.quad(
         lambda t: np.exp(-0.5 * K * t * t - Lam * t), 0.0, np.inf,
         epsabs=1e-14, epsrel=1e-13, limit=200,
     )
@@ -532,6 +553,7 @@ def part_inradius(s: Screen, xi: float) -> float:
     The empty set is admissible for xi <= 0, so the value is 0 there;
     xi > 1 has no admissible set at all.
     """
+    _require_finite("xi", xi)
     if xi > 1.0:
         raise DomainError(f"no Borel set has mass >= {xi}")
     if xi <= 0.0:
@@ -545,6 +567,7 @@ def bsep_single(s: Screen, eta: float) -> float:
     The optimal mass-eta set on a screen is a closed superlevel set of
     the coordinate.  Returns 0 when eta > 1 (no admissible set).
     """
+    _require_finite("eta", eta)
     if eta <= 0.0:
         raise DomainError(f"eta must be positive, got {eta}")
     if eta > 1.0:
@@ -563,6 +586,7 @@ def obs_inradius(s: Screen, eta: float):
     is certain, and an ``ObsBounds`` pair is returned instead of a float.
     Identically 0 for eta >= 1.
     """
+    _require_finite("eta", eta)
     if eta <= 0.0:
         raise DomainError(f"eta must be positive, got {eta}")
     if eta >= 1.0:
@@ -579,13 +603,14 @@ def ky_fan_zero(s: Screen) -> float:
     g0 = s.tail_open(0.0)
     if g0 <= 0.0:
         return 0.0
-    return float(
-        brentq(lambda e: s.tail_open(e) - e, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16)
-    )
+    return float(scipy.optimize.brentq(
+        lambda e: s.tail_open(e) - e, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16,
+    ))
 
 
 def scale(s: Screen, c: float) -> Screen:
     """Distribution of c*T; every invariant scales linearly with c."""
+    _require_finite("scale factor", c)
     if not c > 0:
         raise DomainError(f"scale factor must be positive, got {c}")
     return s.scale(c)

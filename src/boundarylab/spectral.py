@@ -23,15 +23,18 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq, minimize_scalar
 
 from . import screens
 from ._integrate import cumulative_auto, pl_cumulative, pl_density
 from .errors import DomainError
-from .models import ModelSpace, boundary_screen
+
+if TYPE_CHECKING:
+    from .models import ModelSpace
 
 __all__ = [
     "Endpoint",
@@ -52,6 +55,16 @@ __all__ = [
     "truncated_ray_problem",
     "generate_log_concave_problem",
 ]
+
+
+def __getattr__(name):
+    # ``boundary_screen`` stays reachable as ``spectral.boundary_screen`` but
+    # resolves on access, so that importing spectral leaves models unloaded
+    if name == "boundary_screen":
+        from .models import boundary_screen
+
+        return boundary_screen
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Endpoint(enum.Enum):
@@ -314,13 +327,13 @@ def isoperimetric_constant(p: RadialProblem) -> float:
     # coordinate polish of (a, b)
     span = float(cand[1] - cand[0]) if cand.size > 1 else p.length
     for _ in range(3):
-        res = minimize_scalar(
+        res = scipy.optimize.minimize_scalar(
             lambda x: _ratio_two_sided(p, x, b),
             bounds=(max(0.0, a - 2 * span), min(b, a + 2 * span)),
             method="bounded", options={"xatol": 1e-12},
         )
         a = float(res.x)
-        res = minimize_scalar(
+        res = scipy.optimize.minimize_scalar(
             lambda x: _ratio_two_sided(p, a, x),
             bounds=(max(a, b - 2 * span), min(p.length, b + 2 * span)),
             method="bounded", options={"xatol": 1e-12},
@@ -339,7 +352,7 @@ def isoperimetric_constant(p: RadialProblem) -> float:
         k = int(np.argmin(vals))
         best = min(best, float(vals[k]))
         x0 = float(cand[k])
-        res = minimize_scalar(
+        res = scipy.optimize.minimize_scalar(
             lambda x: touch(p, x),
             bounds=(max(0.0, x0 - 2 * span), min(p.length, x0 + 2 * span)),
             method="bounded", options={"xatol": 1e-12},
@@ -439,8 +452,8 @@ def gradient_sup() -> tuple[float, float]:
 
     The derivative vanishes where e^{-t} (2t + 1) = 1.
     """
-    t_star = brentq(lambda t: math.exp(-t) * (2.0 * t + 1.0) - 1.0, 0.5, 3.0,
-                    xtol=1e-14, rtol=8.9e-16)
+    t_star = scipy.optimize.brentq(lambda t: math.exp(-t) * (2.0 * t + 1.0) - 1.0, 0.5, 3.0,
+                                   xtol=1e-14, rtol=8.9e-16)
     return t_star, (1.0 - math.exp(-t_star)) / math.sqrt(t_star)
 
 
@@ -577,7 +590,11 @@ def truncated_ray_problem(
     """Radial problem for a noncompact ray model, truncated with a
     Neumann right end.  The default length leaves tail mass below 1e-8;
     the spectrum then carries the truncation as a caveat note."""
-    s = boundary_screen(model)
+    # the only use of ``models`` here: spectrum and audit never load it
+    # (nor, through it, jacobi and scipy.special)
+    from . import models
+
+    s = models.boundary_screen(model)
     if length is None:
         length = s.quantile(1.0 - tail_mass)
     t = np.linspace(0.0, float(length), points)

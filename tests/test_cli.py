@@ -97,6 +97,23 @@ class TestModel:
         assert len(out.splitlines()) == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["model", "--tag", "ball", "--n", "2", "--kappa", "0"], "model tag 'ball' needs --lambda"),
+    (["model", "--tag", "weighted_warped_exp", "--n", "3", "--kappa", "1"],
+     "model tag 'weighted_warped_exp' needs --N"),
+    (["compare", "--regime", "finite", "--N", "3", "--kappa", "0"],
+     "regime 'finite' needs --lambda"),
+    (["compare", "--regime", "twisted", "--n", "3", "--kappa", "0", "--lambda", "1"],
+     "regime 'twisted' needs --delta"),
+    (["compare", "--regime", "infinite", "--lambda", "1"], "regime 'infinite' needs --K"),
+])
+def test_missing_flag_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 class TestCompare:
     def test_infinite_exponential(self, capsys):
         code, out, _ = run(
@@ -322,3 +339,21 @@ class TestNonFiniteProblemFile:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+
+class TestNonFiniteGraphFile:
+    @pytest.mark.parametrize("command", [["rho"], ["bsep", "--eta", "0.5"]])
+    @pytest.mark.parametrize("edge, measure", [
+        ("NaN", "0.5"), ("1e400", "0.5"), ("1.0", "NaN"),
+    ])
+    def test_nonfinite_graph_exits_2(self, capsys, tmp_path, command, edge, measure):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, %s]], '
+            '"boundary": [0], "measure": [0.25, 0.25, %s]}' % (edge, measure)
+        )
+        code, out, err = run(capsys, "graph", command[0], "--file", str(path), *command[1:])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+

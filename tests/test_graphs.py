@@ -299,3 +299,20 @@ class TestSerialization:
             BoundaryGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], [], [1 / 3] * 3)
         with pytest.raises(DomainError):
             BoundaryGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], [0], [0.5, 0.5, 0.5])
+
+
+class TestNonFiniteInput:
+    """NaN fails no ``w <= 0`` test and JSON's 1e400 parses to inf, so the
+    constructor requires finite edge lengths and measure weights."""
+
+    @pytest.mark.parametrize("length", ["NaN", "Infinity", "1e400"])
+    def test_edge_length(self, length):
+        text = ('{"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, %s]], '
+                '"boundary": [0], "measure": [0.25, 0.25, 0.5]}' % length)
+        with pytest.raises(DomainError, match="finite positive length"):
+            BoundaryGraph.from_json(text)
+
+    def test_measure_weight(self):
+        with pytest.raises(DomainError, match="finite"):
+            BoundaryGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], [0], [0.5, 0.5, math.nan])
+

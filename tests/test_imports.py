@@ -1,0 +1,125 @@
+"""Import footprint: a fresh process loads only the layers and the SciPy
+submodules its command uses.
+
+Each check runs in a new interpreter and reads ``sys.modules``, so it does
+not depend on timing.  Interpreter start plus import is most of a CLI
+command's wall time, and each of the four SciPy submodules below costs
+more to import than numpy does.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import boundarylab
+from boundarylab.spectral import Endpoint, RadialProblem
+
+LAYERS = ("asymptotics", "graphs", "jacobi", "models", "screens", "spectral")
+SCIPY_HEAVY = ("scipy.special", "scipy.linalg", "scipy.optimize", "scipy.integrate")
+
+GRAPH = {
+    "vertices": 4,
+    "edges": [[0, 1, 1.0], [1, 2, 0.5], [2, 3, 2.0], [0, 3, 1.5]],
+    "boundary": [0],
+    "measure": [0.1, 0.2, 0.3, 0.4],
+}
+
+
+def loaded_after(code: str) -> set[str]:
+    """Names in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(boundarylab.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def loaded_after_commands(tmp_path, *argvs) -> set[str]:
+    """``sys.modules`` after ``cli.main`` runs each argv in one fresh process.
+
+    A module absent after the last command was absent after every one.
+    """
+    (tmp_path / "graph.json").write_text(json.dumps(GRAPH))
+    t = np.linspace(0.0, 1.0, 65)
+    problem = RadialProblem(t, np.exp(-t), right_bc=Endpoint.NEUMANN)
+    (tmp_path / "problem.csv").write_text(problem.to_csv())
+    argvs = [["--out", str(tmp_path / "out.txt"),
+              *(str(tmp_path / a) if a in ("graph.json", "problem.csv") else a for a in argv)]
+             for argv in argvs]
+    return loaded_after(
+        "from boundarylab import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    code = cli.main(argv)\n"
+        "    if code:\n"
+        "        raise SystemExit(f'{argv}: exit code {code}')"
+    )
+
+
+def test_cli_import_loads_no_layer_and_no_heavy_scipy():
+    mods = loaded_after("import boundarylab.cli")
+    assert not {f"boundarylab.{layer}" for layer in LAYERS} & mods
+    assert not set(SCIPY_HEAVY) & mods
+
+
+def test_graph_commands_load_no_heavy_scipy(tmp_path):
+    mods = loaded_after_commands(
+        tmp_path,
+        ["graph", "rho", "--file", "graph.json"],
+        ["--format", "csv", "graph", "screen", "--file", "graph.json"],
+        ["graph", "bsep", "--file", "graph.json", "--eta", "0.2", "--eta", "0.3"],
+        ["graph", "bsep", "--file", "graph.json", "--mode", "greedy", "--eta", "0.2",
+         "--eta", "0.3"],
+    )
+    assert not set(SCIPY_HEAVY) & mods
+
+
+def test_compare_loads_no_linalg_optimize_or_integrate(tmp_path):
+    mods = loaded_after_commands(
+        tmp_path,
+        ["compare", "--regime", "finite", "--N", "3", "--kappa", "1", "--lambda", "0.5"],
+        ["compare", "--regime", "twisted", "--n", "3", "--kappa", "0.5", "--lambda", "1",
+         "--delta", "0.2"],
+        ["compare", "--regime", "infinite", "--K", "1", "--lambda", "0.5"],
+    )
+    assert not {"scipy.linalg", "scipy.optimize", "scipy.integrate"} & mods
+
+
+def test_spectrum_loads_no_optimize_or_integrate(tmp_path):
+    mods = loaded_after_commands(tmp_path, ["spectrum", "--file", "problem.csv", "--k", "3"])
+    assert not {"scipy.optimize", "scipy.integrate", "boundarylab.models"} & mods
+
+
+def test_layers_resolve_on_first_access():
+    loaded_after(
+        "import sys, boundarylab\n"
+        "assert 'boundarylab.spectral' not in sys.modules\n"
+        "assert boundarylab.spectral is sys.modules['boundarylab.spectral']\n"
+        "from boundarylab import graphs\n"
+        "assert graphs is sys.modules['boundarylab.graphs']\n"
+        "assert 'boundarylab.models' not in sys.modules\n"
+        "from boundarylab import models\n"
+        "assert boundarylab.spectral.boundary_screen is models.boundary_screen\n"
+    )
+
+
+def test_star_import_binds_every_public_name():
+    mods = loaded_after(
+        "from boundarylab import *\n"
+        "import boundarylab\n"
+        "for name in boundarylab.__all__:\n"
+        "    assert globals()[name] is getattr(boundarylab, name), name\n"
+    )
+    assert {f"boundarylab.{layer}" for layer in LAYERS} <= mods
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_layer"):
+        boundarylab.no_such_layer
+    assert not hasattr(boundarylab, "cli_helpers")

@@ -308,3 +308,60 @@ class TestValidation:
 
         with pytest.raises(DomainError):
             DensityScreen(lambda t: np.full_like(np.asarray(t, float), 0.5), 1.0)
+
+
+class TestNonFiniteInput:
+    """NaN passes every ordered comparison, so each entry point and
+    constructor checks finiteness itself."""
+
+    @staticmethod
+    def _screens():
+        return {
+            "grid": uniform_grid_screen(),
+            "atoms": AtomScreen([0.0, 1.0, 2.0], [0.25, 0.25, 0.5]),
+            "density": closed_screen("exponential", rate=1.0),
+        }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["grid", "atoms", "density"])
+    def test_obs_inradius(self, kind, bad):
+        with pytest.raises(DomainError, match="finite"):
+            obs_inradius(self._screens()[kind], bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_bsep_single_on_atoms(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            bsep_single(self._screens()["atoms"], bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    @pytest.mark.parametrize("kind", ["grid", "density"])
+    def test_part_inradius(self, kind, bad):
+        with pytest.raises(DomainError, match="finite"):
+            part_inradius(self._screens()[kind], bad)
+
+    def test_scale_factor(self):
+        with pytest.raises(DomainError, match="finite"):
+            scale(uniform_grid_screen(), math.inf)
+
+    @pytest.mark.parametrize("t, F", [
+        ([0.0, math.nan, 1.0], [0.0, 0.5, 1.0]),
+        ([0.0, 0.5, math.inf], [0.0, 0.5, 1.0]),
+        ([0.0, 0.5, 1.0], [0.0, math.nan, 1.0]),
+    ])
+    def test_grid_screen(self, t, F):
+        with pytest.raises(DomainError, match="finite"):
+            GridScreen(t, F)
+
+    @pytest.mark.parametrize("t, p", [
+        ([0.0, math.nan], [0.5, 0.5]),
+        ([0.0, math.inf], [0.5, 0.5]),
+        ([0.0, 1.0], [math.nan, 1.0]),
+    ])
+    def test_atom_screen(self, t, p):
+        with pytest.raises(DomainError, match="finite"):
+            AtomScreen(t, p)
+
+    def test_grid_json_with_nan_knot(self):
+        with pytest.raises(DomainError, match="finite"):
+            screen_from_json('{"kind": "grid", "t": [0, NaN, 1], "F": [0, 0.5, 1]}')
+
