@@ -117,8 +117,8 @@ def hemisphere_sweep(kappa: float, eta: float, n_values) -> SweepReport:
         raise DomainError(f"kappa must be positive, got {kappa}")
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must lie in (0, 1), got {eta}")
-    limit_screen = boundary_screen(ModelSpace.half_gaussian(kappa, 0.0))
-    limit = screens.part_inradius(limit_screen, 1.0 - eta)
+    # the lower (1 - eta)-quantile of the half-Gaussian screen, in closed form
+    limit = jacobi.gaussian_tail_inverse(jacobi.classify_infinite(kappa, 0.0), eta)
     report = SweepReport(verdict=Verdict.CONVERGES_TO_LIMIT)
     for n in n_values:
         if n < 2:

@@ -134,7 +134,7 @@ def _model_from_args(args):
 
 
 def cmd_model(args) -> int:
-    from . import models
+    from . import jacobi, models
 
     m = _model_from_args(args)
     etas = args.eta or [0.5]
@@ -142,7 +142,8 @@ def cmd_model(args) -> int:
         {"eta": eta, "obs_inradius": models.closed_form_obs_inradius(m, eta)}
         for eta in etas
     ]
-    upper = models.boundary_screen(m).upper_support
+    # the support of the boundary screen: the comparison radius of a ball
+    upper = jacobi.c_radius(jacobi.classify(m.kappa, m.lam)) if m.tag == "ball" else math.inf
     if args.format == "json":
         _emit(args, json.dumps({
             "model": json.loads(m.to_json()),

@@ -226,3 +226,15 @@ class TestStructuralBounds:
         blob = json.loads(report.to_json())
         assert blob["verdict"] == "converges_to_limit"
         assert report.to_csv().splitlines()[0] == "n,value,limit,gap"
+
+
+def test_hemisphere_limit_is_the_half_gaussian_quantile():
+    # P[T >= r] = erfc(r sqrt(kappa / 2)) on the half-Gaussian ray
+    import mpmath
+
+    for kappa in (0.3, 1.0, 7.5):
+        for eta in (1e-6, 0.1, 0.5, 0.9):
+            limit = hemisphere_sweep(kappa, eta, [2]).rows[0].limit
+            z = mpmath.findroot(lambda x: mpmath.erfc(x) - eta, 1.0)
+            assert limit == pytest.approx(float(z * mpmath.sqrt(2 / mpmath.mpf(kappa))),
+                                          rel=1e-12)

@@ -123,3 +123,20 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_layer"):
         boundarylab.no_such_layer
     assert not hasattr(boundarylab, "cli_helpers")
+
+
+def test_spectrum_loads_no_linalg(tmp_path):
+    mods = loaded_after_commands(tmp_path, ["spectrum", "--file", "problem.csv", "--k", "3"])
+    assert "scipy.linalg" not in mods
+
+
+def test_half_gaussian_model_and_hemisphere_sweep_load_no_integrate_or_optimize(tmp_path):
+    config = tmp_path / "hemisphere.json"
+    config.write_text(json.dumps({"family": "hemisphere", "kappa": 1.0, "eta": 0.3,
+                                  "n": [2, 5, 20]}))
+    mods = loaded_after_commands(
+        tmp_path,
+        ["model", "--tag", "half_gaussian", "--K", "1", "--lam", "0.5", "--eta", "0.2"],
+        ["sweep", "--config", str(config)],
+    )
+    assert not {"scipy.integrate", "scipy.optimize"} & mods

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundarylab import screens
+from boundarylab import screens, spectral
 from boundarylab.errors import DomainError
 from boundarylab.models import ModelSpace, RadialDensity
 from boundarylab.spectral import (
@@ -603,3 +603,150 @@ class TestCsvParsing:
     def test_header_without_rows_rejected(self):
         with pytest.raises(DomainError):
             RadialProblem.from_csv("# {}\nt,theta\n")
+
+
+# ---------------------------------------------------------------------------
+# eigen accuracy: the exact discrete spectrum of the scheme, not the PDE's
+# ---------------------------------------------------------------------------
+
+BC_PAIRS = {
+    "dd": (Endpoint.DIRICHLET, Endpoint.DIRICHLET),
+    "dn": (Endpoint.DIRICHLET, Endpoint.NEUMANN),
+    "nd": (Endpoint.NEUMANN, Endpoint.DIRICHLET),
+}
+
+
+def _mp_pencil(p):
+    """Stiffness diagonal, off-diagonal and mass of the scheme's pencil over
+    the kept nodes, in mpmath from the float grid and density."""
+    import mpmath
+
+    t = [mpmath.mpf(float(x)) for x in p.grid]
+    th = [mpmath.mpf(float(x)) for x in p.theta]
+    n = len(t)
+    h = [t[i + 1] - t[i] for i in range(n - 1)]
+    w = [(th[i] + th[i + 1]) / 2 / h[i] for i in range(n - 1)]
+    dual = [h[0] / 2] + [(h[i - 1] + h[i]) / 2 for i in range(1, n - 1)] + [h[-1] / 2]
+    keep = range(int(p.left_bc is Endpoint.DIRICHLET), n - int(p.right_bc is Endpoint.DIRICHLET))
+    diag = [(w[i - 1] if i > 0 else 0) + (w[i] if i < n - 1 else 0) for i in keep]
+    off = [w[i] for i in list(keep)[:-1]]
+    return diag, off, [th[i] * dual[i] for i in keep]
+
+
+def _mp_count_below(pencil, x):
+    """Eigenvalues of the pencil below x: negative pivots of S - x M."""
+    import mpmath
+
+    diag, off, mass = pencil
+    count, d = 0, None
+    for i in range(len(diag)):
+        d_i = diag[i] - x * mass[i] - (off[i - 1] ** 2 / d if i else 0)
+        if d_i == 0:
+            d_i = mpmath.mpf(10) ** -mpmath.mp.dps
+        count += d_i < 0
+        d = d_i
+    return count
+
+
+def _mp_eigenvalues(p, k, dps=50):
+    """First k eigenvalues of the pencil by Sturm bisection at dps digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        pencil = _mp_pencil(p)
+        diag, off, mass = pencil
+        top = max((diag[i] + 2 * max(off, default=0)) / mass[i] for i in range(len(diag)))
+        vals = []
+        for j in range(1, k + 1):
+            lo, hi = mpmath.mpf(0), top
+            while hi - lo > mpmath.mpf(10) ** (-dps // 2) * hi:
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if _mp_count_below(pencil, mid) >= j else (mid, hi)
+            vals.append(float((lo + hi) / 2))
+        return np.array(vals)
+
+
+class TestExactDiscreteSpectrum:
+    """The solver returns the scheme's own eigenvalues to near rounding;
+    Sturm bisection on the formed tridiagonal lost eps / h^2 of them."""
+
+    @pytest.mark.parametrize("points", [2001, 20001, 200001])
+    @pytest.mark.parametrize("pair", sorted(BC_PAIRS))
+    def test_uniform_closed_form(self, points, pair):
+        left, right = BC_PAIRS[pair]
+        t = np.linspace(0.0, 1.0, points)
+        p = RadialProblem(t, np.full(points, 2.5), left_bc=left, right_bc=right)
+        h, j = 1.0 / (points - 1), np.arange(1, 6)
+        shift = 0.0 if pair == "dd" else 0.5
+        want = 4.0 / h**2 * np.sin((j - shift) * math.pi * h / 2.0) ** 2
+        nu = dirichlet_spectrum(p, 5).eigenvalues
+        np.testing.assert_allclose(nu, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("weight", ["flat", "exp"])
+    @pytest.mark.parametrize("right", [Endpoint.DIRICHLET, Endpoint.NEUMANN])
+    def test_graded_grid_against_mpmath(self, weight, right):
+        # cells from 1e-9 to 0.17: the formed tridiagonal spans 18 decades
+        t = (np.arange(33) / 32.0) ** 6
+        theta = np.ones_like(t) if weight == "flat" else np.exp(-3.0 * t)
+        p = RadialProblem(t, theta, right_bc=right)
+        nu = dirichlet_spectrum(p, 8).eigenvalues
+        np.testing.assert_allclose(nu, _mp_eigenvalues(p, 8), rtol=1e-12, atol=0.0)
+
+    def test_richardson_estimate_tracks_true_error(self):
+        # with exact solves the coarse/fine difference is the discretization
+        # error alone; rounding no longer swamps it at 200k points
+        points = 200001
+        t = np.linspace(0.0, 1.0, points)
+        res = dirichlet_spectrum(RadialProblem(t, np.ones(points)), 5)
+        h, j = 1.0 / (points - 1), np.arange(1, 6)
+        discrete = 4.0 / h**2 * np.sin(j * math.pi * h / 2.0) ** 2
+        true_err = float(np.max(np.abs(discrete - (j * math.pi) ** 2) / (j * math.pi) ** 2))
+        assert res.estimated_discretization_error == pytest.approx(true_err, rel=0.2)
+
+    @settings(max_examples=200)
+    @given(
+        points=st.integers(17, 64),
+        grading=st.sampled_from([1.0, 2.0, 4.0, 6.0]),
+        sd=st.floats(0.0, 3.0),
+        z=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+        pair=st.sampled_from(sorted(BC_PAIRS)),
+        k_frac=st.floats(0.0, 1.0),
+    )
+    def test_property_against_mpmath(self, points, grading, sd, z, pair, k_frac):
+        import mpmath
+
+        left, right = BC_PAIRS[pair]
+        t = 1.5 * np.linspace(0.0, 1.0, points) ** grading
+        log_theta = np.interp(t, np.linspace(0.0, 1.5, 6), sd * np.asarray(z))
+        p = RadialProblem(t, np.exp(log_theta), left_bc=left, right_bc=right)
+        k = 1 + int(k_frac * (min(12, (points - 1) // 4) - 1))
+        try:
+            nu = dirichlet_spectrum(p, k).eigenvalues
+        except DomainError as exc:
+            # refused only where nu_k / nu_1 outruns double precision
+            assert "double precision" in str(exc)
+            exact = _mp_eigenvalues(p, k, dps=30)
+            assert exact[-1] / exact[0] > 1e5
+            return
+        # nu_j is within 1e-9 of the j-th eigenvalue iff a 50-digit Sturm
+        # count puts j - 1 eigenvalues below nu_j (1 - 1e-9), j below nu_j (1 + 1e-9)
+        with mpmath.workdps(50):
+            pencil = _mp_pencil(p)
+            for j, v in enumerate(nu, 1):
+                assert _mp_count_below(pencil, mpmath.mpf(v) * (1 - mpmath.mpf("1e-9"))) <= j - 1
+                assert _mp_count_below(pencil, mpmath.mpf(v) * (1 + mpmath.mpf("1e-9"))) >= j
+
+
+class TestNoUnconvergedEigenvalues:
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_MAX_ITER", 4)
+        with pytest.raises(DomainError, match="did not resolve"):
+            dirichlet_spectrum(uniform_problem(2001), 5)
+
+    def test_spectrum_beyond_double_precision_raises(self):
+        # a thin neck joins the Dirichlet end to the bulk of the mass:
+        # nu_1 ~ e^-30 while nu_2 is O(1)
+        t = np.linspace(0.0, 1.0, 41)
+        p = RadialProblem(t, np.exp(np.where(t < 0.5, -30.0, 0.0)), right_bc=Endpoint.NEUMANN)
+        with pytest.raises(DomainError, match="double precision"):
+            dirichlet_spectrum(p, 2)
