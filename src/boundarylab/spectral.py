@@ -211,8 +211,11 @@ def _cells(p: RadialProblem):
 # Lanczos on the Green's operator; constants, not options
 _SEED = 20170605        # fixed start vector, so outputs are deterministic
 _RESIDUAL_TOL = 1e-9    # converged: residual bound <= _RESIDUAL_TOL * Ritz value
-_CLUSTER_TOL = 2e-9     # relative gap below which Ritz values are copies of one
-_MATCH_TOL = 1e-12      # relative distance to T-hat that marks a simple value spurious
+# two converged copies of one eigenvalue lie within twice the residual tolerance
+_CLUSTER_TOL = 2 * _RESIDUAL_TOL
+# a simple value this close to an eigenvalue of T-hat is spurious; far below
+# _CLUSTER_TOL / 2, so of two unmerged copies the one T-hat does not hug survives
+_MATCH_TOL = 1e-12
 _ROUNDING = 8.0         # residual floor in units of eps * mu_1: the matvec rounding
 _MAX_ITER = 1000
 _BLOCK = 1024
