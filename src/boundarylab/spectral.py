@@ -350,7 +350,7 @@ def _eigenvalues(p: RadialProblem, k: int) -> np.ndarray:
                 return 1.0 / mu
             if b == 0.0:  # an invariant subspace without k eigenvalues
                 break
-            check = m + max(stride, m // 32)
+            check = m + max(stride, m // 16)
         v_prev, v = v, w / b
     raise DomainError(f"Lanczos did not resolve k={k} eigenvalues in {_MAX_ITER} steps")
 
