@@ -368,13 +368,15 @@ def _spectrum(p: RadialProblem, k: int) -> SpectrumResult:
 def dirichlet_spectrum(p: RadialProblem, k: int) -> SpectrumResult:
     """First k eigenvalues of the weighted operator with the declared BCs.
 
-    Solved through the Green's operator to about 1e-9 relative or better
-    (the residual bound at convergence; typically near 1e-14), and never
-    returned unconverged: the iteration cap, or eigenvalues that span more
-    than double precision resolves, raise DomainError.  The scheme is
-    second-order accurate: halving the grid spacing cuts the discretization
-    error about fourfold.  The reported error estimate Richardson-
-    extrapolates a coarsened solve when the grid size allows it.
+    Solved through the Green's operator of the pencil that :func:`rayleigh`
+    evaluates (both read ``_cells``, so min-max holds), to about 1e-9
+    relative or better (the residual bound at convergence; typically near
+    1e-14), and never returned unconverged: the iteration cap, or
+    eigenvalues that span more than double precision resolves, raise
+    DomainError.  The scheme is second-order accurate: halving the grid
+    spacing cuts the discretization error about fourfold.  The reported
+    error estimate Richardson-extrapolates a coarsened solve when the grid
+    size allows it.
     """
     res = _spectrum(p, k)
     m = p.grid.size - 1
