@@ -198,14 +198,14 @@ class SpectrumResult:
             raise DomainError("eigenvalues must ascend")
 
 
-def _cells(p: RadialProblem):
+def _cells(grid, theta):
     """Cell widths, face densities and dual-cell widths of the scheme."""
-    h = np.diff(p.grid)
-    dual = np.empty(p.grid.size)
+    h = np.diff(grid)
+    dual = np.empty(grid.size)
     dual[1:-1] = 0.5 * (h[1:] + h[:-1])
     dual[0] = 0.5 * h[0]
     dual[-1] = 0.5 * h[-1]
-    return h, 0.5 * (p.theta[1:] + p.theta[:-1]), dual
+    return h, 0.5 * (theta[1:] + theta[:-1]), dual
 
 
 # Lanczos on the Green's operator; constants, not options
@@ -245,11 +245,12 @@ def _green(p: RadialProblem):
     built from the face resistances r_f = h_f / theta_face by cumulative
     sums; S itself is never formed.  Returns (apply, size).
     """
-    h, th_face, dual = _cells(p)
+    theta = p.theta / p.theta.max()  # nu does not change when theta is scaled
+    h, th_face, dual = _cells(p.grid, theta)
     r = h / th_face
     left_d = p.left_bc is Endpoint.DIRICHLET
     right_d = p.right_bc is Endpoint.DIRICHLET
-    sm = np.sqrt((p.theta * dual)[int(left_d):p.grid.size - int(right_d)])
+    sm = np.sqrt((theta * dual)[int(left_d):p.grid.size - int(right_d)])
     if left_d and right_d:
         # G_ij = R_i Rbar_j / R for i <= j, with R_i = sum_{f<i} r_f and
         # Rbar_j = sum_{f>=j} r_f: a prefix sum plus a strict suffix sum
@@ -326,33 +327,38 @@ def _eigenvalues(p: RadialProblem, k: int) -> np.ndarray:
 
     Three-term Lanczos without a stored basis: O(n) working memory.
     """
-    apply, size = _green(p)
-    v = np.random.default_rng(_SEED).standard_normal(size)
-    v /= np.linalg.norm(v)
-    v_prev = np.zeros(size)
-    alpha, beta = [], []
-    b = 0.0
-    # a check costs a dense eigensolve of T: space them out on small grids
-    # and, geometrically, on long runs
-    stride = 1 if size >= 8192 else 3
-    check = 2 * k + 2
-    for m in range(1, _MAX_ITER + 1):
-        w = apply(v)
-        w -= b * v_prev
-        a = float(w @ v)
-        w -= a * v
-        b = float(np.linalg.norm(w))
-        alpha.append(a)
-        beta.append(b)
-        if m >= check or b == 0.0:
-            mu = _genuine(alpha, beta, k)
-            if mu is not None:
-                return 1.0 / mu
-            if b == 0.0:  # an invariant subspace without k eigenvalues
-                break
-            check = m + max(stride, m // 16)
-        v_prev, v = v, w / b
-    raise DomainError(f"Lanczos did not resolve k={k} eigenvalues in {_MAX_ITER} steps")
+    # a theta spanning more than the floating-point range overflows in _green;
+    # the non-finite Lanczos coefficient it leads to is refused below
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        apply, size = _green(p)
+        v = np.random.default_rng(_SEED).standard_normal(size)
+        v /= np.linalg.norm(v)
+        v_prev = np.zeros(size)
+        alpha, beta = [], []
+        b = 0.0
+        # a check costs a dense eigensolve of T: space them out on small grids
+        # and, geometrically, on long runs
+        stride = 1 if size >= 8192 else 3
+        check = 2 * k + 2
+        for m in range(1, _MAX_ITER + 1):
+            w = apply(v)
+            w -= b * v_prev
+            a = float(w @ v)
+            w -= a * v
+            b = float(np.linalg.norm(w))
+            if not math.isfinite(a + b):
+                raise DomainError("theta spans more than the solver's floating-point range")
+            alpha.append(a)
+            beta.append(b)
+            if m >= check or b == 0.0:
+                mu = _genuine(alpha, beta, k)
+                if mu is not None:
+                    return 1.0 / mu
+                if b == 0.0:  # an invariant subspace without k eigenvalues
+                    break
+                check = m + max(stride, m // 16)
+            v_prev, v = v, w / b
+        raise DomainError(f"Lanczos did not resolve k={k} eigenvalues in {_MAX_ITER} steps")
 
 
 def _spectrum(p: RadialProblem, k: int) -> SpectrumResult:
@@ -407,7 +413,7 @@ def rayleigh(p: RadialProblem, phi) -> float:
             phi[idx] = 0.0
     if not np.any(phi != 0.0):
         raise DomainError("phi must not vanish identically")
-    h, th_face, dual = _cells(p)
+    h, th_face, dual = _cells(p.grid, p.theta)
     num = float(np.sum(th_face * np.diff(phi) ** 2 / h))
     den = float(np.sum(p.theta * dual * phi**2))
     if den == 0.0:

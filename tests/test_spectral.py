@@ -692,6 +692,18 @@ class TestExactDiscreteSpectrum:
         nu = dirichlet_spectrum(p, 8).eigenvalues
         np.testing.assert_allclose(nu, _mp_eigenvalues(p, 8), rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("scale", [1e-320, 1e-300, 1e300, 1e307])
+    @pytest.mark.parametrize("pair", ["dd", "dn"])
+    def test_density_scale_at_the_ends_of_the_float_range(self, scale, pair):
+        # nu does not change when theta is scaled; the formed tridiagonal
+        # overflowed or underflowed at these scales
+        left, right = BC_PAIRS[pair]
+        t = np.linspace(0.0, 1.0, 2001)
+        p = RadialProblem(t, np.full(t.size, scale), left_bc=left, right_bc=right)
+        q = RadialProblem(t, np.ones(t.size), left_bc=left, right_bc=right)
+        np.testing.assert_allclose(dirichlet_spectrum(p, 3).eigenvalues,
+                                   dirichlet_spectrum(q, 3).eigenvalues, rtol=1e-12, atol=0.0)
+
     def test_richardson_estimate_tracks_true_error(self):
         # with exact solves the coarse/fine difference is the discretization
         # error alone; rounding no longer swamps it at 200k points
@@ -742,6 +754,12 @@ class TestNoUnconvergedEigenvalues:
         monkeypatch.setattr(spectral, "_MAX_ITER", 4)
         with pytest.raises(DomainError, match="did not resolve"):
             dirichlet_spectrum(uniform_problem(2001), 5)
+
+    def test_theta_beyond_the_float_range_raises(self):
+        t = np.linspace(0.0, 1.0, 201)
+        p = RadialProblem(t, np.where(t < 0.5, 1e-200, 1e200))
+        with pytest.raises(DomainError, match="floating-point range"):
+            dirichlet_spectrum(p, 2)
 
     def test_spectrum_beyond_double_precision_raises(self):
         # a thin neck joins the Dirichlet end to the bulk of the mass:
