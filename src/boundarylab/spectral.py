@@ -283,12 +283,13 @@ def _genuine(alpha, beta, k):
     """The k largest genuine Ritz values of the Lanczos tridiagonal T, or
     None while any of them lacks convergence.
 
-    Cullum-Willoughby: Ritz values closer than _CLUSTER_TOL are copies of
-    one eigenvalue (ghosts left by lost orthogonality) and count once; a
-    simple Ritz value that is also an eigenvalue of T-hat (T without its
-    first row and column) is spurious.  Both tolerances scale with the Ritz
-    value, never below the rounding floor of the matvec.  A value converges
-    once its residual bound, plus that floor, is below _RESIDUAL_TOL of it.
+    The filter of Cullum and Willoughby (1985): Ritz values closer than
+    _CLUSTER_TOL are copies of one eigenvalue (ghosts left by lost
+    orthogonality) and count once; a simple Ritz value that is also an
+    eigenvalue of T-hat (T without its first row and column) is spurious.
+    Both tolerances scale with the Ritz value, never below the rounding
+    floor of the matvec.  A value converges once its residual bound, plus
+    that floor, is below _RESIDUAL_TOL of it.
     """
     m = len(alpha)
     T = np.diag(alpha)
