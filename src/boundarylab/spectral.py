@@ -5,12 +5,16 @@ positive weight theta and Dirichlet/Neumann endpoint conditions, the 1D
 radial reduction of the weighted Laplacian.  A finite-volume scheme on
 the (possibly nonuniform) grid yields a symmetric tridiagonal pencil
 (S, M) whose discrete Rayleigh quotient is exactly the quadrature used by
-:func:`rayleigh` (both read ``_cells``), so min-max holds.  The spectrum
-is solved through the exact inverse of the pencil, the Green's operator
-M^{1/2} S^{-1} M^{1/2}, applied by cumulative sums over the face
-resistances; S is never formed, so no eigenvalue loses the eps/h^2 that
-bisection on S pays.  Lanczos without a stored basis, with the
-Cullum-Willoughby filter, finds its largest eigenvalues in O(n) memory.
+:func:`rayleigh` (both read ``_cells``), so min-max holds.  S is never
+formed, so no eigenvalue loses the eps/h^2 that Sturm bisection on the
+formed tridiagonal pays.  Small k: Lanczos without a stored basis, with
+the Cullum-Willoughby filter, on the exact inverse of the pencil (the
+Green's operator M^{1/2} S^{-1} M^{1/2}, applied by cumulative sums over
+the face resistances) in O(n) memory.  Its values are kept only when an
+exact count of the eigenvalues below the k-th agrees; otherwise, and for
+larger k, the k smallest are root-found on those counts.  A count is the
+inertia of S - x M by cyclic reduction over the face conductances, which
+keeps every eigenvalue, small or large, to about 1e-13 relative.
 
 The module also scans the Dirichlet isoperimetric constant, computes
 boundary separation distances of the interval by exact 1D packing, and
@@ -219,6 +223,13 @@ _MATCH_TOL = 1e-12
 _ROUNDING = 8.0         # residual floor in units of eps * mu_1: the matvec rounding
 _MAX_ITER = 1000
 _BLOCK = 1024
+# eigenvalue counts and the root finder; constants, not options
+_LANCZOS_K = 16         # larger k goes to the root finder: past this, on 2k points, the cheaper
+_ROOT_TOL = 2.0 ** -44  # a root is returned once its bracket is this narrow, relative
+_MAX_SWEEPS = 100
+_SUSPECT = 1e-6         # a pivot below this share of its terms is recounted in order
+_CHUNK = 1 << 18        # shifts times nodes per batch of counts (2 MB arrays)
+_EPS = float(np.finfo(float).eps)
 
 
 def _cumsum(z: np.ndarray) -> np.ndarray:
@@ -236,6 +247,158 @@ def _cumsum(z: np.ndarray) -> np.ndarray:
     np.cumsum(z[cut:], out=out[cut:])
     out[cut:] += body[-1, -1]
     return out
+
+
+def _chain(p: RadialProblem):
+    """The pencil as a chain of the kept nodes: the conductances theta_face / h
+    between neighbours, the conductance from a node to a Dirichlet end (its
+    ground term), and the masses.  theta is scaled to its maximum, which
+    leaves nu unchanged."""
+    theta = p.theta / p.theta.max()
+    h, th_face, dual = _cells(p.grid, theta)
+    w = th_face / h
+    lo = int(p.left_bc is Endpoint.DIRICHLET)
+    hi = p.grid.size - int(p.right_bc is Endpoint.DIRICHLET)
+    mass = (theta * dual)[lo:hi]
+    if not (np.all(np.isfinite(w)) and w.min() > 0.0 and mass.min() > 0.0):
+        raise DomainError("theta spans more than the solver's floating-point range")
+    ground = np.zeros(hi - lo)
+    if lo:
+        ground[0] = w[0]
+    if hi < p.grid.size:
+        ground[-1] += w[-1]
+    return w[lo:hi - 1], ground, mass
+
+
+def _reduce(chain, x: np.ndarray):
+    """Negative pivots and log|det| of S - x M for each shift x, by cyclic
+    reduction, and the shifts where a pivot nearly cancelled.
+
+    Eliminating every other node leaves a chain of the same form: the new
+    conductance is the series c_l c_r / d and each neighbour's ground term
+    gains c gamma / d, so no stiffness sum is ever differenced and the
+    counts keep the relative accuracy of the conductances and masses.
+    """
+    c, ground, mass = chain
+    g = ground - x[:, None] * mass
+    c = c[None, :]
+    neg = np.zeros(x.size, dtype=int)
+    logdet = np.zeros(x.size)
+    big = np.zeros(x.size)
+    while g.shape[1] > 1:
+        cl, cr, odd = c[:, 0::2], c[:, 1::2], g[:, 1::2]
+        nr = cr.shape[1]
+        d = odd + cl
+        d[:, :nr] += cr
+        q = odd / d
+        t = np.abs(q)
+        big = np.maximum(big, t.max(axis=1))
+        neg += np.count_nonzero(d < 0.0, axis=1)
+        logdet += np.log(np.abs(d, out=t), out=t).sum(axis=1)
+        even = g[:, 0::2]
+        even[:, :odd.shape[1]] += np.multiply(cl, q, out=t)
+        even[:, 1:nr + 1] += np.multiply(cr, q[:, :nr], out=t[:, :nr])
+        c = cr / d[:, :nr]
+        c *= cl[:, :nr]
+        g = even
+    g = g[:, 0]
+    return neg + (g < 0.0), logdet + np.log(np.abs(g)), ~(big <= 1.0 / _SUSPECT)
+
+
+def _in_order(chain, x: float):
+    """The count and log|det| of :func:`_reduce` at one shift, by elimination
+    in node order in plain floats: a pivot that nearly cancels makes the
+    next one large, and the series ratio c a / q stays accurate through it."""
+    c, ground, mass = (v.tolist() for v in chain)
+    neg, logdet = 0, 0.0
+    a = ground[0] - x * mass[0]
+    for ci, gi, mi in zip(c, ground[1:], mass[1:]):
+        q = a + ci
+        if q == 0.0:
+            q = -_EPS * ci
+        neg += q < 0.0
+        logdet += math.log(abs(q))
+        a = ci * (a / q) + (gi - x * mi)
+    return neg + (a < 0.0), logdet + (math.log(abs(a)) if a else -math.inf)
+
+
+def _counts(chain, x: np.ndarray):
+    """Eigenvalues of the pencil below each shift x, and log|det(S - x M)|."""
+    neg = np.empty(x.size, dtype=int)
+    logdet = np.empty(x.size)
+    step = max(1, _CHUNK // len(chain[1]))
+    with np.errstate(all="ignore"):
+        for s in range(0, x.size, step):
+            part = slice(s, s + step)
+            neg[part], logdet[part], suspect = _reduce(chain, x[part])
+            if suspect.any():
+                for i in s + np.flatnonzero(suspect):
+                    neg[i], logdet[i] = _in_order(chain, float(x[i]))
+    if np.isnan(logdet).any():
+        raise DomainError("theta spans more than the solver's floating-point range")
+    return neg, logdet
+
+
+def _roots(p: RadialProblem, chain, k: int) -> np.ndarray:
+    """The k smallest eigenvalues by root finding on the counts.
+
+    Every shift brackets every eigenvalue: nu_j lies above the shifts with
+    fewer than j eigenvalues below and at or below the rest.  A bracket
+    holding one eigenvalue is narrowed by the Illinois variant of regula
+    falsi on det(S - x M), which changes sign once inside; any other by
+    geometric bisection.  The first shifts fall between the eigenvalues of
+    the uniform grid of the same size.
+    """
+    c, ground, mass = chain
+    # bounds: Gershgorin above, nu_1 >= 1 / trace(K) below, where the diagonal
+    # of S^-1 is the parallel resistance to the two ends
+    root_m = np.sqrt(mass)
+    off = c / (root_m[:-1] * root_m[1:])
+    row = ground / mass
+    row[:-1] += c / mass[:-1] + off
+    row[1:] += c / mass[1:] + off
+    with np.errstate(divide="ignore"):
+        end = 1.0 / ground[[0, -1]]
+    r = _cumsum(1.0 / c)
+    left = end[0] + np.concatenate(([0.0], r))
+    right = end[1] + (r[-1] - np.concatenate(([0.0], r)))
+    low = 0.5 / float(np.sum(mass / (1.0 / left + 1.0 / right)))
+    top = float(row.max())
+    j = np.arange(1, k + 1)
+    h = p.length / (p.grid.size - 1)
+    half = 0.0 if len(ground) == p.grid.size - 2 else 0.5
+    # uniform-grid eigenvalue j sits at index j - half; shift between j and j + 1
+    mid = (2.0 / h * np.sin((j + 0.5 - half) * math.pi * h / (2.0 * p.length))) ** 2
+    x = np.concatenate(([low], mid, [top]))
+    a, b = np.zeros(k), np.full(k, math.inf)
+    na, nb = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+    la, lb = np.zeros(k), np.zeros(k)
+    moved = np.zeros(k, dtype=int)  # the end that moved last: -1 a, 1 b
+    for _ in range(_MAX_SWEEPS):
+        neg, logdet = _counts(chain, x)
+        o = np.argsort(x, kind="stable")
+        xs, ns, ls = x[o], np.maximum.accumulate(neg[o]), logdet[o]
+        pos = np.searchsorted(ns, j)  # the first shift with j eigenvalues below
+        up, dn = np.minimum(pos, x.size - 1), np.maximum(pos - 1, 0)
+        mb = (pos < x.size) & (xs[up] < b)
+        ma = (pos > 0) & (xs[dn] > a)
+        # Illinois: when one end moves twice running, halve the other's value
+        la[mb & ~ma & (moved == 1)] -= math.log(2.0)
+        lb[ma & ~mb & (moved == -1)] -= math.log(2.0)
+        moved = mb.astype(int) - ma.astype(int)
+        b[mb], nb[mb], lb[mb] = xs[up[mb]], ns[up[mb]], ls[up[mb]]
+        a[ma], na[ma], la[ma] = xs[dn[ma]], ns[dn[ma]], ls[dn[ma]]
+        live = np.flatnonzero(b - a > _ROOT_TOL * b)
+        if live.size == 0:
+            return 0.5 * (a + b)
+        lo, hi = a[live], b[live]
+        x = np.sqrt(lo * hi)
+        single = (na[live] == live) & (nb[live] == live + 1)
+        with np.errstate(over="ignore"):
+            falsi = lo + (hi - lo) / (1.0 + np.exp(lb[live] - la[live]))
+        pad = 0.25 * _ROOT_TOL * hi
+        x = np.clip(np.where(single, falsi, x), lo + pad, hi - pad)
+    raise DomainError(f"root finding did not resolve k={k} eigenvalues in {_MAX_SWEEPS} sweeps")
 
 
 def _green(p: RadialProblem):
@@ -281,7 +444,8 @@ def _green(p: RadialProblem):
 
 def _genuine(alpha, beta, k):
     """The k largest genuine Ritz values of the Lanczos tridiagonal T, or
-    None while any of them lacks convergence.
+    None while any of them lacks convergence or lies below what the matvec
+    rounding resolves.
 
     The filter of Cullum and Willoughby (1985): Ritz values closer than
     _CLUSTER_TOL are copies of one eigenvalue (ghosts left by lost
@@ -303,9 +467,7 @@ def _genuine(alpha, beta, k):
     i = m - 1
     while i >= 0 and len(vals) < k:
         if floor > _RESIDUAL_TOL * theta[i]:  # the rest is rounding noise
-            raise DomainError(
-                f"nu_{len(vals) + 1} / nu_1 >= {theta[-1] / theta[i]:.3g}: beyond what"
-                f" double precision resolves to {_RESIDUAL_TOL:g} relative")
+            return None
         j = i
         while j > 0 and theta[j] - theta[j - 1] <= _CLUSTER_TOL * theta[j]:
             j -= 1
@@ -323,13 +485,16 @@ def _genuine(alpha, beta, k):
     return np.array(vals) if len(vals) == k else None
 
 
-def _eigenvalues(p: RadialProblem, k: int) -> np.ndarray:
-    """The k smallest eigenvalues nu = 1/mu, from the k largest mu of K.
+def _lanczos(p: RadialProblem, k: int) -> np.ndarray | None:
+    """The k smallest eigenvalues nu = 1/mu from the k largest mu of K, or
+    None where Lanczos cannot vouch for them.
 
-    Three-term Lanczos without a stored basis: O(n) working memory.
+    Three-term Lanczos without a stored basis: O(n) working memory.  Its
+    values need not be the k smallest: two eigenvalues closer than
+    _CLUSTER_TOL read as one, and one the start vector barely meets can
+    lag; the caller checks them against a count.
     """
-    # a theta spanning more than the floating-point range overflows in _green;
-    # the non-finite Lanczos coefficient it leads to is refused below
+    # a theta spanning more than the floating-point range overflows here
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         apply, size = _green(p)
         v = np.random.default_rng(_SEED).standard_normal(size)
@@ -337,9 +502,8 @@ def _eigenvalues(p: RadialProblem, k: int) -> np.ndarray:
         v_prev = np.zeros(size)
         alpha, beta = [], []
         b = 0.0
-        # a check costs a dense eigensolve of T: space them out on small grids
-        # and, geometrically, on long runs
-        stride = 1 if size >= 8192 else 3
+        # a check costs a dense eigensolve of T: every third step, and by m / 16
+        # on long runs
         check = 2 * k + 2
         for m in range(1, _MAX_ITER + 1):
             w = apply(v)
@@ -348,7 +512,7 @@ def _eigenvalues(p: RadialProblem, k: int) -> np.ndarray:
             w -= a * v
             b = float(np.linalg.norm(w))
             if not math.isfinite(a + b):
-                raise DomainError("theta spans more than the solver's floating-point range")
+                return None
             alpha.append(a)
             beta.append(b)
             if m >= check or b == 0.0:
@@ -356,10 +520,25 @@ def _eigenvalues(p: RadialProblem, k: int) -> np.ndarray:
                 if mu is not None:
                     return 1.0 / mu
                 if b == 0.0:  # an invariant subspace without k eigenvalues
-                    break
-                check = m + max(stride, m // 16)
+                    return None
+                check = m + max(3, m // 16)
             v_prev, v = v, w / b
-        raise DomainError(f"Lanczos did not resolve k={k} eigenvalues in {_MAX_ITER} steps")
+    return None
+
+
+def _eigenvalues(p: RadialProblem, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of the pencil, each to about 1e-13 relative.
+
+    Small k: Lanczos on the Green's operator, accepted when a count puts
+    exactly k eigenvalues below its k-th value; anything else: root finding
+    on the counts.
+    """
+    chain = _chain(p)
+    if k <= _LANCZOS_K:
+        nu = _lanczos(p, k)
+        if nu is not None and _counts(chain, nu[-1:] * (1.0 + _CLUSTER_TOL))[0][0] == k:
+            return nu
+    return _roots(p, chain, k)
 
 
 def _spectrum(p: RadialProblem, k: int) -> SpectrumResult:
@@ -375,15 +554,16 @@ def _spectrum(p: RadialProblem, k: int) -> SpectrumResult:
 def dirichlet_spectrum(p: RadialProblem, k: int) -> SpectrumResult:
     """First k eigenvalues of the weighted operator with the declared BCs.
 
-    Solved through the Green's operator of the pencil that :func:`rayleigh`
-    evaluates (both read ``_cells``, so min-max holds), to about 1e-9
-    relative or better (the residual bound at convergence; typically near
-    1e-14), and never returned unconverged: the iteration cap, or
-    eigenvalues that span more than double precision resolves, raise
-    DomainError.  The scheme is second-order accurate: halving the grid
-    spacing cuts the discretization error about fourfold.  The reported
-    error estimate Richardson-extrapolates a coarsened solve when the grid
-    size allows it.
+    The eigenvalues of the pencil that :func:`rayleigh` evaluates (both
+    read ``_cells``, so min-max holds), for any k up to the resolution
+    guard m/4, to 1e-9 relative or better: Lanczos values carry a residual
+    bound of 1e-9 and typically sit near 1e-14, and root-found ones are
+    bracketed to 6e-14 (see the module docstring).  Never
+    returned unconverged: a theta beyond the floating-point range, or root
+    finding that outruns its sweep cap, raise DomainError.  The scheme is
+    second-order accurate: halving the grid spacing cuts the
+    discretization error about fourfold.  The reported error estimate
+    Richardson-extrapolates a coarsened solve when the grid size allows it.
     """
     res = _spectrum(p, k)
     m = p.grid.size - 1

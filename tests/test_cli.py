@@ -361,21 +361,22 @@ class TestNonFiniteGraphFile:
 
 class TestUnresolvedSpectrumExits2:
     @pytest.mark.parametrize("command", ["spectrum", "audit"])
-    def test_spectrum_beyond_double_precision(self, capsys, tmp_path, command):
+    def test_theta_beyond_the_float_range(self, capsys, tmp_path, command):
         t = np.linspace(0.0, 1.0, 41)
-        p = RadialProblem(t, np.exp(np.where(t < 0.5, -30.0, 0.0)), right_bc=Endpoint.NEUMANN)
-        path = tmp_path / "neck.csv"
+        p = RadialProblem(t, np.where(t < 0.5, 1e-200, 1e200))
+        path = tmp_path / "wide.csv"
         path.write_text(p.to_csv())
         code, out, err = run(capsys, command, "--file", str(path), "--k", "2")
         assert code == 2
         assert out == ""
-        assert "double precision" in err
+        assert "floating-point range" in err
 
     @pytest.mark.parametrize("command", ["spectrum", "audit"])
-    def test_iteration_cap(self, capsys, monkeypatch, problem_file, command):
+    def test_iteration_caps(self, capsys, monkeypatch, problem_file, command):
         from boundarylab import spectral
 
         monkeypatch.setattr(spectral, "_MAX_ITER", 4)
+        monkeypatch.setattr(spectral, "_MAX_SWEEPS", 2)
         code, out, err = run(capsys, command, "--file", problem_file, "--k", "3")
         assert code == 2
         assert out == ""

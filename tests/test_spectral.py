@@ -725,33 +725,113 @@ class TestExactDiscreteSpectrum:
         k_frac=st.floats(0.0, 1.0),
     )
     def test_property_against_mpmath(self, points, grading, sd, z, pair, k_frac):
-        import mpmath
-
         left, right = BC_PAIRS[pair]
         t = 1.5 * np.linspace(0.0, 1.0, points) ** grading
         log_theta = np.interp(t, np.linspace(0.0, 1.5, 6), sd * np.asarray(z))
         p = RadialProblem(t, np.exp(log_theta), left_bc=left, right_bc=right)
         k = 1 + int(k_frac * (min(12, (points - 1) // 4) - 1))
-        try:
-            nu = dirichlet_spectrum(p, k).eigenvalues
-        except DomainError as exc:
-            # refused only where nu_k / nu_1 outruns double precision
-            assert "double precision" in str(exc)
-            exact = _mp_eigenvalues(p, k, dps=30)
-            assert exact[-1] / exact[0] > 1e5
-            return
-        # nu_j is within 1e-9 of the j-th eigenvalue iff a 50-digit Sturm
-        # count puts j - 1 eigenvalues below nu_j (1 - 1e-9), j below nu_j (1 + 1e-9)
-        with mpmath.workdps(50):
-            pencil = _mp_pencil(p)
-            for j, v in enumerate(nu, 1):
-                assert _mp_count_below(pencil, mpmath.mpf(v) * (1 - mpmath.mpf("1e-9"))) <= j - 1
-                assert _mp_count_below(pencil, mpmath.mpf(v) * (1 + mpmath.mpf("1e-9"))) >= j
+        _assert_within_1e9(p, dirichlet_spectrum(p, k).eigenvalues)
+
+    @settings(max_examples=100)
+    @given(
+        points=st.integers(17, 64),
+        grading=st.sampled_from([1.0, 2.0, 4.0, 6.0]),
+        sd=st.floats(0.0, 3.0),
+        z=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+        pair=st.sampled_from(sorted(BC_PAIRS)),
+        k_frac=st.floats(0.0, 1.0),
+    )
+    def test_root_finding_property_against_mpmath(self, points, grading, sd, z, pair, k_frac):
+        # the path for k above the Lanczos range, and for any Lanczos result
+        # the count rejects, up to the resolution guard
+        left, right = BC_PAIRS[pair]
+        t = 1.5 * np.linspace(0.0, 1.0, points) ** grading
+        log_theta = np.interp(t, np.linspace(0.0, 1.5, 6), sd * np.asarray(z))
+        p = RadialProblem(t, np.exp(log_theta), left_bc=left, right_bc=right)
+        k = 1 + int(k_frac * ((points - 1) // 4 - 1))
+        _assert_within_1e9(p, spectral._roots(p, spectral._chain(p), k))
+
+    @pytest.mark.parametrize("pair", sorted(BC_PAIRS))
+    def test_uniform_closed_form_at_the_resolution_guard(self, pair):
+        # k = m / 4 on 2001 points; the uniform grid puts whole eigenvalues of
+        # sub-chains on the spectrum, which the in-order recount resolves
+        left, right = BC_PAIRS[pair]
+        t = np.linspace(0.0, 1.0, 2001)
+        p = RadialProblem(t, np.ones(2001), left_bc=left, right_bc=right)
+        j = np.arange(1, 501)
+        shift = 0.0 if pair == "dd" else 0.5
+        want = 4.0 * 2000.0**2 * np.sin((j - shift) * math.pi / 4000.0) ** 2
+        np.testing.assert_allclose(dirichlet_spectrum(p, 500).eigenvalues, want, rtol=1e-12, atol=0.0)
+
+    def test_large_k_agrees_with_lanczos(self):
+        t = np.linspace(0.0, 1.0, 2001)
+        p = RadialProblem(t, np.exp(-t))
+        nu = dirichlet_spectrum(p, 70).eigenvalues
+        assert np.all(np.diff(nu) > 0)
+        np.testing.assert_allclose(nu[:12], spectral._lanczos(p, 12), rtol=1e-12, atol=0.0)
+
+    def test_graded_grid_at_the_resolution_guard_against_mpmath(self):
+        t = (np.arange(81) / 80.0) ** 3
+        p = RadialProblem(t, np.exp(-3.0 * t), right_bc=Endpoint.NEUMANN)
+        np.testing.assert_allclose(dirichlet_spectrum(p, 20).eigenvalues,
+                                   _mp_eigenvalues(p, 20, dps=30), rtol=1e-12, atol=0.0)
+
+    def test_near_degenerate_pair(self):
+        # two wells joined by a neck of density e^-30: nu_1 and nu_2 agree to
+        # 3e-13 and read as one Lanczos value; the count finds the second
+        t = np.linspace(0.0, 1.0, 41)
+        p = RadialProblem(t, np.exp(-30.0 * (np.abs(np.arange(41) - 20) <= 4)))
+        want = _mp_eigenvalues(p, 4)
+        assert want[1] / want[0] - 1 < 1e-12
+        np.testing.assert_allclose(dirichlet_spectrum(p, 2).eigenvalues, want[:2], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(dirichlet_spectrum(p, 4).eigenvalues, want, rtol=1e-12, atol=0.0)
+        nu = audit_inequalities(p, 2, []).meta["eigenvalues"]
+        np.testing.assert_allclose(nu, want[:2], rtol=1e-12, atol=0.0)
+
+    def test_spectrum_beyond_double_precision(self):
+        # a thin neck joins the Dirichlet end to the bulk of the mass:
+        # nu_1 ~ 4e-13 while nu_2 is O(1), past what Lanczos on K resolves
+        t = np.linspace(0.0, 1.0, 41)
+        p = RadialProblem(t, np.exp(np.where(t < 0.5, -30.0, 0.0)), right_bc=Endpoint.NEUMANN)
+        np.testing.assert_allclose(dirichlet_spectrum(p, 3).eigenvalues,
+                                   _mp_eigenvalues(p, 3, dps=30), rtol=1e-12, atol=0.0)
+
+    def test_cyclic_reduction_counts_match_the_in_order_ones(self):
+        rng = np.random.default_rng(5)
+        t = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 300)]))
+        p = RadialProblem(t, np.exp(rng.normal(0.0, 2.0, t.size)), right_bc=Endpoint.NEUMANN)
+        chain = spectral._chain(p)
+        x = np.geomspace(1e-2, 1e7, 200)
+        neg, logdet = spectral._counts(chain, x)
+        for xi, n, ld in zip(x, neg, logdet):
+            n_ref, ld_ref = spectral._in_order(chain, float(xi))
+            assert n == n_ref
+            assert ld == pytest.approx(ld_ref, rel=1e-9, abs=1e-9)
+
+
+def _assert_within_1e9(p, nu):
+    """nu_j is within 1e-9 of the j-th eigenvalue iff a 50-digit Sturm count
+    puts j - 1 eigenvalues below nu_j (1 - 1e-9) and j below nu_j (1 + 1e-9)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        pencil = _mp_pencil(p)
+        for j, v in enumerate(nu, 1):
+            assert _mp_count_below(pencil, mpmath.mpf(v) * (1 - mpmath.mpf("1e-9"))) <= j - 1
+            assert _mp_count_below(pencil, mpmath.mpf(v) * (1 + mpmath.mpf("1e-9"))) >= j
 
 
 class TestNoUnconvergedEigenvalues:
-    def test_iteration_cap_raises(self, monkeypatch):
+    def test_lanczos_cap_hands_over_to_root_finding(self, monkeypatch):
         monkeypatch.setattr(spectral, "_MAX_ITER", 4)
+        j = np.arange(1, 6)
+        want = 4.0 * 2000.0**2 * np.sin(j * math.pi / 4000.0) ** 2
+        np.testing.assert_allclose(dirichlet_spectrum(uniform_problem(2001), 5).eigenvalues,
+                                   want, rtol=1e-12, atol=0.0)
+
+    def test_root_finding_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_MAX_ITER", 4)
+        monkeypatch.setattr(spectral, "_MAX_SWEEPS", 2)
         with pytest.raises(DomainError, match="did not resolve"):
             dirichlet_spectrum(uniform_problem(2001), 5)
 
@@ -759,12 +839,4 @@ class TestNoUnconvergedEigenvalues:
         t = np.linspace(0.0, 1.0, 201)
         p = RadialProblem(t, np.where(t < 0.5, 1e-200, 1e200))
         with pytest.raises(DomainError, match="floating-point range"):
-            dirichlet_spectrum(p, 2)
-
-    def test_spectrum_beyond_double_precision_raises(self):
-        # a thin neck joins the Dirichlet end to the bulk of the mass:
-        # nu_1 ~ e^-30 while nu_2 is O(1)
-        t = np.linspace(0.0, 1.0, 41)
-        p = RadialProblem(t, np.exp(np.where(t < 0.5, -30.0, 0.0)), right_bc=Endpoint.NEUMANN)
-        with pytest.raises(DomainError, match="double precision"):
             dirichlet_spectrum(p, 2)
