@@ -224,7 +224,7 @@ _ROUNDING = 8.0         # residual floor in units of eps * mu_1: the matvec roun
 _MAX_ITER = 1000
 _BLOCK = 1024
 # eigenvalue counts and the root finder; constants, not options
-_LANCZOS_K = 16         # larger k goes to the root finder: past this, on 2k points, the cheaper
+_LANCZOS_K = 16         # larger k is root-found: on 2k points the cheaper from here on
 _ROOT_TOL = 2.0 ** -44  # a root is returned once its bracket is this narrow, relative
 _MAX_SWEEPS = 100
 _SUSPECT = 1e-6         # a pivot below this share of its terms is recounted in order
