@@ -73,15 +73,17 @@ def pl_cumulative(x, grid: np.ndarray, theta: np.ndarray, cum: np.ndarray):
     cell.  A float gives a float and an ndarray an ndarray, with the same
     operations per element, so an array call equals the scalar calls bitwise.
     """
-    scalar = not isinstance(x, np.ndarray)
-    if scalar:
+    if not isinstance(x, np.ndarray):
+        # plain floats: IEEE doubles like the array branch, without numpy scalars
         x = min(max(float(x), float(grid[0])), float(grid[-1]))
         i = min(int(grid.searchsorted(x, side="right")), grid.size - 1) - 1
-    else:
-        x = np.clip(x.astype(float, copy=False), grid[0], grid[-1])
-        i = np.minimum(grid.searchsorted(x, side="right"), grid.size - 1) - 1
+        t0, t1 = float(grid[i]), float(grid[i + 1])
+        th0, th1 = float(theta[i]), float(theta[i + 1])
+        dx = x - t0
+        return float(cum[i]) + 0.5 * dx * (th0 + (th0 + (th1 - th0) * dx / (t1 - t0)))
+    x = np.clip(x.astype(float, copy=False), grid[0], grid[-1])
+    i = np.minimum(grid.searchsorted(x, side="right"), grid.size - 1) - 1
     t0, th0 = grid[i], theta[i]
     dx = x - t0
     thx = th0 + (theta[i + 1] - th0) * dx / (grid[i + 1] - t0)
-    out = cum[i] + 0.5 * dx * (th0 + thx)
-    return float(out) if scalar else out
+    return cum[i] + 0.5 * dx * (th0 + thx)

@@ -19,8 +19,9 @@ keeps every eigenvalue, small or large, to about 1e-13 relative.
 The module also scans the Dirichlet isoperimetric constant, computes
 boundary separation distances of the interval by exact 1D packing, and
 audits every eigenvalue inequality of the theory.  The distance-to-boundary
-screen and the isoperimetric scan are array evaluations of one cumulative-mass
-primitive (``_integrate.pl_cumulative``); bisections and polishes call it per scalar.
+screen, the isoperimetric scan and its exact polish are array evaluations of
+one cumulative-mass primitive (``_integrate.pl_cumulative``); the packing
+bisection calls it per scalar, beside a closed-form mass inverse.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy
 
 from . import screens
 from ._integrate import cumulative_auto, pl_cumulative, pl_density
@@ -105,6 +105,10 @@ class RadialProblem:
         if self.left_bc is not Endpoint.DIRICHLET and self.right_bc is not Endpoint.DIRICHLET:
             raise DomainError("at least one endpoint must be Dirichlet")
         object.__setattr__(self, "_cum", cum)
+        # the most mass reached before each cell's right knot: the left limit
+        # of the cell's trapezoid, as a running maximum (the knot table can dip)
+        reach = cum[:-1] + 0.5 * np.diff(grid) * (theta[:-1] + theta[1:])
+        object.__setattr__(self, "_reach", np.maximum.accumulate(reach))
 
     # -- geometry -------------------------------------------------------
     @property
@@ -127,19 +131,31 @@ class RadialProblem:
         return float(np.interp(x, self.grid, self.theta))
 
     def _mass_inverse(self, target: float) -> float:
-        """Smallest x with cumulative mass >= target (PL density, Newton-polished)."""
-        cum = self._cum
+        """Smallest x with ``_cum_at(x) >= target``, in closed form.
+
+        The cell is the first whose mass reaches the target before its
+        right knot (``_reach``), so a Simpson knot table that dips is never
+        entered below the target.  Inside the cell theta is linear and the
+        mass r past its left knot is quadratic in dx; the root
+        dx = 2r / (theta_i + sqrt(theta_i^2 + 2 s r)), with s the slope,
+        has no cancellation.  The densities are scaled to the cell's larger
+        one, so no square overflows.
+        """
         if target <= 0.0:
             return 0.0
-        if target >= cum[-1]:
+        i = int(self._reach.searchsorted(target))
+        if target >= self._cum[-1] or i == self._reach.size:
             return self.length
-        i = int(np.searchsorted(cum, target, side="left")) - 1
-        i = max(0, min(i, self.grid.size - 2))
-        x = float(np.interp(target, cum[i:i + 2], self.grid[i:i + 2]))
-        for _ in range(2):
-            x -= (self._cum_at(x) - target) / max(self.theta_at(x), 1e-300)
-            x = min(max(x, self.grid[i]), self.grid[i + 1])
-        return x
+        t0 = float(self.grid[i])
+        r = target - float(self._cum[i])
+        if r <= 0.0:
+            return t0
+        t1 = float(self.grid[i + 1])
+        th0, th1 = float(self.theta[i]), float(self.theta[i + 1])
+        w = max(th0, th1)
+        a, u = th0 / w, r / w
+        dx = 2.0 * u / (a + math.sqrt(max(a * a + 2.0 * (th1 / w - a) * u / (t1 - t0), 0.0)))
+        return min(t0 + dx, t1)
 
     # -- serialization: CSV body with a JSON comment header --------------
     def to_csv(self) -> str:
@@ -606,19 +622,69 @@ def rayleigh(p: RadialProblem, phi) -> float:
 # isoperimetric constant
 # ---------------------------------------------------------------------------
 
-def _ratio_two_sided(p: RadialProblem, a: float, b: float) -> float:
-    m = p.mass(a, b)
-    if m <= 0:
-        return math.inf
-    return (p.theta_at(a) + p.theta_at(b)) / m
+def _dinkelbach(th: np.ndarray, cum: np.ndarray):
+    """Minimum of (th[i] + th[j]) / (cum[j] - cum[i]) over i < j with positive
+    mass, as (value, i, j), in O(c) per iteration.
 
-def _ratio_touch_right(p: RadialProblem, a: float) -> float:
-    m = p.mass(a, p.length)
-    return math.inf if m <= 0 else p.theta_at(a) / m
+    Dinkelbach's method for fractional programs (Management Science 13,
+    1967): at the ratio lam of some pair, the minimum over i < j of
+    th[i] + lam cum[i] + th[j] - lam cum[j] is negative exactly when some
+    pair has a smaller ratio, and a pair attaining it is the next one.  A
+    running minimum over i finds it; lam falls strictly, so the iteration
+    ends on the exact minimum of the candidates.
+    """
+    i, j = 0, th.size - 1  # the whole interval: cum[0] = 0 < cum[-1]
+    lam = (th[i] + th[j]) / (cum[j] - cum[i])
+    while True:
+        left = th + lam * cum
+        jj = int(np.argmin(np.minimum.accumulate(left[:-1]) + (th[1:] - lam * cum[1:]))) + 1
+        ii = int(np.argmin(left[:jj]))
+        mass = cum[jj] - cum[ii]
+        if not mass > 0.0:
+            return float(lam), i, j
+        r = (th[ii] + th[jj]) / mass
+        if not r < lam:
+            return float(lam), i, j
+        lam, i, j = r, ii, jj
 
-def _ratio_touch_left(p: RadialProblem, b: float) -> float:
-    m = p.mass(0.0, b)
-    return math.inf if m <= 0 else p.theta_at(b) / m
+
+def _polish(p: RadialProblem, x: float, lo: float, hi: float, th_o: float, c_o: float,
+            sign: float):
+    """Exact minimum over [lo, hi] of (theta(y) + th_o) / (sign (C(y) - c_o)),
+    with C the cumulative mass and (th_o, c_o) the other end: (ratio, y).
+
+    On a cell theta is linear with slope s and the mass is quadratic, so the
+    derivative vanishes where s^2/2 d^2 + s (theta_k + th_o) d
+    + s (c_o - C_k) + theta_k (theta_k + th_o) = 0, d past the cell's left
+    knot, whichever end y is.  Of its two roots only
+    d = -2 (s (c_o - C_k) + theta_k (theta_k + th_o))
+        / (s (theta_k + th_o + sqrt(th_o^2 - theta_k^2 - 2 s (c_o - C_k))))
+    can lie in the cell: the other needs theta to fall to -th_o.  The
+    infimum is at one of these roots, a knot or a float below one, lo, hi
+    or the start x.
+    """
+    g, th, cum = p.grid, p.theta, p._cum
+    k0 = max(int(g.searchsorted(lo, side="right")) - 1, 0)
+    k1 = min(max(int(g.searchsorted(hi, side="left")), k0 + 1), g.size - 1)
+    t0, h = g[k0:k1], np.diff(g[k0:k1 + 1])
+    w = max(float(th[k0:k1 + 1].max()), th_o)  # scaled, so no square overflows
+    thk, tho = th[k0:k1] / w, th_o / w
+    s = (th[k0 + 1:k1 + 1] / w - thk) / h
+    dc = (c_o - cum[k0:k1]) / w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = -2.0 * (s * dc + thk * (thk + tho)) / (
+            s * (thk + tho + np.sqrt(tho * tho - thk * thk - 2.0 * s * dc)))
+    knots = g[k0 + 1:k1]
+    # the mass jumps at a knot where the knot table differs from the cell's
+    # trapezoid: a float below each knot stands for the left limit there
+    below = np.nextafter(np.append(knots, hi), -math.inf)
+    ys = np.concatenate(([x, lo, hi], knots, below, (t0 + d)[(d >= 0.0) & (d <= h)]))
+    ys = ys[(ys >= lo) & (ys <= hi)]
+    mass = sign * (p._cum_at(ys) - c_o)
+    with np.errstate(divide="ignore"):
+        vals = np.where(mass > 0.0, (np.interp(ys, g, th) + th_o) / mass, math.inf)
+    best = int(np.argmin(vals))
+    return float(vals[best]), float(ys[best])
 
 
 def isoperimetric_constant(p: RadialProblem) -> float:
@@ -628,56 +694,37 @@ def isoperimetric_constant(p: RadialProblem) -> float:
     tag is a symmetry center rather than boundary, so sets may touch it
     with no perimeter contribution there.  Two-interval unions never beat
     the best single interval (mediant inequality), so the family is exact.
-    A grid scan is polished by bounded scalar minimization per endpoint.
+    Dinkelbach's method finds the best pair of scan points in O(c) per
+    iteration; three rounds of exact coordinate minimization, each over
+    the stationary points of every cell within two scan spans, polish it.
     """
-    t = p.grid
+    t, L = p.grid, p.length
     stride = max(1, t.size // 600)
     cand = t[::stride]
     if cand[-1] != t[-1]:
         cand = np.append(cand, t[-1])
     th = np.interp(cand, t, p.theta)
     cum = p._cum_at(cand)
-    mass = cum[None, :] - cum[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (th[:, None] + th[None, :]) / mass
-    ratio[mass <= 0] = math.inf
-    i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
-    best = float(ratio[i, j])
+    best, i, j = _dinkelbach(th, cum)
     a, b = float(cand[i]), float(cand[j])
-    # coordinate polish of (a, b)
-    span = float(cand[1] - cand[0]) if cand.size > 1 else p.length
+    span = float(cand[1] - cand[0])
     for _ in range(3):
-        res = scipy.optimize.minimize_scalar(
-            lambda x: _ratio_two_sided(p, x, b),
-            bounds=(max(0.0, a - 2 * span), min(b, a + 2 * span)),
-            method="bounded", options={"xatol": 1e-12},
-        )
-        a = float(res.x)
-        res = scipy.optimize.minimize_scalar(
-            lambda x: _ratio_two_sided(p, a, x),
-            bounds=(max(a, b - 2 * span), min(p.length, b + 2 * span)),
-            method="bounded", options={"xatol": 1e-12},
-        )
-        b = float(res.x)
-    best = min(best, _ratio_two_sided(p, a, b))
-    # sets touching a Neumann end; the masses are p.mass(x, L) and p.mass(0, x)
-    for touch, bc, mass in (
-        (_ratio_touch_right, p.right_bc, p._cum_at(p.length) - cum),
-        (_ratio_touch_left, p.left_bc, cum - p._cum_at(0.0)),
-    ):
+        _, a = _polish(p, a, max(0.0, a - 2 * span), min(b, a + 2 * span),
+                       p.theta_at(b), p._cum_at(b), -1.0)
+        ratio, b = _polish(p, b, max(a, b - 2 * span), min(L, b + 2 * span),
+                           p.theta_at(a), p._cum_at(a), 1.0)
+    best = min(best, ratio)
+    # sets touching a Neumann end, with masses C(L) - C(x) and C(x) - C(0)
+    for bc, c_o, sign in ((p.right_bc, p._cum_at(L), -1.0), (p.left_bc, p._cum_at(0.0), 1.0)):
         if bc is not Endpoint.NEUMANN:
             continue
+        mass = sign * (cum - c_o)
         with np.errstate(divide="ignore"):
             vals = np.where(mass > 0, th / mass, math.inf)
         k = int(np.argmin(vals))
-        best = min(best, float(vals[k]))
         x0 = float(cand[k])
-        res = scipy.optimize.minimize_scalar(
-            lambda x: touch(p, x),
-            bounds=(max(0.0, x0 - 2 * span), min(p.length, x0 + 2 * span)),
-            method="bounded", options={"xatol": 1e-12},
-        )
-        best = min(best, float(touch(p, float(res.x))))
+        ratio, _ = _polish(p, x0, max(0.0, x0 - 2 * span), min(L, x0 + 2 * span), 0.0, c_o, sign)
+        best = min(best, float(vals[k]), ratio)
     return best
 
 
@@ -772,8 +819,10 @@ def gradient_sup() -> tuple[float, float]:
 
     The derivative vanishes where e^{-t} (2t + 1) = 1.
     """
-    t_star = scipy.optimize.brentq(lambda t: math.exp(-t) * (2.0 * t + 1.0) - 1.0, 0.5, 3.0,
-                                   xtol=1e-14, rtol=8.9e-16)
+    t_star = 1.25
+    for _ in range(4):  # Newton; quadratic convergence reaches rounding by step 4
+        e = math.exp(-t_star)
+        t_star -= (e * (2.0 * t_star + 1.0) - 1.0) / (e * (1.0 - 2.0 * t_star))
     return t_star, (1.0 - math.exp(-t_star)) / math.sqrt(t_star)
 
 

@@ -140,3 +140,16 @@ def test_half_gaussian_model_and_hemisphere_sweep_load_no_integrate_or_optimize(
         ["sweep", "--config", str(config)],
     )
     assert not {"scipy.integrate", "scipy.optimize"} & mods
+
+
+def test_audit_loads_no_heavy_scipy(tmp_path):
+    t = np.linspace(0.0, 1.0, 65)
+    flagged = RadialProblem(t, np.exp(-t), right_bc=Endpoint.NEUMANN,
+                            nonneg_ricci_f=True, nonneg_mean_curv=True)
+    (tmp_path / "flagged.csv").write_text(flagged.to_csv())
+    mods = loaded_after_commands(
+        tmp_path,
+        ["audit", "--file", "problem.csv", "--k", "3", "--eta", "0.2"],
+        ["audit", "--file", str(tmp_path / "flagged.csv"), "--k", "3", "--eta", "0.2"],
+    )
+    assert not set(SCIPY_HEAVY) & mods

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boundarylab import screens, spectral
@@ -290,6 +290,13 @@ class TestUniversalConstant:
         assert 0.5 * (a + b) == pytest.approx(t_star, abs=1e-6)
         assert f(0.5 * (a + b)) == pytest.approx(sup, abs=1e-10)
 
+    def test_stationary_point_to_rounding(self):
+        import mpmath
+
+        with mpmath.workdps(40):
+            root = mpmath.findroot(lambda t: mpmath.exp(-t) * (2 * t + 1) - 1, 1.25)
+            assert abs(gradient_sup()[0] - root) <= 2 * np.spacing(float(root))
+
 
 class TestAudits:
     def test_li_yau_equality_on_uniform(self):
@@ -548,6 +555,122 @@ class TestIntervalBsepEquivalence:
         # every D is feasible: the last midpoint rounds onto the untested L
         p = uniform_problem(64, right=Endpoint.NEUMANN)
         assert interval_bsep(p, []) == _interval_bsep_oracle(p, []) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# closed-form mass inverse, Dinkelbach scan, exact isoperimetric polish
+# ---------------------------------------------------------------------------
+
+ALL_BCS = [
+    (Endpoint.DIRICHLET, Endpoint.DIRICHLET),
+    (Endpoint.DIRICHLET, Endpoint.NEUMANN),
+    (Endpoint.NEUMANN, Endpoint.DIRICHLET),
+]
+
+
+def _isoperimetric_oracle(p):
+    """isoperimetric_constant as it was written with a dense ratio matrix
+    and bounded Brent polishes (``minimize_scalar``)."""
+    from scipy.optimize import minimize_scalar
+
+    def ratio(a, b, th_a, th_b):
+        m = p.mass(a, b)
+        return math.inf if m <= 0 else (th_a + th_b) / m
+
+    def two_sided(a, b):
+        return ratio(a, b, p.theta_at(a), p.theta_at(b))
+
+    def brent(f, lo, hi):
+        return float(minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                     options={"xatol": 1e-12}).x)
+
+    t, L = p.grid, p.length
+    stride = max(1, t.size // 600)
+    cand = t[::stride]
+    if cand[-1] != t[-1]:
+        cand = np.append(cand, t[-1])
+    th = np.interp(cand, t, p.theta)
+    cum = p._cum_at(cand)
+    mass = cum[None, :] - cum[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (th[:, None] + th[None, :]) / mass
+    r[mass <= 0] = math.inf
+    i, j = np.unravel_index(np.argmin(r), r.shape)
+    best = float(r[i, j])
+    a, b = float(cand[i]), float(cand[j])
+    span = float(cand[1] - cand[0])
+    for _ in range(3):
+        a = brent(lambda x: two_sided(x, b), max(0.0, a - 2 * span), min(b, a + 2 * span))
+        b = brent(lambda x: two_sided(a, x), max(a, b - 2 * span), min(L, b + 2 * span))
+    best = min(best, two_sided(a, b))
+    for touch, bc, m in (
+        (lambda x: ratio(x, L, p.theta_at(x), 0.0), p.right_bc, p._cum_at(L) - cum),
+        (lambda x: ratio(0.0, x, 0.0, p.theta_at(x)), p.left_bc, cum - p._cum_at(0.0)),
+    ):
+        if bc is not Endpoint.NEUMANN:
+            continue
+        with np.errstate(divide="ignore"):
+            vals = np.where(m > 0, th / m, math.inf)
+        k = int(np.argmin(vals))
+        x0 = float(cand[k])
+        x = brent(touch, max(0.0, x0 - 2 * span), min(L, x0 + 2 * span))
+        best = min(best, float(vals[k]), touch(x))
+    return best
+
+
+class TestMassInverse:
+    def test_simpson_dip_table(self):
+        # the knot table dips by 0.073 after the e^3 spike, so searching it
+        # lands short of the target; the answer is the smallest x reaching it
+        t = np.linspace(0.0, 1.0, 17)
+        theta = np.ones_like(t)
+        theta[1], theta[2] = math.exp(-2.0), math.exp(3.0)
+        p = RadialProblem(t, theta)
+        assert np.diff(p._cum).min() < -0.07
+        xs = np.linspace(0.0, 1.0, 200_001)
+        reached = np.maximum.accumulate(p._cum_at(xs))
+        targets = np.linspace(0.0, p.total_mass, 4001)
+        got = np.array([p._mass_inverse(float(m)) for m in targets])
+        first = np.searchsorted(reached, targets)  # the first scan point reaching it
+        hit = first < xs.size
+        assert np.all(got[~hit] == p.length)
+        j = first[hit]
+        assert np.all(got[hit] <= xs[j] + 1e-12)
+        assert np.all(got[hit][j > 0] > xs[j[j > 0] - 1] - 1e-12)
+        assert np.all(p._cum_at(got[hit]) >= targets[hit] * (1.0 - 1e-14))
+
+    @pytest.mark.parametrize("bcs", ALL_BCS)
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_inverts_the_mass_on_tables_that_do_not_dip(self, bcs, data):
+        p = data.draw(pl_problems(bcs))
+        assume(np.diff(p._cum).min() > 0.0)
+        tiny = np.finfo(float).tiny  # subnormal masses carry no relative precision
+        for m in p._cum_at(_probe_points(p, data.draw)):
+            assert p._cum_at(p._mass_inverse(float(m))) == pytest.approx(m, rel=1e-13, abs=tiny)
+
+
+class TestExactIsoperimetric:
+    @pytest.mark.parametrize("bcs", ALL_BCS)
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_dinkelbach_equals_the_dense_scan(self, bcs, data):
+        p = data.draw(pl_problems(bcs))
+        th, cum = p.theta, p._cum_at(p.grid)
+        mass = cum[None, :] - cum[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (th[:, None] + th[None, :]) / mass
+        r[mass <= 0] = math.inf
+        value, i, j = spectral._dinkelbach(th, cum)
+        assert i < j
+        assert value == r.min() == r[i, j]
+
+    @pytest.mark.parametrize("bcs", ALL_BCS)
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_never_above_the_brent_polish(self, bcs, data):
+        p = data.draw(pl_problems(bcs))
+        assert isoperimetric_constant(p) <= _isoperimetric_oracle(p) * (1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
