@@ -105,10 +105,6 @@ class RadialProblem:
         if self.left_bc is not Endpoint.DIRICHLET and self.right_bc is not Endpoint.DIRICHLET:
             raise DomainError("at least one endpoint must be Dirichlet")
         object.__setattr__(self, "_cum", cum)
-        # the most mass reached before each cell's right knot: the left limit
-        # of the cell's trapezoid, as a running maximum (the knot table can dip)
-        reach = cum[:-1] + 0.5 * np.diff(grid) * (theta[:-1] + theta[1:])
-        object.__setattr__(self, "_reach", np.maximum.accumulate(reach))
 
     # -- geometry -------------------------------------------------------
     @property
@@ -131,31 +127,10 @@ class RadialProblem:
         return float(np.interp(x, self.grid, self.theta))
 
     def _mass_inverse(self, target: float) -> float:
-        """Smallest x with ``_cum_at(x) >= target``, in closed form.
-
-        The cell is the first whose mass reaches the target before its
-        right knot (``_reach``), so a Simpson knot table that dips is never
-        entered below the target.  Inside the cell theta is linear and the
-        mass r past its left knot is quadratic in dx; the root
-        dx = 2r / (theta_i + sqrt(theta_i^2 + 2 s r)), with s the slope,
-        has no cancellation.  The densities are scaled to the cell's larger
-        one, so no square overflows.
-        """
-        if target <= 0.0:
-            return 0.0
-        i = int(self._reach.searchsorted(target))
-        if target >= self._cum[-1] or i == self._reach.size:
-            return self.length
-        t0 = float(self.grid[i])
-        r = target - float(self._cum[i])
-        if r <= 0.0:
-            return t0
-        t1 = float(self.grid[i + 1])
-        th0, th1 = float(self.theta[i]), float(self.theta[i + 1])
-        w = max(th0, th1)
-        a, u = th0 / w, r / w
-        dx = 2.0 * u / (a + math.sqrt(max(a * a + 2.0 * (th1 / w - a) * u / (t1 - t0), 0.0)))
-        return min(t0 + dx, t1)
+        """Smallest x with ``_cum_at(x) >= target``, in closed form
+        (:func:`_invert_mass`).  Builds the O(n) reach table on every call;
+        :func:`interval_bsep` builds it once per call of its own."""
+        return _invert_mass(self, _reach(self), target)
 
     # -- serialization: CSV body with a JSON comment header --------------
     def to_csv(self) -> str:
@@ -201,6 +176,43 @@ class RadialProblem:
             nonneg_mean_curv=bool(header.get("nonneg_mean_curv", False)),
             note=header.get("note", ""),
         )
+
+
+def _reach(p: RadialProblem) -> np.ndarray:
+    """The most mass reached before each cell's right knot: the left limit
+    of the cell's trapezoid, as a running maximum, since the Simpson knot
+    table can dip.  Built per call, not stored: 8 bytes a grid point on
+    every problem held would outweigh it."""
+    reach = p._cum[:-1] + 0.5 * np.diff(p.grid) * (p.theta[:-1] + p.theta[1:])
+    # the running maximum costs twice the rest; most tables need none
+    return reach if np.all(reach[1:] >= reach[:-1]) else np.maximum.accumulate(reach)
+
+
+def _invert_mass(p: RadialProblem, reach: np.ndarray, target: float) -> float:
+    """Smallest x with ``p._cum_at(x) >= target``, given ``reach = _reach(p)``.
+
+    The cell is the first whose mass reaches the target before its right
+    knot, so a knot table that dips is never entered below the target.
+    Inside the cell theta is linear and the mass r past its left knot is
+    quadratic in dx; the root dx = 2r / (theta_i + sqrt(theta_i^2 + 2 s r)),
+    with s the slope, has no cancellation.  The densities are scaled to the
+    cell's larger one, so no square overflows.
+    """
+    if target <= 0.0:
+        return 0.0
+    i = int(reach.searchsorted(target))
+    if target >= p._cum[-1] or i == reach.size:
+        return p.length
+    t0 = float(p.grid[i])
+    r = target - float(p._cum[i])
+    if r <= 0.0:
+        return t0
+    t1 = float(p.grid[i + 1])
+    th0, th1 = float(p.theta[i]), float(p.theta[i + 1])
+    w = max(th0, th1)
+    a, u = th0 / w, r / w
+    dx = 2.0 * u / (a + math.sqrt(max(a * a + 2.0 * (th1 / w - a) * u / (t1 - t0), 0.0)))
+    return min(t0 + dx, t1)
 
 
 @dataclass(frozen=True)
@@ -775,6 +787,7 @@ def interval_bsep(p: RadialProblem, etas) -> float:
     left_b = p.left_bc is Endpoint.DIRICHLET
     right_b = p.right_bc is Endpoint.DIRICHLET
     perms = set(itertools.permutations(etas))
+    reach = _reach(p)
 
     def feasible(D: float) -> bool:
         for perm in perms:
@@ -786,7 +799,7 @@ def interval_bsep(p: RadialProblem, etas) -> float:
                 target = c_pos + eta * total
                 if target > total * (1.0 + 1e-12):
                     break
-                b = p._mass_inverse(min(target, total))
+                b = _invert_mass(p, reach, min(target, total))
                 if p._cum_at(b) - c_pos < eta * total * (1.0 - 1e-9):
                     break
                 end, pos = b, b + D
