@@ -181,8 +181,8 @@ class RadialProblem:
 def _reach(p: RadialProblem) -> np.ndarray:
     """The most mass reached before each cell's right knot: the left limit
     of the cell's trapezoid, as a running maximum, since the Simpson knot
-    table can dip.  Built per call, not stored: 8 bytes a grid point on
-    every problem held would outweigh it."""
+    table can dip.  Built per call rather than stored on the problem,
+    which would add 8 bytes a grid point to every problem held."""
     reach = p._cum[:-1] + 0.5 * np.diff(p.grid) * (p.theta[:-1] + p.theta[1:])
     # the running maximum costs twice the rest; most tables need none
     return reach if np.all(reach[1:] >= reach[:-1]) else np.maximum.accumulate(reach)
