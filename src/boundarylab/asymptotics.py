@@ -16,12 +16,13 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import jacobi, screens
 from .errors import DomainError
-from .models import ModelSpace, boundary_screen
+from .models import ModelSpace, boundary_screen, closed_form_obs_inradius
 
 __all__ = [
     "Verdict",
@@ -89,17 +90,19 @@ class SweepReport:
                     {"n": r.n, "value": r.value, "limit": _j(r.limit), "gap": _j(r.gap)}
                     for r in self.rows
                 ],
-            }
+            },
+            allow_nan=False,
         )
 
 
-def _numeric_trend(values: np.ndarray) -> str:
-    """Last-quartile to first-quartile mean ratio, classified."""
-    if values.size < 2:
+def _numeric_trend(values) -> str:
+    """Last-quartile to first-quartile mean ratio, classified.  Plain sums:
+    the lists are short, and ``np.mean`` costs microseconds per call."""
+    if len(values) < 2:
         return "flat"
-    q = max(1, values.size // 4)
-    first = float(np.mean(values[:q]))
-    last = float(np.mean(values[-q:]))
+    q = max(1, len(values) // 4)
+    first = float(sum(values[:q])) / q
+    last = float(sum(values[-q:])) / q
     if first == 0.0:
         return "flat"
     ratio = last / first
@@ -110,68 +113,77 @@ def _numeric_trend(values: np.ndarray) -> str:
     return "flat"
 
 
+def _flat_ball_power(n: int, lam: float, eta: float) -> float:
+    """(n / lam)(1 - eta^(1/n)): the flat ball of dimension n and mean curvature
+    lam / n; at n = 1 the interval [0, 1/lam], which no catalog model is."""
+    value = (n / lam) * (1.0 - eta ** (1.0 / n)) if lam > 0 else math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"the flat ball needs lambda > 0 and a finite radius, got {lam}")
+    return value
+
+
+def _dimensions(n_values) -> list[int]:
+    listed = isinstance(n_values, (list, tuple, range))
+    if not (listed and all(isinstance(n, (int, np.integer)) for n in n_values)):
+        raise DomainError(f"n must be a list of integers, got {n_values!r}")
+    return [int(n) for n in n_values]
+
+
+def _canonical(family: str, param: float) -> "_Family":
+    """The canonical family's record, once its parameter has the right sign."""
+    fam = _FAMILIES.get(family)
+    if fam is None or fam.limit is None:
+        raise DomainError(f"unknown distribution-law family {family!r}")
+    if not fam.sign * param > 0:
+        sign = "positive" if fam.sign > 0 else "negative"
+        raise DomainError(f"{fam.primary} must be {sign}, got {param}")
+    return fam
+
+
+def _sweep(family: str, param: float, eta: float, n_values) -> SweepReport:
+    """Closed-form values of a canonical family's model at each n against its
+    limit.  A power form also serves n = 1, and ``cross_check_max`` is its
+    largest difference from the closed form: rounding only."""
+    fam = _canonical(family, param)
+    if not 0.0 < eta < 1.0:
+        raise DomainError(f"eta must lie in (0, 1), got {eta}")
+    limit = closed_form_obs_inradius(fam.limit(param), eta)
+    report = SweepReport(verdict=Verdict.CONVERGES_TO_LIMIT)
+    worst = 0.0
+    model, name, order = fam.model, fam.primary, fam.order
+    for n in _dimensions(n_values):
+        if n < 2 and not (n == 1 and fam.power):
+            raise DomainError(f"sweep needs n >= {1 if fam.power else 2}, got {n}")
+        if n == 1:
+            value = fam.power(n, param, eta)
+        else:
+            value = closed_form_obs_inradius(model(n, {name: param / n**order}), eta)
+            if fam.power:
+                worst = max(worst, abs(value - fam.power(n, param, eta)))
+        report.add(n, value, limit)
+    if fam.power:
+        report.extras["cross_check_max"] = worst
+    report.extras["numeric_trend_of_gap"] = _numeric_trend([r.gap for r in report.rows])
+    return report
+
+
 def hemisphere_sweep(kappa: float, eta: float, n_values) -> SweepReport:
     """Observable inscribed radii of the hemisphere-like balls with
     curvature kappa/n, approaching the half-Gaussian quantile."""
-    if not kappa > 0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    if not 0.0 < eta < 1.0:
-        raise DomainError(f"eta must lie in (0, 1), got {eta}")
-    # the lower (1 - eta)-quantile of the half-Gaussian screen, in closed form
-    limit = jacobi.gaussian_tail_inverse(jacobi.classify_infinite(kappa, 0.0), eta)
-    report = SweepReport(verdict=Verdict.CONVERGES_TO_LIMIT)
-    for n in n_values:
-        if n < 2:
-            raise DomainError(f"sweep needs n >= 2, got {n}")
-        value = jacobi.v_inverse(float(n), jacobi.classify(kappa / n, 0.0), eta)
-        report.add(n, value, limit)
-    report.extras["numeric_trend_of_gap"] = _numeric_trend(report.gaps)
-    return report
+    return _sweep("hemisphere", kappa, eta, n_values)
 
 
 def euclid_ball_sweep(lam: float, eta: float, n_values) -> SweepReport:
-    """Closed-form flat-ball values (n/lam)(1 - eta^(1/n)) with the
-    exponential-ray limit.  ``cross_check_max`` is the largest difference
-    from ``jacobi.v_inverse`` on the same flat ball, which evaluates the
-    same closed form as C (1 - e^(log(eta)/n)) through expm1, so it
-    measures rounding only.  The quadrature reference for the ball
-    kernels is the oracle test ``tests/test_jacobi_oracle.py``."""
-    if not lam > 0:
-        raise DomainError(f"lam must be positive, got {lam}")
-    if not 0.0 < eta < 1.0:
-        raise DomainError(f"eta must lie in (0, 1), got {eta}")
-    limit = math.log(1.0 / eta) / lam
-    report = SweepReport(verdict=Verdict.CONVERGES_TO_LIMIT)
-    worst = 0.0
-    for n in n_values:
-        if n < 1:
-            raise DomainError(f"sweep needs n >= 1, got {n}")
-        value = (n / lam) * (1.0 - eta ** (1.0 / n))
-        if n >= 2:
-            cross = jacobi.v_inverse(float(n), jacobi.classify(0.0, lam / n), eta)
-            worst = max(worst, abs(cross - value))
-        report.add(n, value, limit)
-    report.extras["cross_check_max"] = worst
-    report.extras["numeric_trend_of_gap"] = _numeric_trend(report.gaps)
-    return report
+    """Flat balls of mean curvature lam/n, approaching the exponential-ray
+    limit; the n = 1 row is the interval (1 - eta)/lam.  The quadrature
+    reference for the ball kernels is ``tests/test_jacobi_oracle.py``."""
+    return _sweep("euclid_ball", lam, eta, n_values)
 
 
 def warped_sweep(kappa: float, eta: float, n_values) -> SweepReport:
     """Horospherical warped products under the 1/n schedule: values
     n log(1/eta) / ((n-1) lam) decreasing to the exponential limit."""
-    if not kappa < 0:
-        raise DomainError(f"kappa must be negative, got {kappa}")
-    if not 0.0 < eta < 1.0:
-        raise DomainError(f"eta must lie in (0, 1), got {eta}")
-    lam = math.sqrt(-kappa)
-    limit = math.log(1.0 / eta) / lam
-    report = SweepReport(verdict=Verdict.CONVERGES_TO_LIMIT)
-    for n in n_values:
-        if n < 2:
-            raise DomainError(f"sweep needs n >= 2, got {n}")
-        report.add(n, n * math.log(1.0 / eta) / ((n - 1) * lam), limit)
-    report.extras["numeric_trend_of_gap"] = _numeric_trend(report.gaps)
-    return report
+    return _sweep("warped", kappa, eta, n_values)
 
 
 def distribution_law(family: str, param: float, n: int):
@@ -182,25 +194,9 @@ def distribution_law(family: str, param: float, n: int):
     """
     if n < 2:
         raise DomainError(f"distribution law needs n >= 2, got {n}")
-    if family == "hemisphere":
-        if not param > 0:
-            raise DomainError("hemisphere law needs kappa > 0")
-        finite = boundary_screen(ModelSpace.ball(n, param / n, 0.0))
-        limit = boundary_screen(ModelSpace.half_gaussian(param, 0.0))
-    elif family == "euclid_ball":
-        if not param > 0:
-            raise DomainError("flat-ball law needs lam > 0")
-        finite = boundary_screen(ModelSpace.ball(n, 0.0, param / n))
-        limit = boundary_screen(ModelSpace.exponential(param))
-    elif family == "warped":
-        if not param < 0:
-            raise DomainError("warped law needs kappa < 0")
-        lam = math.sqrt(-param)
-        finite = boundary_screen(ModelSpace.warped(n, param / n**2))
-        limit = boundary_screen(ModelSpace.exponential(lam))
-    else:
-        raise DomainError(f"unknown distribution-law family {family!r}")
-    return finite, screens.ks_distance(finite, limit)
+    fam = _canonical(family, param)
+    finite = boundary_screen(fam.model(n, {fam.primary: param / n**fam.order}))
+    return finite, screens.ks_distance(finite, boundary_screen(fam.limit(param)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,30 +236,71 @@ class Schedule:
     def from_json(cls, obj) -> "Schedule":
         if isinstance(obj, (int, float)):
             return cls("const", coef=float(obj))
+        if not isinstance(obj, dict):
+            raise DomainError(f"a schedule is a number or an object, got {obj!r}")
         kind = obj.get("kind")
-        if kind == "power":
-            return cls("power", coef=float(obj["coef"]), exp=float(obj["exp"]))
-        if kind == "const":
-            return cls("const", coef=float(obj.get("value", obj.get("coef", 0.0))))
-        if kind == "table":
-            return cls("table", values=dict(obj["values"]))
+        try:
+            if kind == "power":
+                return cls("power", coef=float(obj["coef"]), exp=float(obj["exp"]))
+            if kind == "const":
+                return cls("const", coef=float(obj.get("value", obj.get("coef", 0.0))))
+            if kind == "table":
+                return cls("table", values={k: float(v) for k, v in obj["values"].items()})
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"bad {kind} schedule {obj!r}: {exc!r}") from None
         raise DomainError(f"unknown schedule kind {kind!r}")
 
 
-_FAMILY_PARAMS = {
-    "hemisphere": ("kappa",),
-    "euclid_ball": ("lambda",),
-    "warped": ("kappa",),
-    "general_ball": ("kappa", "lambda"),
-    "weighted_warped_exp": ("kappa", "N"),
-    "weighted_warped_gauss": ("kappa", "delta"),
-}
-_PRIMARY_PARAM = {
-    "hemisphere": "kappa",
-    "euclid_ball": "lambda",
-    "warped": "kappa",
-    "weighted_warped_exp": "kappa",
-    "weighted_warped_gauss": "kappa",
+@dataclass(frozen=True)
+class _Family:
+    """A sequence family: schedule names, the one a single schedule drives,
+    omissible schedules, the model at n, the analytic driver, its exponent
+    in n (None without a power law) and the flat ball's power form.  A
+    canonical family sweeps primary / n^order, of sign ``sign``, to ``limit``."""
+
+    params: tuple
+    model: Callable
+    driver: Callable
+    exponent: Callable = lambda s: None
+    primary: str | None = None
+    defaults: dict = field(default_factory=dict)
+    power: Callable | None = None
+    limit: Callable | None = None
+    order: int = 1
+    sign: float = 1.0
+
+
+_FAMILIES = {
+    "hemisphere": _Family(
+        ("kappa",), lambda n, p: ModelSpace.ball(n, p["kappa"], 0.0),
+        lambda n, p: n * p["kappa"], lambda s: 1.0 + s["kappa"].exponent, primary="kappa",
+        limit=lambda kappa: ModelSpace.half_gaussian(kappa, 0.0)),
+    "euclid_ball": _Family(
+        ("lambda",), lambda n, p: ModelSpace.ball(n, 0.0, p["lambda"]),
+        lambda n, p: n * p["lambda"], lambda s: 1.0 + s["lambda"].exponent, primary="lambda",
+        power=_flat_ball_power, limit=ModelSpace.exponential),
+    "warped": _Family(
+        ("kappa",), lambda n, p: ModelSpace.warped(n, p["kappa"]),
+        lambda n, p: n * math.sqrt(-p["kappa"]), lambda s: 1.0 + 0.5 * s["kappa"].exponent,
+        primary="kappa", limit=lambda kappa: ModelSpace.exponential(math.sqrt(-kappa)),
+        order=2, sign=-1.0),
+    # no exponent: constant schedules follow the regime rule, others the driver trend
+    "general_ball": _Family(
+        ("kappa", "lambda"), lambda n, p: ModelSpace.ball(n, p["kappa"], p["lambda"]),
+        lambda n, p: n * (p["kappa"] if p["kappa"] > 0 else
+                          math.sqrt(-p["kappa"]) if p["kappa"] < 0 else p["lambda"])),
+    "weighted_warped_exp": _Family(
+        ("kappa", "N"), lambda n, p: ModelSpace.weighted_warped_exp(n, p["N"], p["kappa"]),
+        lambda n, p: p["N"] * math.sqrt(-p["kappa"]),
+        lambda s: s["N"].exponent + 0.5 * s["kappa"].exponent, primary="kappa",
+        defaults={"N": Schedule("power", coef=1.0, exp=1.0)}),  # N_n = n
+    "weighted_warped_gauss": _Family(
+        ("kappa", "delta"),
+        lambda n, p: ModelSpace.weighted_warped_gauss(n, p["kappa"], p["delta"]),
+        lambda n, p: n * math.sqrt(-p["kappa"]) * math.exp(-2.0 * p["delta"]),
+        # a varying delta tilts the driver exponentially, not by a power
+        lambda s: 1.0 + 0.5 * s["kappa"].exponent if s["delta"].kind == "const" else None,
+        primary="kappa", defaults={"delta": Schedule("const", coef=0.0)}),
 }
 
 
@@ -274,35 +311,23 @@ class SequenceSpec:
     n_values: list
 
     def __post_init__(self):
-        if self.family not in _FAMILY_PARAMS:
-            raise DomainError(
-                f"unknown family {self.family!r}; expected one of "
-                f"{sorted(_FAMILY_PARAMS)}"
-            )
-        sched = {}
+        fam = _FAMILIES.get(self.family) if isinstance(self.family, str) else None
+        if fam is None:
+            raise DomainError(f"unknown family {self.family!r}; "
+                              f"expected one of {sorted(_FAMILIES)}")
         raw = self.schedule
         if isinstance(raw, dict) and "kind" in raw:
-            # a single schedule applies to the family's primary parameter
-            if self.family not in _PRIMARY_PARAM:
-                raise DomainError(
-                    f"family {self.family!r} needs per-parameter schedules"
-                )
-            sched[_PRIMARY_PARAM[self.family]] = Schedule.from_json(raw)
-        else:
-            for name, obj in dict(raw).items():
-                sched[name] = Schedule.from_json(obj)
-        for name in _FAMILY_PARAMS[self.family]:
+            if fam.primary is None:
+                raise DomainError(f"family {self.family!r} needs per-parameter schedules")
+            raw = {fam.primary: raw}
+        if not isinstance(raw, dict):
+            raise DomainError(f"schedule must be an object, got {raw!r}")
+        sched = {**fam.defaults, **{name: Schedule.from_json(obj) for name, obj in raw.items()}}
+        for name in fam.params:
             if name not in sched:
-                if self.family == "weighted_warped_exp" and name == "N":
-                    sched[name] = Schedule("power", coef=1.0, exp=1.0)  # N_n = n
-                elif self.family == "weighted_warped_gauss" and name == "delta":
-                    sched[name] = Schedule("const", coef=0.0)
-                else:
-                    raise DomainError(
-                        f"family {self.family!r} needs a schedule for {name!r}"
-                    )
+                raise DomainError(f"family {self.family!r} needs a schedule for {name!r}")
         self.schedule = sched
-        self.n_values = [int(n) for n in self.n_values]
+        self.n_values = _dimensions(self.n_values)
         if not self.n_values:
             raise DomainError("need at least one n")
 
@@ -316,86 +341,14 @@ class SequenceSpec:
 
 
 def _sequence_value(family: str, n: int, params: dict, eta: float) -> float:
-    if family == "hemisphere":
-        kappa = params["kappa"]
-        if kappa <= 0:
-            raise DomainError(f"hemisphere schedule needs kappa > 0 at n={n}")
-        return jacobi.v_inverse(float(n), jacobi.classify(kappa, 0.0), eta)
-    if family == "euclid_ball":
-        lam = params["lambda"]
-        if lam <= 0:
-            raise DomainError(f"flat-ball schedule needs lambda > 0 at n={n}")
-        return (1.0 - eta ** (1.0 / n)) / lam
-    if family == "warped":
-        kappa = params["kappa"]
-        if kappa >= 0:
-            raise DomainError(f"warped schedule needs kappa < 0 at n={n}")
-        return math.log(1.0 / eta) / ((n - 1) * math.sqrt(-kappa))
-    if family == "general_ball":
-        cc = jacobi.classify(params["kappa"], params["lambda"])
-        if not cc.is_ball:
-            raise DomainError(
-                f"({params['kappa']}, {params['lambda']}) leaves the ball "
-                f"regime at n={n}"
-            )
-        return jacobi.v_inverse(float(n), cc, eta)
-    if family == "weighted_warped_exp":
-        kappa, N = params["kappa"], params["N"]
-        if kappa >= 0:
-            raise DomainError(f"needs kappa < 0 at n={n}")
-        if N < n:
-            raise DomainError(f"effective dimension N={N} < n={n}")
-        return math.log(1.0 / eta) / ((N - 1) * math.sqrt(-kappa))
-    if family == "weighted_warped_gauss":
-        kappa, delta = params["kappa"], params["delta"]
-        if kappa >= 0:
-            raise DomainError(f"needs kappa < 0 at n={n}")
-        a = (n - 1) * math.sqrt(-kappa) * math.exp(-2.0 * delta)
-        return jacobi.gaussian_tail_inverse(jacobi.classify_infinite(a, a), eta)
-    raise DomainError(f"unknown family {family!r}")  # pragma: no cover
-
-
-def _driver(family: str, n: int, params: dict) -> float:
-    if family == "hemisphere":
-        return n * params["kappa"]
-    if family == "euclid_ball":
-        return n * params["lambda"]
-    if family in ("warped", "general_ball"):
-        if family == "general_ball" and params["kappa"] > 0:
-            return n * params["kappa"]
-        kappa = params["kappa"]
-        lam = math.sqrt(-kappa) if kappa < 0 else params.get("lambda", 0.0)
-        return n * lam
-    if family == "weighted_warped_exp":
-        return params["N"] * math.sqrt(-params["kappa"])
-    if family == "weighted_warped_gauss":
-        return n * math.sqrt(-params["kappa"]) * math.exp(-2.0 * params["delta"])
-    raise DomainError(f"unknown family {family!r}")  # pragma: no cover
-
-
-def _driver_exponent(spec: SequenceSpec) -> float | None:
-    """Exponent of the analytic driver in n, when the schedules allow it."""
-    s = spec.schedule
-    if not all(v.is_analytic for v in s.values()):
-        return None
-    f = spec.family
-    if f == "hemisphere":
-        return 1.0 + s["kappa"].exponent
-    if f == "euclid_ball":
-        return 1.0 + s["lambda"].exponent
-    if f == "warped":
-        return 1.0 + 0.5 * s["kappa"].exponent
-    if f == "weighted_warped_exp":
-        return s["N"].exponent + 0.5 * s["kappa"].exponent
-    if f == "weighted_warped_gauss":
-        if s["delta"].kind != "const":
-            return None  # the delta tilt is exponential, not a power
-        return 1.0 + 0.5 * s["kappa"].exponent
-    if f == "general_ball":
-        if s["kappa"].kind == "const" and s["lambda"].kind == "const":
-            return None  # handled by the fixed-parameter regime rule
-        return None
-    return None
+    """Closed-form value of the family's model at n; errors name n."""
+    fam = _FAMILIES[family]
+    try:
+        if n == 1 and fam.power:
+            return fam.power(n, params[fam.primary], eta)
+        return closed_form_obs_inradius(fam.model(n, params), eta)
+    except DomainError as exc:
+        raise DomainError(f"{family} schedule at n={n}: {exc}") from None
 
 
 def classify_concentration(spec: SequenceSpec, eta: float) -> SweepReport:
@@ -408,49 +361,41 @@ def classify_concentration(spec: SequenceSpec, eta: float) -> SweepReport:
     """
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must lie in (0, 1), got {eta}")
+    fam = _FAMILIES[spec.family]
     report = SweepReport()
     drivers = []
     for n in spec.n_values:
         params = {name: sched(n) for name, sched in spec.schedule.items()}
-        value = _sequence_value(spec.family, n, params, eta)
-        drivers.append(_driver(spec.family, n, params))
-        report.add(n, value, math.nan)
+        report.add(n, _sequence_value(spec.family, n, params, eta), math.nan)
+        drivers.append(fam.driver(n, params))
     drivers = np.array(drivers)
     report.extras["driver"] = drivers.tolist()
-    report.extras["numeric_trend_of_values"] = _numeric_trend(report.values)
+    report.extras["numeric_trend_of_values"] = _numeric_trend([r.value for r in report.rows])
 
-    if spec.family == "general_ball" and all(
-        v.kind == "const" for v in spec.schedule.values()
-    ):
-        cc = jacobi.classify(
-            spec.schedule["kappa"](spec.n_values[0]),
-            spec.schedule["lambda"](spec.n_values[0]),
-        )
+    # the exponent of the analytic driver in n, when the schedules allow it
+    s = spec.schedule
+    q = fam.exponent(s) if all(v.is_analytic for v in s.values()) else None
+    if spec.family == "general_ball" and all(v.kind == "const" for v in s.values()):
+        cc = jacobi.classify(s["kappa"](spec.n_values[0]), s["lambda"](spec.n_values[0]))
         verdict = (
             Verdict.CONCENTRATES_TO_ZERO if cc.is_convex_ball else Verdict.BOUNDED_AWAY
         )
+    elif q is not None:
+        verdict = Verdict.CONCENTRATES_TO_ZERO if q > 1e-12 else Verdict.BOUNDED_AWAY
     else:
-        q = _driver_exponent(spec)
-        if q is not None:
-            if q > 1e-12:
+        diffs = np.diff(drivers)
+        if np.all(diffs >= -1e-12 * np.abs(drivers[:-1])):
+            if drivers[-1] >= 4.0 * drivers[0]:
                 verdict = Verdict.CONCENTRATES_TO_ZERO
-            else:
-                verdict = Verdict.BOUNDED_AWAY
-        else:
-            diffs = np.diff(drivers)
-            if np.all(diffs >= -1e-12 * np.abs(drivers[:-1])):
-                if drivers[-1] >= 4.0 * drivers[0]:
-                    verdict = Verdict.CONCENTRATES_TO_ZERO
-                elif drivers[-1] <= 1.05 * drivers[0]:
-                    verdict = Verdict.BOUNDED_AWAY
-                else:
-                    verdict = Verdict.INCONCLUSIVE
-            elif np.all(diffs <= 1e-12 * np.abs(drivers[:-1])):
+            elif drivers[-1] <= 1.05 * drivers[0]:
                 verdict = Verdict.BOUNDED_AWAY
             else:
                 verdict = Verdict.INCONCLUSIVE
+        elif np.all(diffs <= 1e-12 * np.abs(drivers[:-1])):
+            verdict = Verdict.BOUNDED_AWAY
+        else:
+            verdict = Verdict.INCONCLUSIVE
     report.verdict = verdict
     if verdict is Verdict.CONCENTRATES_TO_ZERO:
-        rows = [SweepRow(r.n, r.value, 0.0, abs(r.value)) for r in report.rows]
-        report.rows = rows
+        report.rows = [SweepRow(r.n, r.value, 0.0, abs(r.value)) for r in report.rows]
     return report

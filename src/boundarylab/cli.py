@@ -9,6 +9,7 @@ deterministic (byte-identical across runs); exit codes are 0 on success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,6 +26,8 @@ from .errors import DomainError, RegimeError
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_REGIME = 3
+
+_json = functools.partial(json.dumps, allow_nan=False)
 
 
 def _fmt(x: float) -> str:
@@ -83,6 +86,20 @@ def _emit(args, text: str) -> None:
             sys.stdout.write("\n")
 
 
+def _write(args, to_json, to_csv, to_svg=None) -> int:
+    """Emit the rendering ``--format`` selects; each is a zero-argument
+    callable, and ``svg`` falls back to the CSV when there is no chart."""
+    if args.format == "json":
+        try:
+            text = to_json()
+        except ValueError as exc:  # strict JSON met a non-finite number
+            raise DomainError(f"result is not finite: {exc}") from None
+    else:
+        text = (to_svg if args.format == "svg" and to_svg else to_csv)()
+    _emit(args, text)
+    return EXIT_OK
+
+
 def _read_file(path: str) -> str:
     try:
         with open(path) as fh:
@@ -103,6 +120,17 @@ def _need(args, owner: str, *names):
             raise DomainError(f"{owner} needs {flag}")
 
 
+def _write_eta_rows(args, rows: list, key: str, blob, ylabel: str, title: str) -> int:
+    """Write ``rows`` that map each eta to ``key``; ``blob`` makes the JSON report."""
+    return _write(
+        args,
+        lambda: _json(blob()),
+        lambda: f"eta,{key}\n" + "".join(f"{r['eta']:.17g},{r[key]:.17g}\n" for r in rows),
+        lambda: svg_line_chart([r["eta"] for r in rows], [r[key] for r in rows],
+                               "eta", ylabel, title),
+    )
+
+
 def _model_from_args(args):
     from . import models
 
@@ -110,27 +138,12 @@ def _model_from_args(args):
         return models.model_from_json(args.descriptor)
     if not args.tag:
         raise DomainError("need --tag or --descriptor")
-    tag = args.tag
-    owner = f"model tag {tag!r}"
-    if tag == "ball":
-        _need(args, owner, "n", "kappa", "lam")
-        return models.ModelSpace.ball(args.n, args.kappa, args.lam)
-    if tag == "warped":
-        _need(args, owner, "n", "kappa")
-        return models.ModelSpace.warped(args.n, args.kappa)
-    if tag == "half_gaussian":
-        _need(args, owner, "K", "lam")
-        return models.ModelSpace.half_gaussian(args.K, args.lam)
-    if tag == "exponential":
-        _need(args, owner, "lam")
-        return models.ModelSpace.exponential(args.lam)
-    if tag == "weighted_warped_exp":
-        _need(args, owner, "n", "N", "kappa")
-        return models.ModelSpace.weighted_warped_exp(args.n, args.N, args.kappa)
-    if tag == "weighted_warped_gauss":
-        _need(args, owner, "n", "kappa", "delta")
-        return models.ModelSpace.weighted_warped_gauss(args.n, args.kappa, args.delta)
-    raise DomainError(f"unknown tag {tag!r}")
+    if args.tag not in models._FIELDS:
+        raise DomainError(f"unknown tag {args.tag!r}")
+    # the model field Lam arrives as --lambda, whose dest is lam
+    names = [{"Lam": "lam"}.get(f, f) for f in models._FIELDS[args.tag]]
+    _need(args, f"model tag {args.tag!r}", *names)
+    return getattr(models.ModelSpace, args.tag)(*(getattr(args, name) for name in names))
 
 
 def cmd_model(args) -> int:
@@ -144,23 +157,15 @@ def cmd_model(args) -> int:
     ]
     # the support of the boundary screen: the comparison radius of a ball
     upper = jacobi.c_radius(jacobi.classify(m.kappa, m.lam)) if m.tag == "ball" else math.inf
-    if args.format == "json":
-        _emit(args, json.dumps({
+    return _write_eta_rows(
+        args, rows, "obs_inradius",
+        lambda: {
             "model": json.loads(m.to_json()),
             "upper_support": upper if math.isfinite(upper) else "inf",
             "rows": rows,
-        }))
-    elif args.format == "csv":
-        body = "eta,obs_inradius\n" + "".join(
-            f"{r['eta']:.17g},{r['obs_inradius']:.17g}\n" for r in rows
-        )
-        _emit(args, body)
-    else:
-        _emit(args, svg_line_chart(
-            [r["eta"] for r in rows], [r["obs_inradius"] for r in rows],
-            "eta", "observable inscribed radius", f"model {m.tag}",
-        ))
-    return EXIT_OK
+        },
+        "observable inscribed radius", f"model {m.tag}",
+    )
 
 
 def cmd_compare(args) -> int:
@@ -183,18 +188,10 @@ def cmd_compare(args) -> int:
     else:
         raise DomainError(f"unknown regime {args.regime!r}")
     rows = [{"eta": eta, "bound": models.comparison_bound(kind, eta)} for eta in etas]
-    if args.format == "json":
-        _emit(args, json.dumps({"regime": args.regime, "params": params, "rows": rows}))
-    elif args.format == "csv":
-        _emit(args, "eta,bound\n" + "".join(
-            f"{r['eta']:.17g},{r['bound']:.17g}\n" for r in rows
-        ))
-    else:
-        _emit(args, svg_line_chart(
-            [r["eta"] for r in rows], [r["bound"] for r in rows],
-            "eta", "comparison bound", f"{args.regime} comparison",
-        ))
-    return EXIT_OK
+    return _write_eta_rows(
+        args, rows, "bound", lambda: {"regime": args.regime, "params": params, "rows": rows},
+        "comparison bound", f"{args.regime} comparison",
+    )
 
 
 def cmd_spectrum(args) -> int:
@@ -203,23 +200,19 @@ def cmd_spectrum(args) -> int:
     p = spectral.RadialProblem.from_csv(_read_file(args.file))
     res = spectral.dirichlet_spectrum(p, args.k)
     err = res.estimated_discretization_error
-    if args.format == "json":
-        _emit(args, json.dumps({
+    return _write(
+        args,
+        lambda: _json({
             "eigenvalues": res.eigenvalues.tolist(),
             "grid_size": res.grid_size,
             "estimated_discretization_error": None if math.isnan(err) else err,
             "note": p.note,
-        }))
-    elif args.format == "csv":
-        _emit(args, "k,eigenvalue\n" + "".join(
-            f"{i + 1},{v:.17g}\n" for i, v in enumerate(res.eigenvalues)
-        ))
-    else:
-        _emit(args, svg_line_chart(
-            np.arange(1, res.eigenvalues.size + 1), res.eigenvalues,
-            "k", "eigenvalue", "Dirichlet spectrum",
-        ))
-    return EXIT_OK
+        }),
+        lambda: "k,eigenvalue\n" + "".join(
+            f"{i + 1},{v:.17g}\n" for i, v in enumerate(res.eigenvalues)),
+        lambda: svg_line_chart(np.arange(1, res.eigenvalues.size + 1), res.eigenvalues,
+                               "k", "eigenvalue", "Dirichlet spectrum"),
+    )
 
 
 def cmd_audit(args) -> int:
@@ -227,17 +220,12 @@ def cmd_audit(args) -> int:
 
     p = spectral.RadialProblem.from_csv(_read_file(args.file))
     report = spectral.audit_inequalities(p, args.k, args.eta or [0.5])
-    if args.format == "json":
-        _emit(args, report.to_json())
-    elif args.format == "csv":
-        _emit(args, report.to_csv())
-    else:
-        margins = [e.margin for e in report.entries]
-        _emit(args, svg_line_chart(
-            np.arange(len(margins)), margins,
-            "entry", "margin", "inequality audit margins",
-        ))
-    return EXIT_OK
+    margins = [e.margin for e in report.entries]
+    return _write(
+        args, report.to_json, report.to_csv,
+        lambda: svg_line_chart(np.arange(len(margins)), margins,
+                               "entry", "margin", "inequality audit margins"),
+    )
 
 
 def cmd_graph(args) -> int:
@@ -245,64 +233,59 @@ def cmd_graph(args) -> int:
 
     g = graphs.BoundaryGraph.from_json(_read_file(args.file))
     if args.subcommand == "rho":
-        if args.format == "json":
-            _emit(args, json.dumps({"rho": g.rho.tolist()}))
-        else:
-            _emit(args, g.rho_csv())
-    elif args.subcommand == "screen":
+        return _write(args, lambda: _json({"rho": g.rho.tolist()}), g.rho_csv)
+    if args.subcommand == "screen":
         s = graphs.graph_screen(g)
-        if args.format == "json":
-            _emit(args, s.to_json())
-        else:
-            _emit(args, s.to_csv())
-    elif args.subcommand == "bsep":
+        return _write(args, s.to_json, s.to_csv)
+    if args.subcommand == "bsep":
         etas = args.eta or [0.5]
         value = graphs.bsep_k(g, etas, mode=args.mode)
-        if args.format == "json":
-            _emit(args, json.dumps({"etas": etas, "mode": args.mode, "value": value}))
-        else:
-            _emit(args, "mode,value\n" + f"{args.mode},{value:.17g}\n")
-    else:
-        raise DomainError(f"unknown graph subcommand {args.subcommand!r}")
-    return EXIT_OK
+        return _write(
+            args,
+            lambda: _json({"etas": etas, "mode": args.mode, "value": value}),
+            lambda: f"mode,value\n{args.mode},{value:.17g}\n",
+        )
+    raise DomainError(f"unknown graph subcommand {args.subcommand!r}")
+
+
+def _config_number(cfg: dict, key: str, default=None) -> float:
+    value = cfg.get(key, default)
+    if value is None:
+        raise DomainError(f"sweep config missing field {key!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"sweep config field {key!r} must be a number, got {value!r}") from None
 
 
 def cmd_sweep(args) -> int:
     from . import asymptotics
 
     cfg = json.loads(_read_file(args.config))
+    if not isinstance(cfg, dict):
+        raise DomainError("sweep config must be a JSON object")
     family = cfg.get("family")
-    if family is None:
+    if not isinstance(family, str):
         raise DomainError("sweep config needs a 'family' field")
-    eta = float(cfg.get("eta", 0.5))
+    eta = _config_number(cfg, "eta", 0.5)
     if "schedule" in cfg:
-        spec = asymptotics.SequenceSpec.from_json(json.dumps(cfg))
-        report = asymptotics.classify_concentration(spec, eta)
+        report = asymptotics.classify_concentration(asymptotics.SequenceSpec.from_json(cfg), eta)
     else:
         ns = cfg.get("n")
         if not ns:
             raise DomainError("sweep config needs an 'n' list")
-        if family == "hemisphere":
-            report = asymptotics.hemisphere_sweep(float(cfg["kappa"]), eta, ns)
-        elif family == "euclid_ball":
-            report = asymptotics.euclid_ball_sweep(float(cfg["lambda"]), eta, ns)
-        elif family == "warped":
-            report = asymptotics.warped_sweep(float(cfg["kappa"]), eta, ns)
-        else:
+        fam = asymptotics._FAMILIES.get(family)
+        if fam is None or fam.limit is None:
             raise DomainError(
                 f"family {family!r} needs a 'schedule' (classification) or must "
                 "be one of hemisphere/euclid_ball/warped (canonical sweep)"
             )
-    if args.format == "json":
-        _emit(args, report.to_json())
-    elif args.format == "csv":
-        _emit(args, report.to_csv())
-    else:
-        _emit(args, svg_line_chart(
-            [r.n for r in report.rows], [r.value for r in report.rows],
-            "n", "value", f"{family} sweep",
-        ))
-    return EXIT_OK
+        report = asymptotics._sweep(family, _config_number(cfg, fam.primary), eta, ns)
+    return _write(
+        args, report.to_json, report.to_csv,
+        lambda: svg_line_chart([r.n for r in report.rows], [r.value for r in report.rows],
+                               "n", "value", f"{family} sweep"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,28 +308,25 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("model", parents=[common],
+    # the parameters of models and comparison regimes
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--n", type=int, default=None)
+    params.add_argument("--N", type=float, default=None)
+    params.add_argument("--kappa", type=float, default=None)
+    params.add_argument("--lambda", dest="lam", type=float, default=None)
+    params.add_argument("--K", type=float, default=None)
+    params.add_argument("--delta", type=float, default=None)
+    params.add_argument("--eta", type=float, action="append")
+
+    p = sub.add_parser("model", parents=[common, params],
                        help="closed-form invariants of a catalog model")
     p.add_argument("--tag", default=None)
     p.add_argument("--descriptor", default=None, help="model JSON descriptor")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--N", type=float, default=None)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--K", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--eta", type=float, action="append")
     p.set_defaults(func=cmd_model)
 
-    p = sub.add_parser("compare", parents=[common], help="comparison upper bound for ObsInRad")
+    p = sub.add_parser("compare", parents=[common, params],
+                       help="comparison upper bound for ObsInRad")
     p.add_argument("--regime", required=True, choices=("finite", "twisted", "infinite"))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--N", type=float, default=None)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--K", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--eta", type=float, action="append")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("spectrum", parents=[common], help="Dirichlet spectrum of a radial problem")

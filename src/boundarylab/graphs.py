@@ -129,7 +129,8 @@ class BoundaryGraph:
                 "edges": [[u, v, w] for u, v, w in self.edges],
                 "boundary": self.boundary,
                 "measure": self.measure.tolist(),
-            }
+            },
+            allow_nan=False,
         )
 
     @classmethod
@@ -409,7 +410,8 @@ class TrendReport:
                     }
                     for row in self.rows
                 ],
-            }
+            },
+            allow_nan=False,
         )
 
     def to_csv(self) -> str:

@@ -50,14 +50,15 @@ __all__ = [
     "model_from_json",
 ]
 
-_TAGS = (
-    "ball",
-    "warped",
-    "half_gaussian",
-    "exponential",
-    "weighted_warped_exp",
-    "weighted_warped_gauss",
-)
+# tag -> fields of its classmethod constructor, in descriptor order
+_FIELDS = {
+    "ball": ("n", "kappa", "lam"),
+    "warped": ("n", "kappa"),
+    "half_gaussian": ("K", "Lam"),
+    "exponential": ("Lam",),
+    "weighted_warped_exp": ("n", "N", "kappa"),
+    "weighted_warped_gauss": ("n", "kappa", "delta"),
+}
 
 
 @dataclass(frozen=True)
@@ -110,13 +111,8 @@ class ModelSpace:
             raise DomainError(f"effective dimension N={N} must be >= n={n}")
         if not kappa < 0:
             raise DomainError(f"needs kappa < 0, got {kappa}")
-        return cls(
-            "weighted_warped_exp",
-            n=int(n),
-            N=float(N),
-            kappa=float(kappa),
-            lam=math.sqrt(-kappa),
-        )
+        return cls("weighted_warped_exp", n=int(n), N=float(N), kappa=float(kappa),
+                   lam=math.sqrt(-kappa))
 
     @classmethod
     def weighted_warped_gauss(cls, n: int, kappa: float, delta: float) -> "ModelSpace":
@@ -124,13 +120,8 @@ class ModelSpace:
             raise DomainError(f"dimension must be >= 2, got {n}")
         if not kappa < 0:
             raise DomainError(f"needs kappa < 0, got {kappa}")
-        return cls(
-            "weighted_warped_gauss",
-            n=int(n),
-            kappa=float(kappa),
-            lam=math.sqrt(-kappa),
-            delta=float(delta),
-        )
+        return cls("weighted_warped_gauss", n=int(n), kappa=float(kappa),
+                   lam=math.sqrt(-kappa), delta=float(delta))
 
     @property
     def gauss_rate(self) -> float:
@@ -140,36 +131,32 @@ class ModelSpace:
         return (self.n - 1) * self.lam * math.exp(-2.0 * self.delta)
 
     def to_json(self) -> str:
-        fields = {
-            "ball": ("n", "kappa", "lam"),
-            "warped": ("n", "kappa"),
-            "half_gaussian": ("K", "Lam"),
-            "exponential": ("Lam",),
-            "weighted_warped_exp": ("n", "N", "kappa"),
-            "weighted_warped_gauss": ("n", "kappa", "delta"),
-        }[self.tag]
-        out = {"tag": self.tag}
-        out.update({f: getattr(self, f) for f in fields})
-        return json.dumps(out)
+        fields = {f: getattr(self, f) for f in _FIELDS[self.tag]}
+        return json.dumps({"tag": self.tag, **fields}, allow_nan=False)
 
 
 def model_from_json(text: str) -> ModelSpace:
     obj = json.loads(text) if isinstance(text, str) else dict(text)
     tag = obj.pop("tag", None)
-    builders = {
-        "ball": ModelSpace.ball,
-        "warped": ModelSpace.warped,
-        "half_gaussian": ModelSpace.half_gaussian,
-        "exponential": ModelSpace.exponential,
-        "weighted_warped_exp": ModelSpace.weighted_warped_exp,
-        "weighted_warped_gauss": ModelSpace.weighted_warped_gauss,
-    }
-    if tag not in builders:
-        raise DomainError(f"unknown model tag {tag!r}; expected one of {_TAGS}")
+    if tag not in _FIELDS:
+        raise DomainError(f"unknown model tag {tag!r}; expected one of {tuple(_FIELDS)}")
     try:
-        return builders[tag](**obj)
+        return getattr(ModelSpace, tag)(**obj)
     except TypeError as exc:
         raise DomainError(f"bad parameters for model {tag!r}: {exc}") from None
+
+
+# tag -> (screen family, ``screens.closed_screen`` parameters) of its
+# boundary-distance screen; the family also names its closed-form inverse
+_SCREENS = {
+    "ball": lambda m: ("ball", {"N": float(m.n), "kappa": m.kappa, "lam": m.lam}),
+    "warped": lambda m: ("exponential", {"rate": (m.n - 1) * m.lam}),
+    "half_gaussian": lambda m: ("half_gaussian", {"K": m.K, "Lam": m.Lam}),
+    "exponential": lambda m: ("exponential", {"rate": m.Lam}),
+    "weighted_warped_exp": lambda m: ("exponential", {"rate": (m.N - 1) * m.lam}),
+    "weighted_warped_gauss": lambda m: ("half_gaussian", {"K": m.gauss_rate,
+                                                          "Lam": m.gauss_rate}),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,42 +166,32 @@ def boundary_screen(m: ModelSpace) -> screens.Screen:
     The density on the ray is the normalized radial volume element; all
     catalog screens have full support.
     """
-    if m.tag == "ball":
-        return screens.closed_screen("ball", N=float(m.n), kappa=m.kappa, lam=m.lam)
-    if m.tag == "warped":
-        return screens.closed_screen("exponential", rate=(m.n - 1) * m.lam)
-    if m.tag == "half_gaussian":
-        return screens.closed_screen("half_gaussian", K=m.K, Lam=m.Lam)
-    if m.tag == "exponential":
-        return screens.closed_screen("exponential", rate=m.Lam)
-    if m.tag == "weighted_warped_exp":
-        return screens.closed_screen("exponential", rate=(m.N - 1) * m.lam)
-    if m.tag == "weighted_warped_gauss":
-        a = m.gauss_rate
-        return screens.closed_screen("half_gaussian", K=a, Lam=a)
-    raise DomainError(f"unknown tag {m.tag!r}")  # pragma: no cover
+    family, params = _SCREENS[m.tag](m)
+    return screens.closed_screen(family, **params)
+
+
+def _closed_inverse(family: str, params: dict, eta: float) -> float:
+    """Lower (1 - eta)-quantile of a closed screen family, in closed form:
+    the inverse of v for a ball, log(1/eta) / rate for the exponential ray
+    and the Gaussian-tail inverse for the half-Gaussian ray."""
+    if eta == 1.0:
+        return 0.0
+    if family == "ball":
+        r = jacobi.v_inverse(params["N"], jacobi.classify(params["kappa"], params["lam"]), eta)
+    elif family == "exponential":
+        r = math.log(1.0 / eta) / params["rate"]
+    else:
+        r = jacobi.gaussian_tail_inverse(jacobi.classify_infinite(params["K"], params["Lam"]), eta)
+    if not math.isfinite(r):
+        raise DomainError(f"the {family} screen {params} has no finite quantile at eta={eta}")
+    return r
 
 
 def closed_form_obs_inradius(m: ModelSpace, eta: float) -> float:
     """Observable inscribed radius of a catalog model, in closed form."""
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must lie in (0, 1], got {eta}")
-    if eta == 1.0:
-        return 0.0
-    if m.tag == "ball":
-        return jacobi.v_inverse(float(m.n), jacobi.classify(m.kappa, m.lam), eta)
-    if m.tag == "warped":
-        return math.log(1.0 / eta) / ((m.n - 1) * m.lam)
-    if m.tag == "half_gaussian":
-        return jacobi.gaussian_tail_inverse(jacobi.classify_infinite(m.K, m.Lam), eta)
-    if m.tag == "exponential":
-        return math.log(1.0 / eta) / m.Lam
-    if m.tag == "weighted_warped_exp":
-        return math.log(1.0 / eta) / ((m.N - 1) * m.lam)
-    if m.tag == "weighted_warped_gauss":
-        a = m.gauss_rate
-        return jacobi.gaussian_tail_inverse(jacobi.classify_infinite(a, a), eta)
-    raise DomainError(f"unknown tag {m.tag!r}")  # pragma: no cover
+    return _closed_inverse(*_SCREENS[m.tag](m), eta)
 
 
 def normalization_audit(m: ModelSpace) -> float:
@@ -293,21 +270,21 @@ def comparison_bound(kind, eta: float) -> float:
             raise DomainError(f"N must be finite and exceed 1, got {kind.N}")
         cc = kind.cc
         if cc.is_ball:
-            return jacobi.v_inverse(kind.N, cc, eta)
+            return _closed_inverse("ball", {"N": kind.N, "kappa": cc.kappa, "lam": cc.lam}, eta)
         if cc.is_horospherical:
             lam = math.sqrt(-cc.kappa)
-            return math.log(1.0 / eta) / ((kind.N - 1) * lam)
-        raise RegimeError(
-            f"no comparison available for regime {cc.regime.value} at N={kind.N}"
-        )
+            return _closed_inverse("exponential", {"rate": (kind.N - 1) * lam}, eta)
+        raise RegimeError(f"no comparison available for regime {cc.regime.value} at N={kind.N}")
     if isinstance(kind, Twisted):
         tp = kind.tp
         raw = jacobi.classify(tp.kappa, tp.lam)
         if raw.is_convex_ball:
-            return jacobi.v_inverse(float(tp.n), tp.effective(), eta)
+            eff = tp.effective()
+            return _closed_inverse(
+                "ball", {"N": float(tp.n), "kappa": eff.kappa, "lam": eff.lam}, eta)
         if raw.is_horospherical and tp.kappa < 0:
             rate = (tp.n - 1) * tp.lam * math.exp(-2.0 * tp.delta)
-            return math.log(1.0 / eta) / rate
+            return _closed_inverse("exponential", {"rate": rate}, eta)
         raise RegimeError(
             "twisted comparison needs the convex-ball regime or the "
             f"horospherical case, got {raw.regime.value}"
@@ -315,10 +292,8 @@ def comparison_bound(kind, eta: float) -> float:
     if isinstance(kind, Infinite):
         ic = kind.ic
         if not ic.admissible:
-            raise RegimeError(
-                f"no comparison available for (K, Lam) = ({ic.K}, {ic.Lam})"
-            )
-        return jacobi.gaussian_tail_inverse(ic, eta)
+            raise RegimeError(f"no comparison available for (K, Lam) = ({ic.K}, {ic.Lam})")
+        return _closed_inverse("half_gaussian", {"K": ic.K, "Lam": ic.Lam}, eta)
     raise DomainError(f"unknown comparison kind {kind!r}")
 
 

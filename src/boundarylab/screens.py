@@ -202,7 +202,8 @@ class GridScreen(Screen):
                 "t": self.t.tolist(),
                 "F": self.F.tolist(),
                 "full_support": self.full_support,
-            }
+            },
+            allow_nan=False,
         )
 
 
@@ -293,7 +294,8 @@ class AtomScreen(Screen):
 
     def to_json(self):
         return json.dumps(
-            {"kind": "atoms", "t": self.t.tolist(), "p": self.p.tolist()}
+            {"kind": "atoms", "t": self.t.tolist(), "p": self.p.tolist()},
+            allow_nan=False,
         )
 
 
@@ -440,7 +442,8 @@ class DensityScreen(Screen):
                 "params": self.params,
                 "scale": self.scale_factor,
                 "full_support": self.full_support,
-            }
+            },
+            allow_nan=False,
         )
 
 

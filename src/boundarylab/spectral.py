@@ -142,7 +142,7 @@ class RadialProblem:
             "note": self.note,
         }
         buf = io.StringIO()
-        buf.write("# " + json.dumps(header) + "\n")
+        buf.write("# " + json.dumps(header, allow_nan=False) + "\n")
         buf.write("t,theta\n")
         for t, th in zip(self.grid, self.theta):
             buf.write(f"{t:.17g},{th:.17g}\n")
@@ -883,7 +883,8 @@ class AuditReport:
         return all(e.passed for e in self.entries)
 
     def to_json(self) -> str:
-        return json.dumps({"meta": self.meta, "entries": [asdict(e) for e in self.entries]})
+        return json.dumps({"meta": self.meta, "entries": [asdict(e) for e in self.entries]},
+                          allow_nan=False)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
