@@ -1,12 +1,14 @@
 """Sequence sweeps: distribution laws, critical scale orders, classification.
 
-Three canonical sweeps track the observable inscribed radius of model
-sequences toward their infinite-dimensional limits (hemispheres to the
-half-Gaussian ray, Euclidean balls and horospherical warped products to
-the exponential ray).  ``classify_concentration`` decides whether a
-parametrized family concentrates at the boundary from the analytic
-driver criterion (n kappa_n or n lambda_n growing without bound), with
-the numeric value trend reported alongside but never overriding it.
+Each sequence family is one ``_FAMILIES`` record (schedules, catalog model
+at n, analytic driver and its exponent), and every value is the closed
+form of its model at n.  Three canonical families also have a limit, and
+one sweep body tracks them there (hemispheres to the half-Gaussian ray,
+Euclidean balls and horospherical warped products to the exponential
+ray).  ``classify_concentration`` decides whether a parametrized family
+concentrates at the boundary from the analytic driver criterion (n kappa_n
+or n lambda_n growing without bound), with the numeric value trend
+reported alongside but never overriding it.
 """
 
 from __future__ import annotations

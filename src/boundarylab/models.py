@@ -146,16 +146,16 @@ def model_from_json(text: str) -> ModelSpace:
         raise DomainError(f"bad parameters for model {tag!r}: {exc}") from None
 
 
-# tag -> (screen family, ``screens.closed_screen`` parameters) of its
-# boundary-distance screen; the family also names its closed-form inverse
+# tag -> (screen family, parameters) of its boundary screen: a ball's dimension
+# and classified curvature, a Gaussian ray's classified bounds, or a rate
 _SCREENS = {
-    "ball": lambda m: ("ball", {"N": float(m.n), "kappa": m.kappa, "lam": m.lam}),
+    "ball": lambda m: ("ball", {"N": float(m.n), "cc": jacobi.classify(m.kappa, m.lam)}),
     "warped": lambda m: ("exponential", {"rate": (m.n - 1) * m.lam}),
-    "half_gaussian": lambda m: ("half_gaussian", {"K": m.K, "Lam": m.Lam}),
+    "half_gaussian": lambda m: ("half_gaussian", {"ic": jacobi.classify_infinite(m.K, m.Lam)}),
     "exponential": lambda m: ("exponential", {"rate": m.Lam}),
     "weighted_warped_exp": lambda m: ("exponential", {"rate": (m.N - 1) * m.lam}),
-    "weighted_warped_gauss": lambda m: ("half_gaussian", {"K": m.gauss_rate,
-                                                          "Lam": m.gauss_rate}),
+    "weighted_warped_gauss": lambda m: (
+        "half_gaussian", {"ic": jacobi.classify_infinite(m.gauss_rate, m.gauss_rate)}),
 }
 
 
@@ -166,8 +166,12 @@ def boundary_screen(m: ModelSpace) -> screens.Screen:
     The density on the ray is the normalized radial volume element; all
     catalog screens have full support.
     """
-    family, params = _SCREENS[m.tag](m)
-    return screens.closed_screen(family, **params)
+    family, p = _SCREENS[m.tag](m)
+    if family == "ball":  # closed_screen takes the curvature pairs themselves
+        p = {"N": p["N"], "kappa": p["cc"].kappa, "lam": p["cc"].lam}
+    elif family == "half_gaussian":
+        p = {"K": p["ic"].K, "Lam": p["ic"].Lam}
+    return screens.closed_screen(family, **p)
 
 
 def _closed_inverse(family: str, params: dict, eta: float) -> float:
@@ -177,13 +181,13 @@ def _closed_inverse(family: str, params: dict, eta: float) -> float:
     if eta == 1.0:
         return 0.0
     if family == "ball":
-        r = jacobi.v_inverse(params["N"], jacobi.classify(params["kappa"], params["lam"]), eta)
+        r = jacobi.v_inverse(params["N"], params["cc"], eta)
     elif family == "exponential":
         r = math.log(1.0 / eta) / params["rate"]
     else:
-        r = jacobi.gaussian_tail_inverse(jacobi.classify_infinite(params["K"], params["Lam"]), eta)
+        r = jacobi.gaussian_tail_inverse(params["ic"], eta)
     if not math.isfinite(r):
-        raise DomainError(f"the {family} screen {params} has no finite quantile at eta={eta}")
+        raise DomainError(f"the {family} screen has no finite quantile at eta={eta}")
     return r
 
 
@@ -270,7 +274,7 @@ def comparison_bound(kind, eta: float) -> float:
             raise DomainError(f"N must be finite and exceed 1, got {kind.N}")
         cc = kind.cc
         if cc.is_ball:
-            return _closed_inverse("ball", {"N": kind.N, "kappa": cc.kappa, "lam": cc.lam}, eta)
+            return _closed_inverse("ball", {"N": kind.N, "cc": cc}, eta)
         if cc.is_horospherical:
             lam = math.sqrt(-cc.kappa)
             return _closed_inverse("exponential", {"rate": (kind.N - 1) * lam}, eta)
@@ -279,9 +283,7 @@ def comparison_bound(kind, eta: float) -> float:
         tp = kind.tp
         raw = jacobi.classify(tp.kappa, tp.lam)
         if raw.is_convex_ball:
-            eff = tp.effective()
-            return _closed_inverse(
-                "ball", {"N": float(tp.n), "kappa": eff.kappa, "lam": eff.lam}, eta)
+            return _closed_inverse("ball", {"N": float(tp.n), "cc": tp.effective()}, eta)
         if raw.is_horospherical and tp.kappa < 0:
             rate = (tp.n - 1) * tp.lam * math.exp(-2.0 * tp.delta)
             return _closed_inverse("exponential", {"rate": rate}, eta)
@@ -293,7 +295,7 @@ def comparison_bound(kind, eta: float) -> float:
         ic = kind.ic
         if not ic.admissible:
             raise RegimeError(f"no comparison available for (K, Lam) = ({ic.K}, {ic.Lam})")
-        return _closed_inverse("half_gaussian", {"K": ic.K, "Lam": ic.Lam}, eta)
+        return _closed_inverse("half_gaussian", {"ic": ic}, eta)
     raise DomainError(f"unknown comparison kind {kind!r}")
 
 
