@@ -80,7 +80,7 @@ def test_classification_keeps_the_interval_row():
 
 @pytest.mark.parametrize("family", ["hemisphere", "euclid_ball", "warped"])
 def test_canonical_sweep_and_law_share_the_model_at_n(family):
-    param = FAMILY_SAMPLES[family]["kappa" if "kappa" in FAMILY_SAMPLES[family] else "lambda"]
+    param = FAMILY_SAMPLES[family][asymptotics._FAMILIES[family].primary]
     sweep = getattr(asymptotics, f"{family}_sweep")(param, 0.4, [8])
     finite, _ = asymptotics.distribution_law(family, param, 8)
     assert screens.obs_inradius(finite, 0.4) == pytest.approx(sweep.rows[0].value, abs=1e-8)
