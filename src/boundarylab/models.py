@@ -74,6 +74,11 @@ class ModelSpace:
     Lam: float | None = None
     delta: float | None = None
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"{self.tag} model parameter {name} is not finite, got {value}")
+
     @classmethod
     def ball(cls, n: int, kappa: float, lam: float) -> "ModelSpace":
         if n < 2:
@@ -137,8 +142,10 @@ class ModelSpace:
 
 def model_from_json(text: str) -> ModelSpace:
     obj = json.loads(text) if isinstance(text, str) else dict(text)
+    if not isinstance(obj, dict):
+        raise DomainError(f"a model descriptor is a JSON object, got {obj!r}")
     tag = obj.pop("tag", None)
-    if tag not in _FIELDS:
+    if not isinstance(tag, str) or tag not in _FIELDS:
         raise DomainError(f"unknown model tag {tag!r}; expected one of {tuple(_FIELDS)}")
     try:
         return getattr(ModelSpace, tag)(**obj)

@@ -20,8 +20,8 @@ The module also scans the Dirichlet isoperimetric constant, computes
 boundary separation distances of the interval by exact 1D packing, and
 audits every eigenvalue inequality of the theory.  The distance-to-boundary
 screen, the isoperimetric scan and its exact polish are array evaluations of
-one cumulative-mass primitive (``_integrate.pl_cumulative``); the packing
-bisection calls it per scalar, beside a closed-form mass inverse.
+one cumulative-mass primitive (``_integrate.pl_cumulative``); the packing's
+regula falsi calls it per scalar, beside a closed-form mass inverse.
 """
 
 from __future__ import annotations
@@ -127,9 +127,7 @@ class RadialProblem:
         return float(np.interp(x, self.grid, self.theta))
 
     def _mass_inverse(self, target: float) -> float:
-        """Smallest x with ``_cum_at(x) >= target``, in closed form
-        (:func:`_invert_mass`).  Builds the O(n) reach table on every call;
-        :func:`interval_bsep` builds it once per call of its own."""
+        """:func:`_invert_mass`, building its O(n) reach table for the call."""
         return _invert_mass(self, _reach(self), target)
 
     # -- serialization: CSV body with a JSON comment header --------------
@@ -189,7 +187,7 @@ def _reach(p: RadialProblem) -> np.ndarray:
 
 
 def _invert_mass(p: RadialProblem, reach: np.ndarray, target: float) -> float:
-    """Smallest x with ``p._cum_at(x) >= target``, given ``reach = _reach(p)``.
+    """Smallest x with M(x) >= target (:func:`interval_bsep`), given ``reach = _reach(p)``.
 
     The cell is the first whose mass reaches the target before its right
     knot, so a knot table that dips is never entered below the target.
@@ -776,50 +774,60 @@ def interval_bsep(p: RadialProblem, etas) -> float:
     In 1D the optimal family consists of intervals in some order (convex
     hulls preserve masses, gaps, and boundary distances), so a greedy
     left-packing per mass permutation decides feasibility of a candidate
-    separation D, and bisection finds the supremum.
+    separation D.  The packing reads the nondecreasing mass M(x) =
+    max(``_cum_at(x)``, the most mass reached before the cell of x), so the
+    supremum is a root, found to adjacent floats by Pegasus regula falsi
+    (Dowell & Jarratt, BIT 12, 1972) that bisects when a step stalls.
     """
     etas = [float(e) for e in etas]
     if any(e <= 0 for e in etas):
         raise DomainError("all masses must be positive")
     if any(e > 1 for e in etas) or sum(etas) > 1.0:
         return 0.0
-    total = p.total_mass
-    left_b = p.left_bc is Endpoint.DIRICHLET
-    right_b = p.right_bc is Endpoint.DIRICHLET
-    perms = set(itertools.permutations(etas))
+    L, total = p.length, p.total_mass
+    left_b, right_b = (bc is Endpoint.DIRICHLET for bc in (p.left_bc, p.right_bc))
     reach = _reach(p)
 
-    def feasible(D: float) -> bool:
-        for perm in perms:
-            pos = end = D if left_b else 0.0
-            for eta in perm:
-                if pos >= p.length:
-                    break
-                c_pos = p._cum_at(pos)
-                target = c_pos + eta * total
-                if target > total * (1.0 + 1e-12):
-                    break
-                b = _invert_mass(p, reach, min(target, total))
-                if p._cum_at(b) - c_pos < eta * total * (1.0 - 1e-9):
-                    break
-                end, pos = b, b + D
-            else:
-                if end <= p.length - (D if right_b else 0.0) + 1e-12:
-                    return True
-        return False
+    def mass(x: float) -> float:
+        i = int(p.grid.searchsorted(x, side="right")) - 2
+        return max(p._cum_at(x), float(reach[i])) if i >= 0 else p._cum_at(x)
 
-    lo, hi = 0.0, p.length
-    if not feasible(lo):
-        return 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        # a midpoint on a tested end fixes the bracket (hi = L is untested)
-        if mid == lo or (mid == hi and hi < p.length):
-            break
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
+    # (feasible, least overshoot): finite, since targets past the total are clamped
+    def overshoot(D: float) -> tuple[bool, float]:
+        feasible, least = False, math.inf
+        for perm in set(itertools.permutations(etas)):
+            pos = end = D if left_b else 0.0
+            fits, target = True, 0.0
+            for eta in perm:
+                c = mass(pos)
+                target = c + eta * total
+                end = _invert_mass(p, reach, min(target, total))
+                fits = (fits and pos < L and target <= total * (1.0 + 1e-12)
+                        and mass(end) - c >= eta * total * (1.0 - 1e-9))
+                pos = end + D
+            over = end - (L - D + 1e-12) if right_b else target - total * (1.0 + 1e-12)
+            feasible, least = feasible or (fits and over <= 0.0), min(least, over)
+        return feasible, least
+
+    # the sets take room, so D * (number of gaps) < L on every feasible packing
+    lo, hi = 0.0, L / max(len(etas) - 1 + left_b + right_b, 1)
+    (ok_lo, f_lo), (ok_hi, f_hi) = overshoot(lo), overshoot(hi)
+    if not ok_lo or ok_hi:
+        return hi if ok_lo else 0.0
+    unit, falsi, moved = math.ulp(L if right_b else total), True, None  # of rounding
+    while math.nextafter(lo, hi) < hi:
+        x = 0.5 * (lo + hi)
+        if falsi and f_lo <= 0.0 < f_hi:  # regula falsi, 2 ulps or more inside the bracket
+            w = max(-f_lo, unit) / (max(-f_lo, unit) + f_hi)  # a zero steps off by a unit
+            y = min(max(lo + (hi - lo) * w, lo + 2.0 * math.ulp(lo)), hi - 2.0 * math.ulp(hi))
+            x = y if lo < y < hi else x
+        ok, f = overshoot(x)
+        old = f_lo if ok else f_hi
+        falsi = abs(f) <= max(0.5 * abs(old), 4.0 * unit)  # halved or rounding, else bisect
+        # Pegasus: an end that moves twice running scales the other end's value
+        scale = (old / (old + f) if old + f else 0.5) if moved is ok else 1.0
+        lo, f_lo, hi, f_hi = (x, f, hi, f_hi * scale) if ok else (lo, f_lo * scale, x, f)
+        moved = ok
     return lo
 
 

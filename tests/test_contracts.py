@@ -121,3 +121,36 @@ def test_model_with_an_infinite_parameter_exits_2(capsys):
     code, out, err = run(capsys, "model", "--tag", "exponential", "--lambda", "inf")
     assert (code, out) == (2, "")
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("descriptor", ["[1]", '"exponential"', "3", '{"tag": []}', '{"tag": 1}'])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_descriptor_not_an_object_with_a_tag_exits_2(capsys, descriptor, fmt):
+    with pytest.raises(DomainError):
+        models.model_from_json(descriptor)
+    code, out, err = run(capsys, "--format", fmt, "model", "--descriptor", descriptor)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("build, argv", [
+    (lambda: models.ModelSpace.exponential(math.inf), ["--tag", "exponential", "--lambda", "inf"]),
+    (lambda: models.ModelSpace.half_gaussian(math.inf, 1.0),
+     ["--tag", "half_gaussian", "--K", "inf", "--lambda", "1"]),
+    (lambda: models.ModelSpace.half_gaussian(1.0, -math.inf),
+     ["--tag", "half_gaussian", "--K", "1", "--lambda=-inf"]),
+    (lambda: models.ModelSpace.warped(3, -math.inf), ["--tag", "warped", "--n", "3", "--kappa=-inf"]),
+    (lambda: models.ModelSpace.weighted_warped_exp(3, math.inf, -1.0),
+     ["--tag", "weighted_warped_exp", "--n", "3", "--N", "inf", "--kappa", "-1"]),
+    (lambda: models.ModelSpace.weighted_warped_gauss(3, -math.inf, 0.1),
+     ["--tag", "weighted_warped_gauss", "--n", "3", "--kappa=-inf", "--delta", "0.1"]),
+    (lambda: models.ModelSpace.weighted_warped_gauss(3, -1.0, math.inf),
+     ["--tag", "weighted_warped_gauss", "--n", "3", "--kappa", "-1", "--delta", "inf"]),
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_catalog_refuses_infinite_parameters(capsys, build, argv, fmt):
+    with pytest.raises(DomainError, match="not finite"):
+        build()
+    code, out, err = run(capsys, "--format", fmt, "model", *argv, "--eta", "0.5")
+    assert (code, out) == (2, "")
+    assert "not finite" in err

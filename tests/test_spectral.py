@@ -538,6 +538,66 @@ def _interval_bsep_oracle(p, etas):
     return lo
 
 
+def _hull_mass_oracle(p, x):
+    """The packing's mass M(x) = max(_cum_at(x), reach[i - 1]) on the cell i
+    of x, with the reach of each cell to its left summed out per scalar."""
+    g, th, cum = p.grid, p.theta, p._cum
+    x = min(max(float(x), 0.0), p.length)
+    i = min(int(np.searchsorted(g, x, side="right")) - 1, g.size - 2)
+    m = p._cum_at(x)
+    for j in range(i):
+        m = max(m, cum[j] + 0.5 * (g[j + 1] - g[j]) * (th[j] + th[j + 1]))
+    return m
+
+
+def _hull_feasible(p, etas, D):
+    """The separation D is feasible: a greedy left-packing of the masses in
+    some order fits, reading every mass through the hull M."""
+    import itertools
+
+    total, L = p.total_mass, p.length
+    left_b = p.left_bc is Endpoint.DIRICHLET
+    right_b = p.right_bc is Endpoint.DIRICHLET
+    for perm in set(itertools.permutations(etas)):
+        pos = end = D if left_b else 0.0
+        ok = True
+        for eta in perm:
+            c = _hull_mass_oracle(p, pos)
+            target = c + eta * total
+            if pos >= L or target > total * (1.0 + 1e-12):
+                ok = False
+                break
+            b = p._mass_inverse(min(target, total))
+            if _hull_mass_oracle(p, b) - c < eta * total * (1.0 - 1e-9):
+                ok = False
+                break
+            end, pos = b, b + D
+        if ok and end <= L - (D if right_b else 0.0) + 1e-12:
+            return True
+    return False
+
+
+def _above(p, D):
+    """A separation just above D, past the rounding of the packing."""
+    return D * (1.0 + 1e-12) + 1e-15 * p.length
+
+
+def _smooth_problem(kind, rng, points=2001):
+    """A problem of the audit's shapes: log-concave with a Neumann right end,
+    smooth two-Dirichlet, or uniform."""
+    if kind == "log_concave":
+        return generate_log_concave_problem(rng, points=points)
+    L = float(rng.uniform(0.6, 3.0))
+    t = np.linspace(0.0, L, points)
+    if kind == "uniform":
+        return RadialProblem(t, np.ones_like(t))
+    knots = np.linspace(0.0, L, int(rng.integers(4, 9)))
+    return RadialProblem(t, np.exp(np.interp(t, knots, rng.uniform(-1.0, 1.0, knots.size))))
+
+
+SMOOTH_KINDS = ["log_concave", "uniform", "two_dirichlet"]
+
+
 class TestIntervalBsepEquivalence:
     @pytest.mark.parametrize("bcs", [
         (Endpoint.DIRICHLET, Endpoint.DIRICHLET),
@@ -546,15 +606,102 @@ class TestIntervalBsepEquivalence:
     ])
     @settings(max_examples=30)
     @given(data=st.data())
-    def test_equals_full_bisection(self, bcs, data):
+    def test_is_the_supremum(self, bcs, data):
         p = data.draw(pl_problems(bcs))
-        etas = data.draw(st.lists(st.floats(0.02, 0.45), min_size=1, max_size=2))
-        assert interval_bsep(p, etas) == _interval_bsep_oracle(p, etas)
+        etas = data.draw(st.lists(st.floats(0.02, 0.45), min_size=1, max_size=3))
+        D = interval_bsep(p, etas)
+        assert D == 0.0 or _hull_feasible(p, etas, D)
+        assert not _hull_feasible(p, etas, _above(p, D))
+
+    @pytest.mark.parametrize("kind", SMOOTH_KINDS)
+    def test_equals_the_bisection_on_smooth_problems(self, kind):
+        rng = np.random.default_rng(SMOOTH_KINDS.index(kind))
+        for _ in range(3):
+            p = _smooth_problem(kind, rng)
+            for eta in rng.uniform(0.1, 0.3, size=2):
+                for etas in ([eta], [eta, eta], [eta, 0.5 * eta, eta]):
+                    assert interval_bsep(p, etas) == pytest.approx(
+                        _interval_bsep_oracle(p, etas), rel=1e-13)
 
     def test_no_masses_reach_the_far_end(self):
         # every D is feasible: the last midpoint rounds onto the untested L
         p = uniform_problem(64, right=Endpoint.NEUMANN)
         assert interval_bsep(p, []) == _interval_bsep_oracle(p, []) == 1.0
+
+
+class TestIntervalBsepProperties:
+    @pytest.mark.parametrize("bcs", [
+        (Endpoint.DIRICHLET, Endpoint.DIRICHLET),
+        (Endpoint.DIRICHLET, Endpoint.NEUMANN),
+        (Endpoint.NEUMANN, Endpoint.DIRICHLET),
+    ])
+    @settings(max_examples=30)
+    @given(data=st.data(), c=st.floats(0.1, 10.0))
+    def test_scaling_the_grid_scales_the_distance(self, bcs, data, c):
+        # the packing's end slack is 1e-12 in length, not relative, and the
+        # overshoot grows at least as fast as D: it moves D by 1e-12 |1 - c|
+        p = data.draw(pl_problems(bcs))
+        etas = data.draw(st.lists(st.floats(0.02, 0.45), min_size=1, max_size=3))
+        q = RadialProblem(c * p.grid, p.theta, left_bc=p.left_bc, right_bc=p.right_bc)
+        D, scaled = interval_bsep(p, etas), interval_bsep(q, etas)
+        assert abs(scaled - c * D) <= 1e-12 * (c * D + abs(1.0 - c)) + 1e-15 * q.length
+
+    @pytest.mark.parametrize("bcs", [
+        (Endpoint.DIRICHLET, Endpoint.DIRICHLET),
+        (Endpoint.DIRICHLET, Endpoint.NEUMANN),
+        (Endpoint.NEUMANN, Endpoint.DIRICHLET),
+    ])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_nonincreasing_in_each_mass_and_the_number_of_sets(self, bcs, data):
+        p = data.draw(pl_problems(bcs))
+        etas = data.draw(st.lists(st.floats(0.02, 0.3), min_size=1, max_size=3))
+        i = data.draw(st.integers(0, len(etas) - 1))
+        grow = data.draw(st.floats(1.0, 3.0))
+        D = interval_bsep(p, etas)
+        heavier = etas[:i] + [etas[i] * grow] + etas[i + 1:]
+        more = etas + [data.draw(st.floats(0.02, 0.3))]
+        assert interval_bsep(p, heavier) <= _above(p, D)
+        assert interval_bsep(p, more) <= _above(p, D)
+
+
+class TestIntervalBsepEvaluations:
+    """Packings per call, counted as mass inversions over the sets of every
+    order: the bisection took about 56."""
+
+    @staticmethod
+    def _packings(p, etas):
+        import itertools
+
+        calls = []
+        inverse = spectral._invert_mass
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_invert_mass", lambda *a: calls.append(1) or inverse(*a))
+            interval_bsep(p, etas)
+        return len(calls) / (len(etas) * len(set(itertools.permutations(etas))))
+
+    @pytest.mark.parametrize("kind", SMOOTH_KINDS)
+    def test_audit_shapes_take_at_most_20(self, kind):
+        rng = np.random.default_rng(100 + SMOOTH_KINDS.index(kind))
+        worst = 0.0
+        for points in (2001, 2001, 2001, 2001, 20001):
+            p = _smooth_problem(kind, rng, points)
+            for eta in rng.uniform(0.1, 0.3, size=2):
+                for k in (1, 2, 3):
+                    worst = max(worst, self._packings(p, [eta] * k))
+        assert worst <= 20
+
+    @pytest.mark.parametrize("bcs", [
+        (Endpoint.DIRICHLET, Endpoint.DIRICHLET),
+        (Endpoint.DIRICHLET, Endpoint.NEUMANN),
+        (Endpoint.NEUMANN, Endpoint.DIRICHLET),
+    ])
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_rough_problems_take_at_most_100(self, bcs, data):
+        p = data.draw(pl_problems(bcs))
+        etas = data.draw(st.lists(st.floats(0.02, 0.45), min_size=1, max_size=3))
+        assert self._packings(p, etas) <= 100
 
 
 # ---------------------------------------------------------------------------
