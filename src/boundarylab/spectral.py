@@ -784,7 +784,7 @@ def interval_bsep(p: RadialProblem, etas) -> float:
         raise DomainError("all masses must be positive")
     if any(e > 1 for e in etas) or sum(etas) > 1.0:
         return 0.0
-    L, total = p.length, p.total_mass
+    L, total, perms = p.length, p.total_mass, set(itertools.permutations(etas))
     left_b, right_b = (bc is Endpoint.DIRICHLET for bc in (p.left_bc, p.right_bc))
     reach = _reach(p)
 
@@ -795,7 +795,7 @@ def interval_bsep(p: RadialProblem, etas) -> float:
     # (feasible, least overshoot): finite, since targets past the total are clamped
     def overshoot(D: float) -> tuple[bool, float]:
         feasible, least = False, math.inf
-        for perm in set(itertools.permutations(etas)):
+        for perm in perms:
             pos = end = D if left_b else 0.0
             fits, target = True, 0.0
             for eta in perm:

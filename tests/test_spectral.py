@@ -1,5 +1,6 @@
 """Tests for the weighted eigensolver, scanner, packings, and audits."""
 
+import itertools
 import math
 
 import numpy as np
@@ -553,8 +554,6 @@ def _hull_mass_oracle(p, x):
 def _hull_feasible(p, etas, D):
     """The separation D is feasible: a greedy left-packing of the masses in
     some order fits, reading every mass through the hull M."""
-    import itertools
-
     total, L = p.total_mass, p.length
     left_b = p.left_bc is Endpoint.DIRICHLET
     right_b = p.right_bc is Endpoint.DIRICHLET
@@ -671,8 +670,6 @@ class TestIntervalBsepEvaluations:
 
     @staticmethod
     def _packings(p, etas):
-        import itertools
-
         calls = []
         inverse = spectral._invert_mass
         with pytest.MonkeyPatch.context() as mp:
