@@ -147,7 +147,7 @@ def _model_from_args(args):
 
 
 def cmd_model(args) -> int:
-    from . import jacobi, models
+    from . import models
 
     m = _model_from_args(args)
     etas = args.eta or [0.5]
@@ -155,8 +155,7 @@ def cmd_model(args) -> int:
         {"eta": eta, "obs_inradius": models.closed_form_obs_inradius(m, eta)}
         for eta in etas
     ]
-    # the support of the boundary screen: the comparison radius of a ball
-    upper = jacobi.c_radius(jacobi.classify(m.kappa, m.lam)) if m.tag == "ball" else math.inf
+    upper = models.boundary_screen(m).upper_support
     return _write_eta_rows(
         args, rows, "obs_inradius",
         lambda: {

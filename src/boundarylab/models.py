@@ -153,16 +153,15 @@ def model_from_json(text: str) -> ModelSpace:
         raise DomainError(f"bad parameters for model {tag!r}: {exc}") from None
 
 
-# tag -> (screen family, parameters) of its boundary screen: a ball's dimension
-# and classified curvature, a Gaussian ray's classified bounds, or a rate
+# tag -> (screen family, parameters) of its boundary screen
 _SCREENS = {
-    "ball": lambda m: ("ball", {"N": float(m.n), "cc": jacobi.classify(m.kappa, m.lam)}),
+    "ball": lambda m: ("ball", {"N": float(m.n), "kappa": m.kappa, "lam": m.lam}),
     "warped": lambda m: ("exponential", {"rate": (m.n - 1) * m.lam}),
-    "half_gaussian": lambda m: ("half_gaussian", {"ic": jacobi.classify_infinite(m.K, m.Lam)}),
+    "half_gaussian": lambda m: ("half_gaussian", {"K": m.K, "Lam": m.Lam}),
     "exponential": lambda m: ("exponential", {"rate": m.Lam}),
     "weighted_warped_exp": lambda m: ("exponential", {"rate": (m.N - 1) * m.lam}),
-    "weighted_warped_gauss": lambda m: (
-        "half_gaussian", {"ic": jacobi.classify_infinite(m.gauss_rate, m.gauss_rate)}),
+    "weighted_warped_gauss": lambda m: ("half_gaussian", {"K": m.gauss_rate,
+                                                          "Lam": m.gauss_rate}),
 }
 
 
@@ -173,36 +172,18 @@ def boundary_screen(m: ModelSpace) -> screens.Screen:
     The density on the ray is the normalized radial volume element; all
     catalog screens have full support.
     """
-    family, p = _SCREENS[m.tag](m)
-    if family == "ball":  # closed_screen takes the curvature pairs themselves
-        p = {"N": p["N"], "kappa": p["cc"].kappa, "lam": p["cc"].lam}
-    elif family == "half_gaussian":
-        p = {"K": p["ic"].K, "Lam": p["ic"].Lam}
-    return screens.closed_screen(family, **p)
-
-
-def _closed_inverse(family: str, params: dict, eta: float) -> float:
-    """Lower (1 - eta)-quantile of a closed screen family, in closed form:
-    the inverse of v for a ball, log(1/eta) / rate for the exponential ray
-    and the Gaussian-tail inverse for the half-Gaussian ray."""
-    if eta == 1.0:
-        return 0.0
-    if family == "ball":
-        r = jacobi.v_inverse(params["N"], params["cc"], eta)
-    elif family == "exponential":
-        r = math.log(1.0 / eta) / params["rate"]
-    else:
-        r = jacobi.gaussian_tail_inverse(params["ic"], eta)
-    if not math.isfinite(r):
-        raise DomainError(f"the {family} screen has no finite quantile at eta={eta}")
-    return r
+    family, params = _SCREENS[m.tag](m)
+    return screens.closed_screen(family, **params)
 
 
 def closed_form_obs_inradius(m: ModelSpace, eta: float) -> float:
-    """Observable inscribed radius of a catalog model, in closed form."""
+    """Observable inscribed radius of a catalog model, in closed form: the
+    (1 - eta)-quantile of its boundary screen by the family's exact inverse."""
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must lie in (0, 1], got {eta}")
-    return _closed_inverse(*_SCREENS[m.tag](m), eta)
+    family, params = _SCREENS[m.tag](m)
+    fam = screens._FAMILIES[family]
+    return fam.inverse(fam.kernel(**params), eta)
 
 
 def normalization_audit(m: ModelSpace) -> float:
@@ -281,19 +262,19 @@ def comparison_bound(kind, eta: float) -> float:
             raise DomainError(f"N must be finite and exceed 1, got {kind.N}")
         cc = kind.cc
         if cc.is_ball:
-            return _closed_inverse("ball", {"N": kind.N, "cc": cc}, eta)
+            return screens._FAMILIES["ball"].inverse((kind.N, cc), eta)
         if cc.is_horospherical:
             lam = math.sqrt(-cc.kappa)
-            return _closed_inverse("exponential", {"rate": (kind.N - 1) * lam}, eta)
+            return screens._FAMILIES["exponential"].inverse((kind.N - 1) * lam, eta)
         raise RegimeError(f"no comparison available for regime {cc.regime.value} at N={kind.N}")
     if isinstance(kind, Twisted):
         tp = kind.tp
         raw = jacobi.classify(tp.kappa, tp.lam)
         if raw.is_convex_ball:
-            return _closed_inverse("ball", {"N": float(tp.n), "cc": tp.effective()}, eta)
+            return screens._FAMILIES["ball"].inverse((float(tp.n), tp.effective()), eta)
         if raw.is_horospherical and tp.kappa < 0:
             rate = (tp.n - 1) * tp.lam * math.exp(-2.0 * tp.delta)
-            return _closed_inverse("exponential", {"rate": rate}, eta)
+            return screens._FAMILIES["exponential"].inverse(rate, eta)
         raise RegimeError(
             "twisted comparison needs the convex-ball regime or the "
             f"horospherical case, got {raw.regime.value}"
@@ -302,7 +283,7 @@ def comparison_bound(kind, eta: float) -> float:
         ic = kind.ic
         if not ic.admissible:
             raise RegimeError(f"no comparison available for (K, Lam) = ({ic.K}, {ic.Lam})")
-        return _closed_inverse("half_gaussian", {"ic": ic}, eta)
+        return screens._FAMILIES["half_gaussian"].inverse(ic, eta)
     raise DomainError(f"unknown comparison kind {kind!r}")
 
 

@@ -7,8 +7,9 @@ concentration invariant in this package.  Three representations:
 * ``GridScreen``   -- CDF knots with linear interpolation (continuous,
   optional atom at 0 via F[0] > 0);
 * ``AtomScreen``   -- finite atom list (discrete spaces);
-* ``DensityScreen``-- a positive density with numeric CDF/quantile
-  (closed-form catalog screens).
+* ``DensityScreen``-- a closed catalog screen (uniform, exponential,
+  ball, half-Gaussian): exact CDF, tails and quantiles from one record
+  per family, scaled by a factor.
 
 The quantile conventions are fixed here once: superlevel sets are closed
 (``P[T >= r]``), lower quantiles take the left edge of CDF flats, upper
@@ -45,8 +46,8 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-12
-_TABLE_SIZE = 1 << 15  # intervals in the cached CDF table of a DensityScreen
-_TAIL_CUTOFF = 1e-13
+_TABLE_SIZE = 1 << 15  # intervals in the scan table of a DensityScreen
+_TAIL_CUTOFF = 1e-13  # tail mass a DensityScreen's scan table leaves out
 
 
 def _require_finite(what: str, x) -> None:
@@ -300,145 +301,90 @@ class AtomScreen(Screen):
 
 
 class DensityScreen(Screen):
-    """Screen defined by a positive probability density on [0, upper].
+    """Closed catalog screen: the law of c*T, where T has the unit-scale
+    screen of one catalog family and c is ``scale_factor``.
 
-    The CDF is served from a cached high-order cumulative table plus a
-    local quadrature correction, so point queries are accurate to
-    ~1e-12 while vectorized scans stay cheap.  The density must accept
-    numpy arrays and integrate to 1 within 1e-9.
+    Point queries (``cdf``, the tails, ``quantile``, ``bsep``, ``pdf``)
+    evaluate the family's exact kernels.  Scans (``cdf_fast``, ``knots``,
+    ``scan_upper``, ``to_csv``) read a Simpson table of the density, built
+    on first use: the curved-ball tail is a scalar kernel, too slow for
+    the thousands of abscissae a scan probes.  Every parameter is checked
+    before a kernel runs.
     """
 
-    def __init__(
-        self,
-        pdf: Callable[[np.ndarray], np.ndarray],
-        upper: float,
-        family: str | None = None,
-        params: dict | None = None,
-        scale_factor: float = 1.0,
-        full_support: bool = True,
-    ):
-        self.pdf = pdf
-        self.upper_support = float(upper)
-        self.family = family
-        self.params = dict(params) if params else {}
+    def __init__(self, family: str, params: dict, scale_factor: float = 1.0,
+                 full_support: bool = True):
+        self._family = _FAMILIES.get(family)
+        if self._family is None:
+            raise DomainError(f"unknown screen family {family!r}")
+        try:
+            self.params = dict(params)
+            for name, x in self.params.items():
+                _require_finite(f"{family} parameter {name}", x)
+            self.kernel = self._family.kernel(**self.params)
+        except TypeError as exc:  # unknown, missing or non-numeric parameter
+            raise DomainError(f"bad parameters for screen family {family!r}: {exc}") from None
         self.scale_factor = float(scale_factor)
         self.full_support = full_support
-        self._scaled_base = None  # (base screen, factor) when built by scale()
-        self._hi = self._find_cutoff()
-        ts = np.linspace(0.0, self._hi, _TABLE_SIZE + 1)
-        ys = np.asarray(pdf(ts), dtype=float)
-        if np.any(ys < 0):
-            raise DomainError("density must be nonnegative")
-        table = _cumulative_simpson(ys, ts[1] - ts[0])
-        resid = 0.0
-        if math.isinf(self.upper_support):
-            resid, _ = scipy.integrate.quad(pdf, self._hi, np.inf, epsabs=1e-14, limit=200)
-        total = table[-1] + resid
-        if abs(total - 1.0) > 1e-9:
-            raise DomainError(
-                f"screen density must integrate to 1 within 1e-9, got {total}"
-            )
-        self._ts = ts
-        self._Fs = table / total
-        self._norm = total
+        self._upper = self._family.upper(self.kernel)
+        self.upper_support = self.scale_factor * self._upper
+        self._table = None
 
-    def _find_cutoff(self) -> float:
-        if math.isfinite(self.upper_support):
-            return self.upper_support
-        hi = 1.0
-        while True:
-            tail, _ = scipy.integrate.quad(self.pdf, hi, np.inf, epsabs=1e-14, limit=200)
-            if tail < _TAIL_CUTOFF:
-                return hi
-            hi *= 2.0
-            if hi > 1e9:  # pragma: no cover
-                raise DomainError("density tail does not decay")
+    def tail_closed(self, r):
+        r = float(r) / self.scale_factor
+        if r <= 0.0:
+            return 1.0
+        if r >= self._upper:
+            return 0.0
+        return self._family.tail(self.kernel, r)
+
+    tail_open = tail_closed  # no atoms
 
     def cdf(self, t):
-        if self._scaled_base is not None:
-            base, c = self._scaled_base
-            return base.cdf(float(t) / c)
-        t = float(t)
-        if t <= 0.0:
-            return 0.0
-        if t >= self._hi:
-            if math.isinf(self.upper_support):
-                tail, _ = scipy.integrate.quad(self.pdf, t, np.inf, epsabs=1e-14, limit=200)
-                return min(1.0, 1.0 - tail / self._norm)
-            return 1.0
-        i = int(np.searchsorted(self._ts, t, side="right")) - 1
-        extra, _ = scipy.integrate.quad(self.pdf, self._ts[i], t, epsabs=1e-14, limit=50)
-        return min(1.0, self._Fs[i] + extra / self._norm)
+        return 1.0 - self.tail_closed(t)
 
-    def cdf_fast(self, ts):
-        return np.interp(ts, self._ts, self._Fs, right=1.0)
-
-    def cdf_left(self, t):
-        return self.cdf(t)
+    cdf_left = cdf
 
     def quantile(self, xi):
-        if xi >= 1.0:
-            return self.upper_support if math.isfinite(self.upper_support) else self._quantile_root(1.0 - 1e-13)
-        return self._quantile_root(xi)
-
-    def _quantile_root(self, xi):
-        if self._scaled_base is not None:
-            base, c = self._scaled_base
-            return c * base._quantile_root(xi)
-        i = int(np.searchsorted(self._Fs, xi, side="left"))
-        if i == 0:
-            return 0.0
-        lo, hi = self._ts[i - 1], self._ts[min(i, self._ts.size - 1)]
-        flo = self.cdf(lo) - xi
-        fhi = self.cdf(hi) - xi
-        if flo >= 0.0:
-            return float(lo)
-        if fhi <= 0.0:
-            return float(hi)
-        return float(scipy.optimize.brentq(
-            lambda r: self.cdf(r) - xi, lo, hi, xtol=1e-14, rtol=8.9e-16,
-        ))
+        return self.scale_factor * self._family.inverse(self.kernel, max(1.0 - xi, 0.0))
 
     def bsep(self, eta):
-        # continuous strictly positive density: right and left quantiles agree
-        return self._quantile_root(1.0 - eta) if eta < 1.0 else 0.0
+        # a strictly positive density: the right and left quantiles agree
+        return self.scale_factor * self._family.inverse(self.kernel, eta)
+
+    def pdf(self, t):
+        c = self.scale_factor
+        return self._family.pdf(self.kernel, np.asarray(t, dtype=float) / c) / c
 
     def scale(self, c):
-        # delegate point queries to the base screen so that quantiles
-        # commute with scaling exactly (c * quantile, same float path)
-        base_pdf = self.pdf
-        out = object.__new__(DensityScreen)
-        out.pdf = lambda t: np.asarray(
-            base_pdf(np.asarray(t, dtype=float) / c), dtype=float
-        ) / c
-        out.upper_support = self.upper_support * c
-        out.family = self.family
-        out.params = dict(self.params)
-        out.scale_factor = self.scale_factor * c
-        out.full_support = self.full_support
-        out._scaled_base = (self, c)
-        out._hi = self._hi * c
-        out._ts = self._ts * c
-        out._Fs = self._Fs
-        out._norm = self._norm
-        return out
+        return DensityScreen(self._family.name, self.params, self.scale_factor * c,
+                             self.full_support)
+
+    def _scan_table(self):
+        """Knots and CDF values of the density's Simpson table on [0, hi]:
+        hi is the support end, or the radius of tail mass _TAIL_CUTOFF."""
+        if self._table is None:
+            hi = self.bsep(_TAIL_CUTOFF) if math.isinf(self._upper) else self.upper_support
+            ts = np.linspace(0.0, hi, _TABLE_SIZE + 1)
+            table = _cumulative_simpson(self.pdf(ts), ts[1] - ts[0])
+            self._table = (ts, table / table[-1])
+        return self._table
+
+    def cdf_fast(self, ts):
+        t, F = self._scan_table()
+        return np.interp(ts, t, F, right=1.0)
 
     def knots(self):
-        return self._ts[:: max(1, _TABLE_SIZE // 256)]
+        return self._scan_table()[0][:: _TABLE_SIZE // 256]
 
     def scan_upper(self):
-        return float(self._hi)
+        return float(self._scan_table()[0][-1])
 
     def to_json(self):
-        if self.family is None:
-            raise DomainError(
-                "only catalog (closed-form) density screens serialize; "
-                "sample to a grid screen instead"
-            )
         return json.dumps(
             {
                 "kind": "closed",
-                "family": self.family,
+                "family": self._family.name,
                 "params": self.params,
                 "scale": self.scale_factor,
                 "full_support": self.full_support,
@@ -451,98 +397,122 @@ class DensityScreen(Screen):
 # closed-form screen catalog
 # ---------------------------------------------------------------------------
 
-def _build_uniform(width: float) -> DensityScreen:
-    if width <= 0:
-        raise DomainError("uniform width must be positive")
+class _Family(NamedTuple):
+    """One catalog screen family on the unit scale.  ``kernel`` validates
+    its parameters into the kernel data that the other fields take;
+    ``upper`` is the support end, ``tail`` the mass P[T >= r] for
+    0 < r < upper, ``solve`` its inverse for eta in (0, 1] and ``pdf`` the
+    density, vectorized in t."""
 
-    def pdf(t):
-        t = np.asarray(t, dtype=float)
-        return np.where((t >= 0) & (t <= width), 1.0 / width, 0.0)
+    name: str
+    kernel: Callable
+    upper: Callable
+    tail: Callable
+    solve: Callable
+    pdf: Callable
 
-    return DensityScreen(pdf, width, family="uniform", params={"width": width})
+    def inverse(self, kernel, eta: float) -> float:
+        """The r with P[T >= r] = eta; the support end at eta = 0.  Refuses
+        an infinite radius, which a tiny rate or eta can give."""
+        r = self.solve(kernel, eta) if eta > 0.0 else self.upper(kernel)
+        if not math.isfinite(r):
+            raise DomainError(f"the {self.name} screen has no finite quantile at eta={eta}")
+        return r
 
 
-def _build_exponential(rate: float) -> DensityScreen:
-    if rate <= 0:
-        raise DomainError("exponential rate must be positive")
-
-    def pdf(t):
-        return rate * np.exp(-rate * np.asarray(t, dtype=float))
-
-    return DensityScreen(pdf, math.inf, family="exponential", params={"rate": rate})
-
-
-# The two builders below are the only users of ``jacobi``; importing it
-# here keeps scipy.special out of processes that never build a catalog
-# screen (graph commands, spectra, audits).
-
-def _build_ball(N: float, kappa: float, lam: float) -> DensityScreen:
+def _jacobi():
+    """``jacobi`` on first use: importing it loads scipy.special, which
+    processes that never build a ball or Gaussian screen (graph commands,
+    spectra, audits) do not pay for."""
     from . import jacobi
 
-    cc = jacobi.classify(kappa, lam)
-    if not cc.is_ball:
-        raise DomainError(f"({kappa}, {lam}) is not in the ball regime")
-    c = jacobi.c_radius(cc)
-    z = jacobi.s_growth(N, cc, c)
-
-    def pdf(t):
-        return np.asarray(jacobi.s_profile_clamped(cc, t), dtype=float) ** (N - 1.0) / z
-
-    return DensityScreen(
-        pdf, c, family="ball", params={"N": N, "kappa": kappa, "lam": lam}
-    )
+    return jacobi
 
 
-def _build_half_gaussian(K: float, Lam: float) -> DensityScreen:
-    from . import jacobi
+def _positive(what: str, x) -> float:
+    if not x > 0:
+        raise DomainError(f"{what} must be positive, got {x}")
+    return float(x)
 
-    ic = jacobi.classify_infinite(K, Lam)
+
+def _ball(N, kappa, lam):
+    jacobi = _jacobi()
+    N, cc = jacobi._check_N(N), jacobi.classify(kappa, lam)
+    if not (cc.is_ball and math.isfinite(jacobi.c_radius(cc))):
+        raise DomainError(f"({kappa}, {lam}) gives no ball of finite radius")
+    return N, cc
+
+
+def _ball_pdf(kernel, t):
+    jacobi = _jacobi()
+    N, cc = kernel
+    z = jacobi.s_growth(N, cc, jacobi.c_radius(cc))
+    return np.asarray(jacobi.s_profile_clamped(cc, t), dtype=float) ** (N - 1.0) / z
+
+
+def _half_gaussian(K, Lam):
+    ic = _jacobi().classify_infinite(K, Lam)
     if not ic.admissible:
         raise DomainError(f"(K, Lam) = ({K}, {Lam}) is not admissible")
-    z, _ = scipy.integrate.quad(
-        lambda t: np.exp(-0.5 * K * t * t - Lam * t), 0.0, np.inf,
-        epsabs=1e-14, epsrel=1e-13, limit=200,
-    )
-
-    def pdf(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-0.5 * K * t * t - Lam * t) / z
-
-    return DensityScreen(
-        pdf, math.inf, family="half_gaussian", params={"K": K, "Lam": Lam}
-    )
+    return ic
 
 
-_FAMILIES = {
-    "uniform": _build_uniform,
-    "exponential": _build_exponential,
-    "ball": _build_ball,
-    "half_gaussian": _build_half_gaussian,
-}
+def _half_gaussian_pdf(ic, t):
+    """exp(-z^2) / (sqrt(pi / 2K) erfc(z0)), z = (K t + Lam) / sqrt(2K) and
+    z0 = z(0), through erfcx(z0) = e^(z0^2) erfc(z0) when z0 >= 0 (DLMF 7.2),
+    so that no factor leaves the float range; Lam e^(-Lam t) when K = 0."""
+    K, Lam = ic.K, ic.Lam
+    if K == 0.0:
+        return Lam * np.exp(-Lam * t)
+    from scipy.special import erfc, erfcx
+
+    root, scale = math.sqrt(2.0 * K), math.sqrt(0.5 * math.pi / K)
+    if Lam >= 0.0:
+        return np.exp(-t * (0.5 * K * t + Lam)) / (scale * erfcx(Lam / root))
+    return np.exp(-((K * t + Lam) / root) ** 2) / (scale * erfc(Lam / root))
+
+
+_FAMILIES = {f.name: f for f in (
+    _Family(
+        "uniform", lambda width: _positive("uniform width", width), lambda w: w,
+        lambda w, r: 1.0 - r / w, lambda w, eta: w * (1.0 - eta),
+        lambda w, t: np.where((t >= 0.0) & (t <= w), 1.0 / w, 0.0)),
+    _Family(
+        "exponential", lambda rate: _positive("exponential rate", rate), lambda rate: math.inf,
+        lambda rate, r: math.exp(-rate * r), lambda rate, eta: math.log(1.0 / eta) / rate,
+        lambda rate, t: rate * np.exp(-rate * t)),
+    _Family(
+        "ball", _ball, lambda k: _jacobi().c_radius(k[1]),
+        lambda k, r: _jacobi().v_ball(*k, r), lambda k, eta: _jacobi().v_inverse(*k, eta),
+        _ball_pdf),
+    _Family(
+        "half_gaussian", _half_gaussian, lambda ic: math.inf,
+        lambda ic, r: _jacobi().gaussian_tail(ic, r),
+        lambda ic, eta: _jacobi().gaussian_tail_inverse(ic, eta), _half_gaussian_pdf),
+)}
 
 
 def closed_screen(family: str, **params) -> DensityScreen:
     """Construct a catalog screen by family name."""
-    try:
-        builder = _FAMILIES[family]
-    except KeyError:
-        raise DomainError(f"unknown screen family {family!r}") from None
-    return builder(**params)
+    return DensityScreen(family, params)
 
 
 def screen_from_json(text: str) -> Screen:
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise DomainError(f"a screen descriptor is a JSON object, got {obj!r}")
     kind = obj.get("kind")
-    if kind == "grid":
-        return GridScreen(obj["t"], obj["F"], obj.get("full_support"))
-    if kind == "atoms":
-        return AtomScreen(obj["t"], obj["p"])
-    if kind == "closed":
-        base = closed_screen(obj["family"], **obj["params"])
-        c = obj.get("scale", 1.0)
-        out = base if c == 1.0 else base.scale(c)
-        out.full_support = obj.get("full_support", True)
-        return out
+    try:
+        if kind == "grid":
+            return GridScreen(obj["t"], obj["F"], obj.get("full_support"))
+        if kind == "atoms":
+            return AtomScreen(obj["t"], obj["p"])
+        if kind == "closed":
+            base = DensityScreen(obj["family"], obj["params"],
+                                 full_support=obj.get("full_support", True))
+            return scale(base, obj.get("scale", 1.0))
+    except (KeyError, TypeError) as exc:  # a missing field, a non-number or a non-object
+        raise DomainError(f"bad {kind} screen JSON: {exc!r}") from None
     raise DomainError(f"unknown screen kind {kind!r}")
 
 

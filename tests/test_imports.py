@@ -153,3 +153,16 @@ def test_audit_loads_no_heavy_scipy(tmp_path):
         ["audit", "--file", str(tmp_path / "flagged.csv"), "--k", "3", "--eta", "0.2"],
     )
     assert not set(SCIPY_HEAVY) & mods
+
+
+def test_catalog_screens_load_no_integrate_optimize_or_linalg():
+    mods = loaded_after(
+        "from boundarylab import screens\n"
+        "for family, params in [('uniform', {'width': 2.0}), ('exponential', {'rate': 1.5}),\n"
+        "                       ('ball', {'N': 3.0, 'kappa': 1.0, 'lam': 0.2}),\n"
+        "                       ('half_gaussian', {'K': 1.0, 'Lam': 0.5})]:\n"
+        "    s = screens.closed_screen(family, **params)\n"
+        "    for fn in (screens.obs_inradius, screens.part_inradius, screens.bsep_single):\n"
+        "        fn(s, 0.3)\n"
+    )
+    assert not {"scipy.integrate", "scipy.optimize", "scipy.linalg"} & mods

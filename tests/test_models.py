@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from boundarylab import jacobi, models, screens
@@ -269,3 +271,33 @@ class TestRadialDensityContract:
         (t if where == "t" else theta)[-1] = bad
         with pytest.raises(DomainError):
             models.RadialDensity(t, theta)
+
+
+@st.composite
+def catalog_models(draw):
+    """A random model of every catalog tag, inside its regime."""
+    tag = draw(st.sampled_from(list(models._FIELDS)))
+    n = draw(st.integers(2, 12))
+    kappa_neg = -draw(st.floats(0.05, 3.0))
+    if tag == "ball":
+        kappa = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(st.floats(0.05, 3.0))
+        lam = (draw(st.floats(-2.0, 3.0)) if kappa > 0
+               else math.sqrt(-kappa) + draw(st.floats(0.01, 3.0)))
+        return ModelSpace.ball(n, kappa, lam)
+    if tag == "warped":
+        return ModelSpace.warped(n, kappa_neg)
+    if tag == "half_gaussian":
+        return ModelSpace.half_gaussian(draw(st.floats(0.05, 4.0)), draw(st.floats(-2.0, 3.0)))
+    if tag == "exponential":
+        return ModelSpace.exponential(draw(st.floats(0.05, 5.0)))
+    if tag == "weighted_warped_exp":
+        return ModelSpace.weighted_warped_exp(n, n + draw(st.floats(0.0, 6.0)), kappa_neg)
+    return ModelSpace.weighted_warped_gauss(n, kappa_neg, draw(st.floats(-0.5, 0.7)))
+
+
+@settings(max_examples=80)
+@given(m=catalog_models(), eta=st.floats(0.01, 0.99))
+def test_screen_pipeline_equals_closed_form(m, eta):
+    closed = closed_form_obs_inradius(m, eta)
+    piped = screens.obs_inradius(boundary_screen(m), eta)
+    assert piped == pytest.approx(closed, rel=1e-12, abs=1e-12)

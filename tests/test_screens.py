@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from boundarylab._integrate import cumulative_simpson
 from boundarylab.errors import DomainError
 from boundarylab.screens import (
     AtomScreen,
@@ -365,3 +369,234 @@ class TestNonFiniteInput:
         with pytest.raises(DomainError, match="finite"):
             screen_from_json('{"kind": "grid", "t": [0, NaN, 1], "F": [0, 0.5, 1]}')
 
+
+
+# ---------------------------------------------------------------------------
+# closed catalog screens
+# ---------------------------------------------------------------------------
+
+FAMILY_PARAMS = {
+    "uniform": {"width": 2.0},
+    "exponential": {"rate": 1.5},
+    "ball": {"N": 3.0, "kappa": 1.0, "lam": 0.2},
+    "half_gaussian": {"K": 1.0, "Lam": 0.5},
+}
+FAMILY_PARAM_NAMES = [(f, name) for f, params in FAMILY_PARAMS.items() for name in params]
+# parameters whose value 0 stays inside the family's domain
+ZERO_IN_DOMAIN = {("ball", "kappa"), ("ball", "lam"), ("half_gaussian", "K"),
+                  ("half_gaussian", "Lam")}
+
+
+class TestClosedScreenParameters:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("family, name", FAMILY_PARAM_NAMES)
+    def test_nonfinite_refused(self, family, name, bad):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            closed_screen(family, **{**FAMILY_PARAMS[family], name: bad})
+
+    @pytest.mark.parametrize("family, name", FAMILY_PARAM_NAMES)
+    def test_zero(self, family, name):
+        params = {**FAMILY_PARAMS[family], name: 0.0}
+        if (family, name) in ZERO_IN_DOMAIN:
+            assert 0.0 < obs_inradius(closed_screen(family, **params), 0.5) < math.inf
+        else:
+            with pytest.raises(DomainError):
+                closed_screen(family, **params)
+
+    @pytest.mark.parametrize("family, params", [
+        ("ball", {"N": 3.0, "kappa": -1.0, "lam": 1.0}),  # horospherical: no ball
+        ("ball", {"N": 3.0, "kappa": 0.0, "lam": 1e-320}),  # radius overflows
+        ("half_gaussian", {"K": 0.0, "Lam": -1.0}),  # divergent weight
+        ("exponential", {"rate": -1.0}),
+        ("uniform", {"width": 2.0, "bogus": 1.0}),
+        ("ball", {"N": 3.0, "kappa": 1.0}),
+        ("exponential", {"rate": "one"}),
+        ("torus", {}),
+    ])
+    def test_out_of_domain_refused(self, family, params):
+        with pytest.raises(DomainError):
+            closed_screen(family, **params)
+
+    def test_no_finite_quantile(self):
+        s = closed_screen("exponential", rate=1e-320)
+        with pytest.raises(DomainError, match=r"^the exponential screen has no finite "
+                                              r"quantile at eta=0.5$"):
+            obs_inradius(s, 0.5)
+        with pytest.raises(DomainError, match="no finite quantile at eta=0.0"):
+            part_inradius(closed_screen("exponential", rate=1.0), 1.0)
+
+    def test_scan_table_of_a_far_gaussian_mode(self):
+        # Lam^2 / 2K > 709: e^(-Lam t) and the erfcx normalizer both overflow
+        s = closed_screen("half_gaussian", K=1.0, Lam=-40.0)
+        ts = np.linspace(35.0, 45.0, 41)
+        np.testing.assert_allclose(s.cdf_fast(ts), [s.cdf(t) for t in ts], atol=1e-6)
+
+    def test_bounded_support_ends_quantiles(self):
+        s = scale(closed_screen("ball", N=3.0, kappa=1.0, lam=0.2), 2.0)
+        assert part_inradius(s, 1.0) == s.upper_support
+        assert s.cdf(s.upper_support) == 1.0 and s.tail_closed(s.upper_support) == 0.0
+
+
+class TestScreenFromJson:
+    CLOSED = {"kind": "closed", "family": "exponential", "params": {"rate": 1}}
+
+    @pytest.mark.parametrize("c", [-2.0, 0.0, math.nan, math.inf])
+    def test_scale_is_checked(self, c):
+        with pytest.raises(DomainError, match="scale factor"):
+            screen_from_json(json.dumps({**self.CLOSED, "scale": c}))
+
+    def test_not_an_object(self):
+        with pytest.raises(DomainError, match="JSON object"):
+            screen_from_json("[1]")
+
+    def test_unknown_family_parameter(self):
+        blob = {**self.CLOSED, "params": {"rate": 1, "bogus": 2}}
+        with pytest.raises(DomainError, match="bogus"):
+            screen_from_json(json.dumps(blob))
+
+    def test_missing_family_parameter(self):
+        with pytest.raises(DomainError, match="rate"):
+            screen_from_json(json.dumps({**self.CLOSED, "params": {}}))
+
+    def test_grid_without_knots(self):
+        with pytest.raises(DomainError, match="'t'"):
+            screen_from_json('{"kind": "grid"}')
+
+    @pytest.mark.parametrize("blob", [
+        {"kind": "closed", "params": {"rate": 1}},
+        {"kind": "closed", "family": "exponential", "params": [1]},
+        {"kind": "closed", "family": "exponential", "params": {"rate": 1}, "scale": "2"},
+        {"kind": "atoms", "t": [0.0]},
+    ])
+    def test_malformed_fields(self, blob):
+        with pytest.raises(DomainError):
+            screen_from_json(json.dumps(blob))
+
+    def test_closed_roundtrip_keeps_support_flag(self):
+        s = scale(closed_screen("ball", N=4, kappa=-1.0, lam=1.5), 0.5)
+        s.full_support = False
+        s2 = screen_from_json(s.to_json())
+        assert s2.to_json() == s.to_json()
+        assert obs_inradius(s2, 0.3) == obs_inradius(s, 0.3)
+
+
+def _density_screen_oracle(weight, upper):
+    """(pdf, cdf, quantile) of the density proportional to ``weight`` on
+    [0, upper], by the quadrature route that catalog screens took before
+    their closed forms: the weight normalized by ``quad``, a 32,769-point
+    Simpson table up to a cutoff found by doubling with ``quad``, each point
+    query corrected by ``quad`` over its table cell, and each quantile a
+    ``brentq`` root of that CDF."""
+    z, _ = quad(weight, 0.0, upper, epsabs=1e-14, epsrel=1e-13, limit=200)
+
+    def pdf(t):
+        return weight(np.asarray(t, dtype=float)) / z
+
+    hi = upper if math.isfinite(upper) else 1.0
+    while math.isinf(upper) and quad(pdf, hi, np.inf, epsabs=1e-14, limit=200)[0] >= 1e-13:
+        hi *= 2.0
+    ts = np.linspace(0.0, hi, (1 << 15) + 1)
+    table = cumulative_simpson(pdf(ts), ts[1] - ts[0])
+
+    def cdf(t):
+        if t <= 0.0:
+            return 0.0
+        if t >= hi:
+            if math.isfinite(upper):
+                return 1.0
+            return 1.0 - quad(pdf, t, np.inf, epsabs=1e-14, limit=200)[0]
+        i = int(np.searchsorted(ts, t, side="right")) - 1
+        return min(1.0, table[i] + quad(pdf, ts[i], t, epsabs=1e-14, limit=50)[0])
+
+    def quantile(xi):
+        i = int(np.searchsorted(table, xi, side="left"))
+        lo, up = ts[max(i - 2, 0)], ts[min(i + 1, ts.size - 1)]
+        return brentq(lambda r: cdf(r) - xi, lo, up, xtol=1e-14, rtol=8.9e-16)
+
+    return pdf, cdf, quantile
+
+
+def _profile(kappa, lam):
+    """The Jacobi profile s'' + kappa s = 0, s(0) = 1, s'(0) = -lam."""
+    k = math.sqrt(abs(kappa))
+    if kappa > 0:
+        return lambda t: np.cos(k * t) - lam / k * np.sin(k * t)
+    if kappa == 0:
+        return lambda t: 1.0 - lam * t
+    return lambda t: np.cosh(k * t) - lam / k * np.sinh(k * t)
+
+
+def _ball_weight(N, kappa, lam):
+    s = _profile(kappa, lam)
+    return lambda t: np.maximum(s(t), 0.0) ** (N - 1.0)
+
+
+# name -> (family, parameters, scale, weight on the unit scale)
+ORACLE_CASES = {
+    "uniform": ("uniform", {"width": 2.5}, 1.0, lambda t: np.ones_like(t)),
+    "exponential": ("exponential", {"rate": 1.5}, 1.0, lambda t: np.exp(-1.5 * t)),
+    "half_gaussian": ("half_gaussian", {"K": 1.3, "Lam": -0.7}, 1.0,
+                      lambda t: np.exp(-0.65 * t * t + 0.7 * t)),
+    "half_gaussian_K0": ("half_gaussian", {"K": 0.0, "Lam": 0.8}, 1.0,
+                         lambda t: np.exp(-0.8 * t)),
+    "ball_kappa_pos": ("ball", {"N": 3.0, "kappa": 1.0, "lam": 0.2}, 1.0,
+                       _ball_weight(3.0, 1.0, 0.2)),
+    "ball_kappa_pos_concave": ("ball", {"N": 6.0, "kappa": 2.0, "lam": -0.5}, 1.0,
+                               _ball_weight(6.0, 2.0, -0.5)),
+    "ball_flat": ("ball", {"N": 5.0, "kappa": 0.0, "lam": 0.5}, 1.0,
+                  _ball_weight(5.0, 0.0, 0.5)),
+    "ball_kappa_neg": ("ball", {"N": 4.0, "kappa": -1.0, "lam": 1.5}, 1.0,
+                       _ball_weight(4.0, -1.0, 1.5)),
+    "scaled_exponential": ("exponential", {"rate": 1.5}, 0.4, lambda t: np.exp(-1.5 * t)),
+    "scaled_ball": ("ball", {"N": 3.0, "kappa": 1.0, "lam": 0.2}, 2.5,
+                    _ball_weight(3.0, 1.0, 0.2)),
+    "scaled_half_gaussian": ("half_gaussian", {"K": 1.3, "Lam": -0.7}, 3.0,
+                             lambda t: np.exp(-0.65 * t * t + 0.7 * t)),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_closed_screen_matches_the_quadrature_oracle(case):
+    family, params, c, weight = ORACLE_CASES[case]
+    s = scale(closed_screen(family, **params), c)
+    pdf, cdf, quantile = _density_screen_oracle(lambda t: weight(t / c), s.upper_support)
+    for xi in (0.02, 0.2, 0.5, 0.8, 0.98):
+        r = quantile(xi)
+        assert s.quantile(xi) == pytest.approx(r, abs=1e-9)
+        assert s.bsep(1.0 - xi) == pytest.approx(r, abs=1e-9)
+        assert s.cdf(r) == pytest.approx(cdf(r), abs=1e-9)
+        assert s.tail_closed(r) == pytest.approx(1.0 - cdf(r), abs=1e-9)
+    ts = np.linspace(0.0, quantile(0.999), 9)
+    np.testing.assert_allclose(s.pdf(ts), pdf(ts), rtol=1e-9, atol=1e-12)
+
+
+@st.composite
+def closed_screens(draw):
+    family = draw(st.sampled_from(list(FAMILY_PARAMS)))
+    if family == "uniform":
+        return closed_screen("uniform", width=draw(st.floats(0.1, 10.0)))
+    if family == "exponential":
+        return closed_screen("exponential", rate=draw(st.floats(0.1, 5.0)))
+    if family == "half_gaussian":
+        K = draw(st.one_of(st.just(0.0), st.floats(0.05, 4.0)))
+        Lam = draw(st.floats(0.1, 3.0) if K == 0.0 else st.floats(-2.0, 3.0))
+        return closed_screen("half_gaussian", K=K, Lam=Lam)
+    kappa = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(st.floats(0.05, 3.0))
+    lam = (draw(st.floats(-2.0, 3.0)) if kappa > 0
+           else math.sqrt(-kappa) + draw(st.floats(0.01, 3.0)))
+    return closed_screen("ball", N=draw(st.floats(1.5, 50.0)), kappa=kappa, lam=lam)
+
+
+class TestClosedScreenProperties:
+    @settings(max_examples=60)
+    @given(s=closed_screens(), c=st.floats(0.1, 10.0), eta=st.floats(0.01, 0.99),
+           xi=st.floats(0.01, 0.99))
+    def test_invariants_scale_by_c(self, s, c, eta, xi):
+        sc = scale(s, c)
+        for fn, arg in ((part_inradius, xi), (bsep_single, eta), (obs_inradius, eta)):
+            assert fn(sc, arg) == pytest.approx(c * fn(s, arg), rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=60)
+    @given(s=closed_screens(), xi=st.floats(0.01, 0.99))
+    def test_cdf_inverts_quantile(self, s, xi):
+        assert s.cdf(s.quantile(xi)) == pytest.approx(xi, abs=1e-12)
