@@ -20,8 +20,8 @@ from .errors import DomainError, RegimeError
 
 # Each command imports its own layer modules: a fresh process then loads
 # only what it runs (``graph`` none of scipy.special/linalg/optimize/integrate,
-# ``compare`` no scipy.linalg); interpreter start plus import is most of a
-# command's wall time.
+# ``compare`` no scipy.linalg, and scipy.special only for a curved ball);
+# interpreter start plus import is most of a command's wall time.
 
 EXIT_OK = 0
 EXIT_INPUT = 2

@@ -32,13 +32,25 @@ the profile neither underflow nor overflow at N in the thousands:
 * horospherical: s = e^(-lam t), so int_0^inf s^(N-1) = 1 / ((N-1) lam).
 * Gaussian: S(r) = erfc(z) / erfc(z0) with z = (K r + Lam) / sqrt(2K),
   computed through the scaled erfcx (DLMF 7.2); K = 0 gives e^(-Lam r).
+  ``erfcx`` is e^(z^2) erfc(z) on ``math.erfc`` with z^2 split exactly
+  while erfc(z) is a normal float, and Laplace's continued fraction
+  (DLMF 7.9.2) beyond.
 
-The inverses start from betaincinv (kappa > 0) or erfcinv where the
-target is a normal float, and otherwise from an analytic bracket end;
-Newton steps on the exact forward map, which is concave in log space,
-then converge to rounding level, with bisection as the safeguard.  No
-quadrature runs here; the adaptive quadrature these forms replaced is
-the oracle of ``tests/test_jacobi_oracle.py``.
+The inverses start from betaincinv (kappa > 0) or a closed-form inverse
+of erfc (Giles' erfinv polynomial, or the asymptotic form of erfc in the
+far tail, then one Halley step) where the target is a normal float, and
+otherwise from an analytic bracket end; Newton steps on the exact
+forward map, which is concave in log space, then converge to rounding
+level, with bisection as the safeguard.  No quadrature runs here; the
+adaptive quadrature these forms replaced is the oracle of
+``tests/test_jacobi_oracle.py``.
+
+The flat, horospherical and Gaussian kernels run on ``math`` alone.
+Only the kernels of a curved profile (kappa != 0: the curved balls and
+the growth outside them) call ``scipy.special`` (hyp2f1, betainc,
+betaincc, betaincinv, betaln, gammaln, gammasgn, logsumexp), at the call
+site: its import costs more than numpy's, so a process loads it only
+when it evaluates one of them.
 """
 
 from __future__ import annotations
@@ -49,19 +61,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import (
-    betainc,
-    betaincc,
-    betaincinv,
-    betaln,
-    erfc,
-    erfcinv,
-    erfcx,
-    gammaln,
-    gammasgn,
-    hyp2f1,
-    logsumexp,
-)
+import scipy
 
 from .errors import DomainError
 
@@ -290,6 +290,16 @@ def c_radius(cc: CurvatureClass) -> float:
 # angle u = k r from the start of the ray, not by theta = X - u, so that
 # small inradii keep their relative precision.
 
+def _square(x: float) -> tuple[float, float]:
+    """(x * x, e) with x^2 = x * x + e exactly: Dekker's product, which
+    splits x into two 26-bit halves whose products round exactly."""
+    hi = _SPLIT * x
+    hi -= hi - x
+    lo = x - hi
+    square = x * x
+    return square, ((hi * hi - square) + 2.0 * hi * lo) + lo * lo
+
+
 def _log_sinh(w: float) -> float:
     if w < 20.0:
         return math.log(math.sinh(w))
@@ -312,7 +322,7 @@ def _log_half_beta(N: float) -> float:
     """
     a = 0.5 * N
     if a < 50.0:
-        return betaln(a, 0.5) - _LOG2
+        return scipy.special.betaln(a, 0.5) - _LOG2
     log_ratio = (0.5 * math.log(a) - 1.0 / (8.0 * a) + 1.0 / (192.0 * a**3)
                  - 1.0 / (640.0 * a**5) + 17.0 / (14336.0 * a**7))
     return 0.5 * math.log(math.pi) - log_ratio - _LOG2
@@ -351,7 +361,7 @@ def _sin_2f1(N: float, s: float, c: float) -> float:
     """
     a = 0.5 * N
     if c * c >= 0.01:
-        return hyp2f1(0.5, a, a + 1.0, s * s)
+        return scipy.special.hyp2f1(0.5, a, a + 1.0, s * s)
     return c * _beta_cf(a, 0.5, s * s)
 
 
@@ -367,8 +377,8 @@ def _log_int_sin(N: float, s: float, c: float) -> float:
         return N * math.log(s) - math.log(N) + math.log(_sin_2f1(N, s, c))
     a = 0.5 * N
     if c >= 0.0:
-        return _log_half_beta(N) + math.log(betaincc(0.5, a, c * c))
-    return _log_half_beta(N) + math.log1p(betainc(0.5, a, c * c))
+        return _log_half_beta(N) + math.log(scipy.special.betaincc(0.5, a, c * c))
+    return _log_half_beta(N) + math.log1p(scipy.special.betainc(0.5, a, c * c))
 
 
 def _sinh_2f1(N: float, t: float) -> float:
@@ -379,7 +389,7 @@ def _sinh_2f1(N: float, t: float) -> float:
     the library 2F1 is accurate to 5e-14 and the fraction is not."""
     if N >= 10.0:
         return _beta_cf(0.5 * N, 0.5 * (1.0 - N), t * t)
-    return hyp2f1(1.0, 0.5, 0.5 * N + 1.0, t * t)
+    return scipy.special.hyp2f1(1.0, 0.5, 0.5 * N + 1.0, t * t)
 
 
 def _log_int_sinh(N: float, w: float) -> float:
@@ -406,7 +416,7 @@ def _log_int_cosh(N: float, w: float) -> float:
     z, b = t * t, 0.5 * (N + 1.0)
     k = np.arange(int(2.0 * b * z / (1.0 - z) + 10.0 * math.sqrt(b * z) / (1.0 - z)) + 60.0)
     log_terms = np.cumsum(np.log((k + 0.5) * (k + b) * z / ((k + 1.5) * (k + 1.0))))
-    head = math.log(t) + float(np.logaddexp(0.0, logsumexp(log_terms)))
+    head = math.log(t) + float(np.logaddexp(0.0, scipy.special.logsumexp(log_terms)))
     if w == w1:
         return head
     # the summands peak at j = m q / (1 + q), q = e^(-2w) <= 1/e, with a
@@ -416,8 +426,9 @@ def _log_int_cosh(N: float, w: float) -> float:
     j = np.arange(max(0.0, math.floor(peak - reach)),
                   min(math.floor(m) + 61.0, math.ceil(peak + reach)))
     j = j[j < m + 1.0] if m == math.floor(m) else j  # binom(m, j) = 0 past an integer m
-    log_binom = gammaln(m + 1.0) - gammaln(j + 1.0) - gammaln(m - j + 1.0)
-    sign = gammasgn(m - j + 1.0)
+    log_binom = (scipy.special.gammaln(m + 1.0) - scipy.special.gammaln(j + 1.0)
+                 - scipy.special.gammaln(m - j + 1.0))
+    sign = scipy.special.gammasgn(m - j + 1.0)
     beta = m - 2.0 * j
     span = w - w1
     # int_{w1}^{w} e^(beta theta) d theta, written without cancellation
@@ -427,7 +438,7 @@ def _log_int_cosh(N: float, w: float) -> float:
         math.log(span),
         np.maximum(beta * w, beta * w1) + np.log(-np.expm1(-rate * span)) - np.log(rate),
     )
-    tail = float(logsumexp(log_binom + log_int, b=sign)) - m * _LOG2
+    tail = float(scipy.special.logsumexp(log_binom + log_int, b=sign)) - m * _LOG2
     return float(np.logaddexp(head, tail))
 
 
@@ -448,13 +459,10 @@ def _rim(cc: CurvatureClass) -> tuple[float, float]:
     if cc.kappa > 0:
         return k, _HALF_PI - math.atan(lam / k)
     # X = atanh(k / lam) = log1p(2k / (lam - k)) / 2, with lam - k taken as
-    # (lam^2 + kappa) / (lam + k) and lam^2 split exactly (Dekker), so that
-    # a pair near the horospherical line keeps the digits of lam - k
-    hi = _SPLIT * lam
-    hi -= hi - lam
-    lo = lam - hi
-    square_error = ((hi * hi - lam * lam) + 2.0 * hi * lo) + lo * lo
-    gap = (lam * lam + cc.kappa + square_error) / (lam + k)
+    # (lam^2 + kappa) / (lam + k) and lam^2 split exactly, so that a pair
+    # near the horospherical line keeps the digits of lam - k
+    square, square_error = _square(lam)
+    gap = (square + cc.kappa + square_error) / (lam + k)
     return k, 0.5 * math.log1p(2.0 * k / gap)
 
 
@@ -515,7 +523,8 @@ def _log_head(N: float, kappa: float, X: float, u: float, log_G: float) -> float
         if c < 0.0:
             return _log_sub(_log_int_sin(N, s, -c), _log_int_sin(N, sX, -cX))
         a = 0.5 * N
-        return _log_half_beta(N) + math.log(betainc(0.5, a, c * c) + betainc(0.5, a, cX * cX))
+        return _log_half_beta(N) + math.log(scipy.special.betainc(0.5, a, c * c)
+                                            + scipy.special.betainc(0.5, a, cX * cX))
     return log_G + _log_sub(0.0, _log_ratio(N, kappa, X, u)[0])
 
 
@@ -683,10 +692,10 @@ def v_inverse(N: float, cc: CurvatureClass, eta: float) -> float:
         a = 0.5 * N
         log_T = log_eta + log_G - _log_half_beta(N)
         if log_T >= 0.0:
-            c2 = betaincinv(0.5, a, min(math.expm1(log_T), 1.0))
+            c2 = scipy.special.betaincinv(0.5, a, min(math.expm1(log_T), 1.0))
             u0 = X - _HALF_PI - math.asin(math.sqrt(c2))
         elif log_T > _LOG_TINY:
-            u0 = X - math.asin(math.sqrt(betaincinv(a, 0.5, math.exp(log_T))))
+            u0 = X - math.asin(math.sqrt(scipy.special.betaincinv(a, 0.5, math.exp(log_T))))
         if not 0.0 < u0 <= u_hi:
             u0 = u_hi
 
@@ -695,6 +704,75 @@ def v_inverse(N: float, cc: CurvatureClass, eta: float) -> float:
         return log_v - log_eta, -math.exp(m * (log_g + log_dg) - log_G - log_v)
 
     return min(_newton(f, u0, 0.0, u_hi) / k, c)
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian regime
+# ---------------------------------------------------------------------------
+
+_SQRT_PI = math.sqrt(math.pi)
+_ERFC_NORMAL = 26.5  # erfc(26.5) = 3.4e-307 is still a normal float
+_LAPLACE_TERMS = 8  # from z = 26.5 on, 6 terms of the fraction reach 1 ulp
+
+# Giles' single-precision erfinv polynomials ("Approximating the erfinv
+# function", 2010; GPU Computing Gems, Jade Edition), highest degree
+# first: in w - 2.5 for w < 5 and in sqrt(w) - 3 for 5 <= w < 16, where
+# w = -log(1 - x^2)
+_ERFINV_CENTRAL = (2.81022636e-08, 3.43273939e-07, -3.5233877e-06, -4.39150654e-06,
+                   0.00021858087, -0.00125372503, -0.00417768164, 0.246640727, 1.50140941)
+_ERFINV_TAIL = (-0.000200214257, 0.000100950558, 0.00134934322, -0.00367342844,
+                0.00573950773, -0.0076224613, 0.00943887047, 1.00167406, 2.83297682)
+
+
+def erfcx(z: float) -> float:
+    """The scaled complementary error function e^(z^2) erfc(z) (DLMF 7.2).
+
+    While erfc(z) is a normal float (z < 26.5) this is the product itself,
+    with z^2 split exactly so that the exponent keeps its digits; it is
+    inf where the product overflows (z < -26.6287).  Beyond, it is
+    Laplace's continued fraction (DLMF 7.9.2)
+    sqrt(pi) erfcx(z) = 1 / (z + (1/2) / (z + 1 / (z + (3/2) / (z + ...)))),
+    evaluated backward.  Both agree with 40 digits to 3 ulps.
+    """
+    if z < _ERFC_NORMAL:
+        square, error = _square(z)
+        if square > _LOG_HUGE:
+            return math.inf
+        return math.exp(square) * math.erfc(z) * (1.0 + error)
+    t = z
+    for k in range(_LAPLACE_TERMS, 0, -1):
+        t = z + 0.5 * k / t
+    return 1.0 / (_SQRT_PI * t)
+
+
+def _erfc_inverse(p: float) -> float:
+    """z with erfc(z) = p, for a normal float p in (0, 2).
+
+    With x = 1 - p and w = -log(p (2 - p)) = -log(1 - x^2), Giles'
+    erfinv polynomial times x serves while w < 16 (relative error below
+    2e-7).  Beyond, z^2 solves z^2 = L - log(sqrt(pi) z) + log(1 - 1/(2 z^2))
+    with L = -log min(p, 2 - p), from erfc(z) ~ e^(-z^2) / (z sqrt(pi))
+    (1 - 1/(2 z^2)) (DLMF 7.12.1), by two substitutions (error below 1e-4).  One Halley
+    step on erfc, whose f''/f' is -2z, then leaves an error below 1e-10.
+    """
+    x = 1.0 - p
+    w = -math.log(p) - math.log1p(x)
+    if w < 16.0:
+        coefs, v = ((_ERFINV_CENTRAL, w - 2.5) if w < 5.0
+                    else (_ERFINV_TAIL, math.sqrt(w) - 3.0))
+        q = 0.0
+        for c in coefs:
+            q = c + q * v
+        z = q * x
+    else:
+        L = -math.log(min(p, 2.0 - p))
+        y = L - 0.5 * math.log(math.pi * L)
+        y = L - 0.5 * math.log(math.pi * y) + math.log1p(-0.5 / y)
+        z = math.copysign(math.sqrt(y), x)
+    # erfc(z) - p, as (2 - p) - erfc(-z) for z < 0 so that p near 2 keeps its digits
+    excess = math.erfc(z) - p if z >= 0.0 else (2.0 - p) - math.erfc(-z)
+    step = -0.5 * _SQRT_PI * excess * math.exp(z * z)  # f / f'
+    return z - step / (1.0 + z * step)
 
 
 def _require_admissible(ic: InfiniteCurvature) -> None:
@@ -720,8 +798,8 @@ def _log_gaussian_tail(K: float, Lam: float, r: float) -> float:
     if z0 >= 0.0:
         return math.log(erfcx(z) / erfcx(z0)) - r * (0.5 * K * r + Lam)
     if z < 0.0:
-        return math.log(erfc(z) / erfc(z0))
-    return math.log(erfcx(z)) - z * z - math.log(erfc(z0))
+        return math.log(math.erfc(z) / math.erfc(z0))
+    return math.log(erfcx(z)) - z * z - math.log(math.erfc(z0))
 
 
 def gaussian_tail(ic: InfiniteCurvature, r: float) -> float:
@@ -740,10 +818,10 @@ def gaussian_tail(ic: InfiniteCurvature, r: float) -> float:
 def gaussian_tail_inverse(ic: InfiniteCurvature, eta: float) -> float:
     """Unique r >= 0 with gaussian_tail(ic, r) = eta.
 
-    The start is z = erfcinv(eta erfc(z0)) when that product is a normal
-    float, and otherwise the upper bracket where the Gaussian factor
-    alone reaches eta (erfcx decreases, so S lies below that factor);
-    Newton steps on the concave log S, whose slope is
+    The start is z = erfc^-1(eta erfc(z0)) in closed form (``_erfc_inverse``)
+    when that product is a normal float, and otherwise the upper bracket
+    where the Gaussian factor alone reaches eta (erfcx decreases, so S
+    lies below that factor); Newton steps on the concave log S, whose slope is
     -sqrt(2K/pi) / erfcx(z), then converge to rounding level.
     """
     _require_admissible(ic)
@@ -761,9 +839,9 @@ def gaussian_tail_inverse(ic: InfiniteCurvature, eta: float) -> float:
     # root of K r^2 / 2 + Lam r = -log eta, in the form without cancellation
     r_hi = -2.0 * log_eta / (Lam + disc) if Lam > 0 else (disc - Lam) / K
     r0 = r_hi
-    p = eta * erfc(Lam / root)
+    p = eta * math.erfc(Lam / root)
     if p >= _TINY:
-        r0 = min(max((root * erfcinv(p) - Lam) / K, 0.0), r_hi)
+        r0 = min(max((root * _erfc_inverse(p) - Lam) / K, 0.0), r_hi)
     slope_scale = math.sqrt(2.0 * K / math.pi)
 
     def f(r):

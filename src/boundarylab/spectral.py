@@ -982,7 +982,7 @@ def truncated_ray_problem(
     Neumann right end.  The default length leaves tail mass below 1e-8;
     the spectrum then carries the truncation as a caveat note."""
     # the only use of ``models`` here: spectrum and audit never load it
-    # (nor, through it, jacobi and scipy.special)
+    # (nor, through it, jacobi)
     from . import models
 
     s = models.boundary_screen(model)

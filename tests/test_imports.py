@@ -166,3 +166,37 @@ def test_catalog_screens_load_no_integrate_optimize_or_linalg():
         "        fn(s, 0.3)\n"
     )
     assert not {"scipy.integrate", "scipy.optimize", "scipy.linalg"} & mods
+
+
+def test_jacobi_loads_no_special():
+    assert "scipy.special" not in loaded_after("import boundarylab.jacobi")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_flat_and_gaussian_commands_load_no_special(tmp_path, fmt):
+    classify = tmp_path / "classify.json"
+    classify.write_text(json.dumps({
+        "family": "euclid_ball", "eta": 0.4, "n": [4, 8, 16, 32],
+        "schedule": {"kind": "power", "coef": 1.0, "exp": -0.5}}))
+    warped = tmp_path / "warped.json"
+    warped.write_text(json.dumps({"family": "warped", "kappa": -1.0, "eta": 0.3,
+                                  "n": [2, 4, 8]}))
+    mods = loaded_after_commands(
+        tmp_path,
+        ["--format", fmt, "model", "--tag", "half_gaussian", "--K", "1", "--lam", "0.5",
+         "--eta", "0.2"],
+        ["--format", fmt, "model", "--tag", "half_gaussian", "--K", "0.5", "--lam", "-1",
+         "--eta", "0.7"],
+        ["--format", fmt, "compare", "--regime", "infinite", "--K", "1", "--lambda", "0.5"],
+        ["--format", fmt, "compare", "--regime", "infinite", "--K", "2", "--lambda", "-1.5",
+         "--eta", "0.1", "--eta", "0.9"],
+        ["--format", fmt, "sweep", "--config", str(classify)],
+        ["--format", fmt, "sweep", "--config", str(warped)],
+    )
+    assert "scipy.special" not in mods
+
+
+def test_curved_ball_model_loads_special(tmp_path):
+    mods = loaded_after_commands(
+        tmp_path, ["model", "--tag", "ball", "--n", "3", "--kappa", "1", "--lambda", "0.5"])
+    assert "scipy.special" in mods

@@ -19,7 +19,9 @@ eta / (1 - eta) ulps, and for v deep in the tail at large N.
 """
 
 import inspect
+import itertools
 import math
+import statistics
 
 import mpmath as mp
 import numpy as np
@@ -292,3 +294,92 @@ class TestHorospherical:
 
 def test_no_quadrature_in_the_library():
     assert "scipy.integrate" not in inspect.getsource(jacobi)
+
+
+# ---------------------------------------------------------------------------
+# erfcx and the start of the Gaussian inverse
+# ---------------------------------------------------------------------------
+
+def mp_erfcx(z):
+    z = mp.mpf(z)
+    return mp.exp(z * z) * mp.erfc(z)
+
+
+def _around(*points):
+    return [float(np.nextafter(z, d)) for z in points for d in (-math.inf, math.inf)]
+
+
+# the product e^(z^2) erfc(z) runs below 26.5, Laplace's fraction from there on
+ERFCX_POINTS = [*np.linspace(-26.5, 26.5, 213), *np.geomspace(26.5, 1e6, 60),
+                *_around(0.0, 26.5), 0.0]
+
+
+class TestErfcx:
+    """``jacobi.erfcx`` against 40 digits, and at its overflow edge."""
+
+    def test_grid_and_branch_edges(self):
+        for z in ERFCX_POINTS:
+            ref = mp_erfcx(z)
+            assert abs(jacobi.erfcx(z) - ref) <= 4 * EPS * ref, z
+
+    @settings(max_examples=300)
+    @given(z=st.floats(-26.5, 1e6))
+    def test_against_mpmath(self, z):
+        ref = mp_erfcx(z)
+        assert abs(jacobi.erfcx(z) - ref) <= 4 * EPS * ref
+
+    def test_overflow_edge(self):
+        """inf exactly where scipy's erfcx overflows; never OverflowError."""
+        from scipy.special import erfcx
+
+        for z in np.linspace(-26.64, -26.62, 401):
+            value = jacobi.erfcx(float(z))
+            assert math.isinf(value) == math.isinf(erfcx(z)), z
+            if not math.isinf(value):
+                assert abs(value - mp_erfcx(z)) <= 4 * EPS * mp_erfcx(z)
+        for z in (-26.7, -27.0, -40.0, -1e300, -math.inf):
+            assert jacobi.erfcx(z) == math.inf
+
+    @pytest.mark.parametrize("K,Lam,eta", [
+        (0.001, -3.0, 0.25),   # the slope's erfcx overflows at the start
+        (0.001, -40.0, 1e-6),
+        (1e-3, 40.0, 0.5),     # z past the product's range: Laplace's fraction
+        (10.0, -40.0, 0.999),
+    ])
+    def test_gaussian_inverse_at_the_edges(self, K, Lam, eta):
+        ic = classify_infinite(K, Lam)
+        r = jacobi.gaussian_tail_inverse(ic, eta)
+        S, slope = mp_gaussian(K, Lam, r)
+        ref = r - (mp.log(S) - mp.log(eta)) / slope
+        assert within(r, float(ref), float(1 / abs(ref * slope)))
+        assert within(jacobi.gaussian_tail(ic, r), float(S), float(abs(r * slope)))
+
+
+def test_erfc_inverse_start():
+    """The closed-form start is within 1e-10 of erfc^-1 for every normal
+    p in (0, 2), in all three of its branches."""
+    tiny = np.finfo(float).tiny
+    ps = [*np.geomspace(tiny, 1.0, 400), *np.linspace(0.01, 1.99, 199),
+          *(2.0 - np.geomspace(1e-15, 1e-2, 60))]
+    for p in ps:
+        p = float(p)
+        z = jacobi._erfc_inverse(p)
+        ref = mp.findroot(lambda t: mp.erfc(t) - p, mp.mpf(z))
+        assert abs(z - ref) <= 1e-10 * abs(ref) + 1e-15, p
+
+
+def test_gaussian_inverse_evaluation_count(monkeypatch):
+    """Forward evaluations per inverse over the comparison-sandwich ranges:
+    the closed-form start leaves one Newton step in most cases (a start at
+    the bracket end r_hi would need six)."""
+    forward = jacobi._log_gaussian_tail
+    calls = []
+    monkeypatch.setattr(jacobi, "_log_gaussian_tail",
+                        lambda *args: calls.append(args) or forward(*args))
+    counts = []
+    for K, Lam, eta in itertools.product(np.linspace(0.1, 3.0, 9), np.linspace(-1.5, 2.0, 9),
+                                         np.linspace(0.05, 0.95, 9)):
+        before = len(calls)
+        jacobi.gaussian_tail_inverse(classify_infinite(K, Lam), eta)
+        counts.append(len(calls) - before)
+    assert statistics.median(counts) <= 2

@@ -449,6 +449,11 @@ class TestScreenFromJson:
         with pytest.raises(DomainError, match="JSON object"):
             screen_from_json("[1]")
 
+    @pytest.mark.parametrize("text", ["{", "", "not json", '{"kind": "grid",}'])
+    def test_not_json(self, text):
+        with pytest.raises(DomainError, match="bad screen JSON"):
+            screen_from_json(text)
+
     def test_unknown_family_parameter(self):
         blob = {**self.CLOSED, "params": {"rate": 1, "bogus": 2}}
         with pytest.raises(DomainError, match="bogus"):
