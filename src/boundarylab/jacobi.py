@@ -786,19 +786,20 @@ def _require_admissible(ic: InfiniteCurvature) -> None:
 def _log_gaussian_tail(K: float, Lam: float, r: float) -> float:
     """log S(r) with S = erfc(z(r)) / erfc(z0), z = (K r + Lam) / sqrt(2K).
 
-    erfc is taken through erfcx(z) = e^(z^2) erfc(z) on z >= 0 (DLMF 7.2),
-    and e^(z0^2 - z^2) is written as e^(-r (K r / 2 + Lam)), so the
-    ratio neither underflows nor cancels.
+    The ratio itself while erfc(z) is a normal float.  Past that, erfc is
+    taken through erfcx(z) = e^(z^2) erfc(z) (DLMF 7.2), and for z0 >= 0
+    e^(z0^2 - z^2) is written as e^(-r (K r / 2 + Lam)), so the ratio
+    neither underflows nor cancels.
     """
     if K == 0.0:
         return -Lam * r
     root = math.sqrt(2.0 * K)
     z0 = Lam / root
     z = (K * r + Lam) / root
+    if z < _ERFC_NORMAL:
+        return math.log(math.erfc(z) / math.erfc(z0))
     if z0 >= 0.0:
         return math.log(erfcx(z) / erfcx(z0)) - r * (0.5 * K * r + Lam)
-    if z < 0.0:
-        return math.log(math.erfc(z) / math.erfc(z0))
     return math.log(erfcx(z)) - z * z - math.log(math.erfc(z0))
 
 
