@@ -335,7 +335,12 @@ class SequenceSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SequenceSpec":
-        obj = json.loads(text) if isinstance(text, str) else dict(text)
+        try:
+            obj = json.loads(text) if isinstance(text, str) else dict(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"bad sweep config JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise DomainError(f"a sweep config is a JSON object, got {obj!r}")
         for key in ("family", "schedule", "n"):
             if key not in obj:
                 raise DomainError(f"sweep config missing field {key!r}")

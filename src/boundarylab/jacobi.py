@@ -16,16 +16,19 @@ the profile neither underflow nor overflow at N in the thousands:
 * kappa > 0: with x = sqrt(kappa) (C - t), s = sin x / sin(sqrt(kappa) C)
   and int_0^x sin^(N-1) = B(N/2, 1/2) / 2 * I_{sin^2 x}(N/2, 1/2), the
   regularized incomplete beta function (DLMF 8.17), reflected past
-  x = pi/2 (lam < 0) and taken through the complement I_{cos^2 x}(1/2, N/2)
-  near pi/2.  Short of pi/2 it is evaluated as
-  sin^N x / N * 2F1(1/2, N/2; N/2 + 1; sin^2 x) (DLMF 8.17.7), with the
-  2F1 factor from the continued fraction of DLMF 8.17.22 in the band
-  near pi/2 where the library 2F1 fails.
+  x = pi/2 (lam < 0).  Short of pi/2 it is
+  sin^N x / N * 2F1(1/2, N/2; N/2 + 1; sin^2 x) (DLMF 8.17.7); near pi/2
+  it is the complement of B(N/2, 1/2) / 2 * I_{cos^2 x}(1/2, N/2).  Each
+  side takes the continued fraction of DLMF 8.17.22 where it converges
+  fast, summed backward; B(N/2, 1/2) comes from ``math.gamma``.
 * kappa = 0: v(r) = (1 - r/C)^N and v^-1(eta) = C (1 - eta^(1/N)).
 * kappa < 0, ball: s = sinh(k (C - t)) / sinh(k C), and int_0^w sinh^(N-1)
   = sinh^(N-1) w tanh w / N * 2F1(1, 1/2; N/2 + 1; tanh^2 w) (DLMF 15,
-  the Pfaff transform 15.8.1 of 8.17.7 at imaginary angle; from N = 10
-  the 2F1 factor is again the continued fraction of DLMF 8.17.22).
+  the Pfaff transform 15.8.1 of 8.17.7 at imaginary angle), the 2F1
+  factor again the continued fraction of DLMF 8.17.22.  Below N = 10,
+  past w = 3/2, the integral is continued by the binomial series of
+  sinh^(N-1) in w itself, since every form in tanh^2 w loses digits as
+  tanh^2 w -> 1.
 * kappa < 0 outside the ball (growth only): the same sinh form, an exact
   exponential, or int cosh^(N-1) by its 2F1 series (DLMF 15.2.1) and a
   binomial series.
@@ -36,21 +39,22 @@ the profile neither underflow nor overflow at N in the thousands:
   while erfc(z) is a normal float, and Laplace's continued fraction
   (DLMF 7.9.2) beyond.
 
-The inverses start from betaincinv (kappa > 0) or a closed-form inverse
-of erfc (Giles' erfinv polynomial, or the asymptotic form of erfc in the
-far tail, then one Halley step) where the target is a normal float, and
-otherwise from an analytic bracket end; Newton steps on the exact
-forward map, which is concave in log space, then converge to rounding
-level, with bisection as the safeguard.  No quadrature runs here; the
-adaptive quadrature these forms replaced is the oracle of
+Each inverse solves log(tail mass) = log eta, whose left side is concave,
+from a start: for kappa > 0 a uniform asymptotic inversion of the
+incomplete beta function after Temme, whose leading term is a
+closed-form inverse of erfc (Giles' erfinv polynomial, or the asymptotic
+form of erfc in the far tail, then one Halley step); for kappa < 0 a
+step from r = 0, where the forward map and its derivatives are known;
+for the Gaussian tail the erfc inverse itself; and an analytic bracket
+end where these fail.  The derivatives of the log tail mass follow from
+its slope by a Riccati equation, so each step is of sixth order at the
+cost of one forward evaluation, and one usually reaches rounding level;
+bisection is the safeguard.  No quadrature runs here; the adaptive
+quadrature these forms replaced is the oracle of
 ``tests/test_jacobi_oracle.py``.
 
-The flat, horospherical and Gaussian kernels run on ``math`` alone.
-Only the kernels of a curved profile (kappa != 0: the curved balls and
-the growth outside them) call ``scipy.special`` (hyp2f1, betainc,
-betaincc, betaincinv, betaln, gammaln, gammasgn, logsumexp), at the call
-site: its import costs more than numpy's, so a process loads it only
-when it evaluates one of them.
+Every kernel runs on ``math`` and numpy alone: this module imports no
+SciPy, whose ``scipy.special`` costs more to import than numpy.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ import math
 import sys
 from dataclasses import dataclass
 
+from typing import NamedTuple
+
 import numpy as np
-import scipy
 
 from .errors import DomainError
 
@@ -89,15 +94,24 @@ _HALF_PI = 0.5 * math.pi
 _SPLIT = 134217729.0  # 2^27 + 1, splits a double into two 26-bit halves
 _LOG2 = math.log(2.0)
 _TINY = sys.float_info.min
-_LOG_TINY = math.log(_TINY)
 _LOG_HUGE = math.log(sys.float_info.max)
+_LOG_HALF_SQRT_PI = math.log(0.5 * math.sqrt(math.pi))
 
-# Newton on the exact forward maps takes a handful of steps from the
-# starts used here; the cap leaves room for the bisection safeguard to
-# halve a bracket down to rounding level from any start.
+# The sixth-order steps on the exact forward maps take one or two
+# evaluations from the starts used here; the cap leaves room for the
+# bisection safeguard to halve a bracket down to rounding level from any
+# start.
 _NEWTON_MAX_STEPS = 200
 _NEWTON_RTOL = 4.0 * sys.float_info.epsilon
 _CF_MAX_TERMS = 100000
+_LOG_EPS = math.log(sys.float_info.epsilon)
+# past this contraction ``_beta_cf`` would need more than 64 pairs of terms
+_CF_RHO_MAX = math.exp(_LOG_EPS / 128.0)
+# Below N = 10 the sinh continued fraction serves up to this angle, where
+# it takes about 20 pairs of terms; past it, as tanh^2 w nears 1, it needs
+# ever more and loses the digits of 1 - tanh^2 w, and ``_sinh_2f1_far``
+# serves (6 ulps at most)
+_SINH_SPLIT = 1.5
 
 
 class Regime(enum.Enum):
@@ -306,90 +320,190 @@ def _log_sinh(w: float) -> float:
     return w - _LOG2 + math.log1p(-math.exp(-2.0 * w))
 
 
+def _log_add(a: float, b: float) -> float:
+    """log(e^a + e^b)."""
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi)) if lo > -math.inf else hi
+
+
+def _log_sum_exp(x, sign=1.0) -> float:
+    """log sum(sign e^x) over an array, its largest exponent factored out."""
+    top = float(np.max(x))
+    return top + math.log(float(np.sum(sign * np.exp(x - top))))
+
+
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
+def _gamma_sign(x):
+    """Sign of Gamma at each x of an array that holds no pole:
+    (-1)^ceil(-x) on the negative axis."""
+    return np.where(x > 0.0, 1.0, 1.0 - 2.0 * (np.ceil(-x) % 2.0))
+
+
 def _sin_series(N: float, c: float) -> bool:
     """Whether theta with cos theta = c lies where the continued fraction
-    of I_{sin^2}(N/2, 1/2) converges fast: sin^2 < (a + 1) / (a + 5/2)."""
+    of I_{sin^2}(N/2, 1/2) converges fast: sin^2 < (a + 1) / (a + 5/2).
+    On the rest of [0, pi/2] that of I_{cos^2}(1/2, N/2) does."""
     return c >= 0.0 and c * c > 1.5 / (0.5 * N + 2.5)
 
 
 def _log_half_beta(N: float) -> float:
     """log B(N/2, 1/2) / 2 = log int_0^(pi/2) sin^(N-1).
 
-    Past N = 100 the library betaln loses digits (4e-13 relative at
-    N = 937), so there log B(a, 1/2) = log Gamma(1/2) - log(Gamma(a + 1/2)
-    / Gamma(a)) comes from the asymptotic series of the ratio (DLMF 5.11),
-    whose next term is below 1e-18 at a = 50.
+    Below a = N/2 = 50 it is log(Gamma(a) / Gamma(a + 1/2) * sqrt(pi) / 2)
+    on ``math.gamma``, whose quotient keeps the relative precision that a
+    difference of two log-gammas loses (4e-13 at N = 937).  Beyond,
+    log B(a, 1/2) = log Gamma(1/2) - log(Gamma(a + 1/2) / Gamma(a)) comes
+    from the asymptotic series of the ratio (DLMF 5.11), whose next term is
+    below 1e-18 at a = 50.
     """
     a = 0.5 * N
     if a < 50.0:
-        return scipy.special.betaln(a, 0.5) - _LOG2
+        return math.log(math.gamma(a) / math.gamma(a + 0.5)) + _LOG_HALF_SQRT_PI
     log_ratio = (0.5 * math.log(a) - 1.0 / (8.0 * a) + 1.0 / (192.0 * a**3)
                  - 1.0 / (640.0 * a**5) + 17.0 / (14336.0 * a**7))
-    return 0.5 * math.log(math.pi) - log_ratio - _LOG2
+    return _LOG_HALF_SQRT_PI - log_ratio
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
+def _beta_cf(a: float, b: float, x: float, extra_pairs: float = 0.0) -> float:
     """The continued fraction h of DLMF 8.17.22, I_x(a, b) =
-    x^a (1-x)^b / (a B(a, b)) * h, by the modified Lentz method; it
-    converges fast for x < (a + 1) / (a + b + 2).  ``or _TINY`` keeps a
-    vanishing partial denominator from dividing by zero."""
+    x^a (1-x)^b / (a B(a, b)) * h; it converges fast for
+    x < (a + 1) / (a + b + 2).
+
+    Its partial numerators tend to -x/4, so its tails tend to
+    t = (1 + sqrt(1 - x)) / 2 and contract by rho = x / (1 + sqrt(1 - x))^2
+    per term there.  It is summed backward from t over log(eps) / (2 log rho)
+    pairs of terms plus ``extra_pairs`` (for early partial numerators above
+    the limit), which leaves about an ulp where the products of the modified
+    Lentz method leave 5 to 10.  Where that count passes 64 (x near 1) the
+    number of pairs is the one at which Lentz's method converges.
+    """
+    root = math.sqrt(1.0 - x)
+    rho = x / (1.0 + root) ** 2
+    if rho <= _CF_RHO_MAX:
+        pairs = math.ceil(_LOG_EPS / (2.0 * math.log(rho)) + extra_pairs) if rho > 0.0 else 1
+    else:
+        pairs = _lentz_pairs(a, b, x)
+    t = 0.5 * (1.0 + root)
+    ab = a + b
+    m = float(pairs)
+    while m:
+        am = a + m
+        a2m = am + m
+        t = 1.0 - am * (ab + m) * x / (a2m * (a2m + 1.0) * t)
+        t = 1.0 + m * (b - m) * x / ((a2m - 1.0) * a2m * t)
+        m -= 1.0
+    return 1.0 / (1.0 - ab * x / ((a + 1.0) * t))
+
+
+def _lentz_pairs(a: float, b: float, x: float) -> int:
+    """Pairs of terms after which the modified Lentz method for
+    ``_beta_cf`` converges; ``or _TINY`` keeps a vanishing partial
+    denominator from dividing by zero."""
     c = 1.0
     d = 1.0 / (1.0 - (a + b) * x / (a + 1.0) or _TINY)
-    h = d
     for m in range(1, _CF_MAX_TERMS):
-        aa = m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m))
-        d = 1.0 / (1.0 + aa * d or _TINY)
-        c = 1.0 + aa / c or _TINY
-        h *= d * c
-        aa = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 1.0 + 2 * m))
-        d = 1.0 / (1.0 + aa * d or _TINY)
-        c = 1.0 + aa / c or _TINY
-        step = d * c
-        h *= step
-        if abs(step - 1.0) <= _NEWTON_RTOL:
+        even = m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m))
+        d = 1.0 / (1.0 + even * d or _TINY)
+        c = 1.0 + even / c or _TINY
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 1.0 + 2 * m))
+        d = 1.0 / (1.0 + odd * d or _TINY)
+        c = 1.0 + odd / c or _TINY
+        if abs(d * c - 1.0) <= _NEWTON_RTOL:
             break
-    return h
+    return m
 
 
 def _sin_2f1(N: float, s: float, c: float) -> float:
-    """2F1(1/2, N/2; N/2 + 1; sin^2), for cos = c >= 0.
+    """2F1(1/2, N/2; N/2 + 1; sin^2) = cos * h(N/2, 1/2, sin^2) (DLMF 8.17.7
+    against 8.17.22), where ``_sin_series(N, cos)`` holds."""
+    return c * _beta_cf(0.5 * N, 0.5, s * s)
 
-    The library 2F1 is accurate to 1e-14 while cos^2 >= 0.01 and returns
-    nan closer to pi/2 at large N (N = 937, cos^2 = 0.002); there the
-    continued fraction serves, 2F1 = cos * h(N/2, 1/2, sin^2) (DLMF 8.17.7
-    against 8.17.22).  The band is reached only past N = 300.
+
+def _log_sin_parts(N: float, s: float, c: float, log_half_beta: float) -> tuple[float, float]:
+    """(log int_0^theta, log int_theta^(pi/2)) of sin^(N-1) for theta in
+    (0, pi/2], s = sin theta, c = cos theta; the two add up to
+    B(N/2, 1/2) / 2 = e^log_half_beta.
+
+    One continued fraction, on its fast side, gives one part and the other
+    is the complement: where ``_sin_series`` holds the lower part is
+    sin^N / N * 2F1(1/2, N/2; N/2 + 1; sin^2) (DLMF 8.17.7), and elsewhere
+    the upper part is B(N/2, 1/2) / 2 * I_{cos^2}(1/2, N/2)
+    = cos sin^N h(1/2, N/2, cos^2) (DLMF 8.17.22).
     """
-    a = 0.5 * N
-    if c * c >= 0.01:
-        return scipy.special.hyp2f1(0.5, a, a + 1.0, s * s)
-    return c * _beta_cf(a, 0.5, s * s)
-
-
-def _log_int_sin(N: float, s: float, c: float) -> float:
-    """log int_0^theta sin^(N-1) for theta in (0, pi), s = sin theta, c = cos theta.
-
-    Short of pi/2: sin^N theta / N * 2F1(1/2, N/2; N/2 + 1; sin^2 theta)
-    (DLMF 8.17.7).  Near and past pi/2 the same integral is
-    B(N/2, 1/2) / 2 * I_{sin^2 theta}(N/2, 1/2) (DLMF 8.17), taken through
-    the complement I_{cos^2 theta}(1/2, N/2) and reflected past pi/2.
-    """
+    if s == 0.0:
+        return -math.inf, log_half_beta
     if _sin_series(N, c):
-        return N * math.log(s) - math.log(N) + math.log(_sin_2f1(N, s, c))
-    a = 0.5 * N
+        lower = N * math.log(s) - math.log(N) + math.log(_sin_2f1(N, s, c))
+        return lower, _log_sub(log_half_beta, lower)
+    # the fraction's early partial numerators, near N c^2 / (8m), exceed its
+    # limit -c^2/4 and take up to 2 + 1.5 N c^2 pairs more; sin^N is taken
+    # as (1 - c^2)^(N/2), which keeps the relative digits of c
+    x = c * c
+    upper = (math.log(c * _beta_cf(0.5, 0.5 * N, x, 2.0 + 1.5 * N * x)) + 0.5 * N * math.log1p(-x)
+             if c > 0.0 else -math.inf)
+    return _log_sub(log_half_beta, upper), upper
+
+
+def _log_int_sin(N: float, s: float, c: float, log_half_beta: float) -> float:
+    """log int_0^theta sin^(N-1) for theta in (0, pi), s = sin theta, c = cos theta.
+    Past pi/2 it is B(N/2, 1/2) / 2 plus the upper part at pi - theta."""
     if c >= 0.0:
-        return _log_half_beta(N) + math.log(scipy.special.betaincc(0.5, a, c * c))
-    return _log_half_beta(N) + math.log1p(scipy.special.betainc(0.5, a, c * c))
+        return _log_sin_parts(N, s, c, log_half_beta)[0]
+    return _log_add(log_half_beta, _log_sin_parts(N, s, -c, log_half_beta)[1])
 
 
-def _sinh_2f1(N: float, t: float) -> float:
-    """2F1(1, 1/2; N/2 + 1; tanh^2) = h(N/2, (1-N)/2, tanh^2) (DLMF 8.17.8
-    against 8.17.22).  From N = 10 the continued fraction converges fast
-    for every tanh^2 < 1 ((a + 1)/(a + b + 2) = (N + 2)/5), while the
-    library 2F1 returns nan at some odd N (N = 999, tanh^2 = 0.9); below,
-    the library 2F1 is accurate to 5e-14 and the fraction is not."""
-    if N >= 10.0:
+def _sinh_2f1(N: float, w: float, t: float) -> float:
+    """2F1(1, 1/2; N/2 + 1; tanh^2 w) for w > 0, t = tanh w.
+
+    It is h(N/2, (1-N)/2, tanh^2) (DLMF 8.17.8 against 8.17.22).  From
+    N = 10 the continued fraction holds 2e-14 for every w.  Below, every
+    form in tanh^2 loses digits as tanh^2 -> 1 (the 2F1 then varies like
+    (1 - tanh^2)^((N-1)/2), and tanh^2 rounds to 1 from w = 19), so past
+    w = 3/2 the integral is continued in w itself (``_sinh_2f1_far``).
+    """
+    if N >= 10.0 or w <= _SINH_SPLIT:
         return _beta_cf(0.5 * N, 0.5 * (1.0 - N), t * t)
-    return scipy.special.hyp2f1(1.0, 0.5, 0.5 * N + 1.0, t * t)
+    return _sinh_2f1_far(N, w)
+
+
+def _sinh_2f1_far(N: float, w: float) -> float:
+    """``_sinh_2f1`` below N = 10 for w past the split w_s = 3/2.
+
+    The 2F1 is N G(w) / (sinh^m w tanh w) with m = N - 1 and
+    G(w) = int_0^w sinh^m = G(w_s) + int_{w_s}^w, and sinh^m = 2^-m e^(m theta)
+    (1 - e^(-2 theta))^m integrates by the binomial series term by term.
+    Over sinh^m w = 2^-m e^(m w) (1 - q)^m, q = e^(-2w), term j of the
+    second integral is (-1)^j binom(m, j) (e^(-2jw) - e^(-2j w_s - m d)) / x
+    with x = m - 2j and d = w - w_s, written through expm1 on whichever
+    side keeps it finite.  The terms fall like e^(-3j) and end at j = m
+    for an integer m.  The alternating sum loses at most coth^m(w_s) < 2.5
+    in relative precision.
+    """
+    m = N - 1.0
+    ws = _SINH_SPLIT
+    ts, qs = math.tanh(ws), math.exp(-2.0 * ws)
+    d = w - ws
+    q = math.exp(-2.0 * w)
+    damp = math.exp(-m * d)
+    total, coef, power, power_split = 0.0, 1.0, 1.0, 1.0
+    for j in range(_CF_MAX_TERMS):
+        x = m - 2.0 * j
+        if x > 0.0:
+            term = power * -math.expm1(-x * d) / x
+        elif x < 0.0:
+            term = power_split * damp * math.expm1(x * d) / x
+        else:
+            term = power * d
+        total += coef * term
+        if j > m and abs(coef * term) <= 1e-17 * total:
+            break
+        coef *= (j - m) / (j + 1.0)
+        power *= q
+        power_split *= qs
+    head = _sinh_2f1(N, ws, ts) * ts / N * math.exp(m * (_log_sinh(ws) - _log_sinh(w)))
+    return N / math.tanh(w) * (head + total * math.exp(-m * math.log1p(-q)))
 
 
 def _log_int_sinh(N: float, w: float) -> float:
@@ -398,7 +512,7 @@ def _log_int_sinh(N: float, w: float) -> float:
     DLMF 8.17.7 at imaginary angle after the Pfaff transformation (DLMF
     15.8.1); the 2F1 factor lies in [1, N/(N-1)]."""
     t = math.tanh(w)
-    return (N - 1.0) * _log_sinh(w) + math.log(t / N) + math.log(_sinh_2f1(N, t))
+    return (N - 1.0) * _log_sinh(w) + math.log(t / N) + math.log(_sinh_2f1(N, w, t))
 
 
 def _log_int_cosh(N: float, w: float) -> float:
@@ -416,7 +530,7 @@ def _log_int_cosh(N: float, w: float) -> float:
     z, b = t * t, 0.5 * (N + 1.0)
     k = np.arange(int(2.0 * b * z / (1.0 - z) + 10.0 * math.sqrt(b * z) / (1.0 - z)) + 60.0)
     log_terms = np.cumsum(np.log((k + 0.5) * (k + b) * z / ((k + 1.5) * (k + 1.0))))
-    head = math.log(t) + float(np.logaddexp(0.0, scipy.special.logsumexp(log_terms)))
+    head = math.log(t) + _log_add(0.0, _log_sum_exp(log_terms))
     if w == w1:
         return head
     # the summands peak at j = m q / (1 + q), q = e^(-2w) <= 1/e, with a
@@ -426,9 +540,7 @@ def _log_int_cosh(N: float, w: float) -> float:
     j = np.arange(max(0.0, math.floor(peak - reach)),
                   min(math.floor(m) + 61.0, math.ceil(peak + reach)))
     j = j[j < m + 1.0] if m == math.floor(m) else j  # binom(m, j) = 0 past an integer m
-    log_binom = (scipy.special.gammaln(m + 1.0) - scipy.special.gammaln(j + 1.0)
-                 - scipy.special.gammaln(m - j + 1.0))
-    sign = scipy.special.gammasgn(m - j + 1.0)
+    log_binom = math.lgamma(m + 1.0) - _lgamma(j + 1.0) - _lgamma(m - j + 1.0)
     beta = m - 2.0 * j
     span = w - w1
     # int_{w1}^{w} e^(beta theta) d theta, written without cancellation
@@ -438,8 +550,8 @@ def _log_int_cosh(N: float, w: float) -> float:
         math.log(span),
         np.maximum(beta * w, beta * w1) + np.log(-np.expm1(-rate * span)) - np.log(rate),
     )
-    tail = float(scipy.special.logsumexp(log_binom + log_int, b=sign)) - m * _LOG2
-    return float(np.logaddexp(head, tail))
+    tail = _log_sum_exp(log_binom + log_int, _gamma_sign(m - j + 1.0)) - m * _LOG2
+    return _log_add(head, tail)
 
 
 def _log_expm1(y: float) -> float:
@@ -466,15 +578,45 @@ def _rim(cc: CurvatureClass) -> tuple[float, float]:
     return k, 0.5 * math.log1p(2.0 * k / gap)
 
 
-def _log_rim(N: float, kappa: float, X: float) -> tuple[float, float]:
-    """(log G(X), log g(X)) at the rim angle."""
-    if kappa > 0:
+class _Rim(NamedTuple):
+    """What every kernel of one curved ball needs at its rim angle X,
+    evaluated once per call: sin X and cos X (kappa > 0) or tanh X
+    (kappa < 0), log G(X), log g(X), the 2F1 factor of the series form at X
+    (None where that form does not serve) and, for kappa > 0,
+    log B(N/2, 1/2) / 2.  Fields a sign of kappa does not use are nan."""
+
+    N: float
+    kappa: float
+    k: float
+    X: float
+    sin: float
+    cos: float
+    tanh: float
+    log_G: float
+    log_g: float
+    f: float | None
+    log_half_beta: float
+
+
+def _ball_rim(N: float, cc: CurvatureClass) -> _Rim:
+    k, X = _rim(cc)
+    if cc.kappa > 0:
         s, c = math.sin(X), math.cos(X)
-        return _log_int_sin(N, s, c), math.log(s)
-    return _log_int_sinh(N, X), _log_sinh(X)
+        log_half_beta = _log_half_beta(N)
+        if _sin_series(N, c):
+            f = _sin_2f1(N, s, c)
+            log_G = N * math.log(s) - math.log(N) + math.log(f)
+        else:
+            f, log_G = None, _log_int_sin(N, s, c, log_half_beta)
+        return _Rim(N, cc.kappa, k, X, s, c, math.nan, log_G, math.log(s), f, log_half_beta)
+    t = math.tanh(X)
+    f = _sinh_2f1(N, X, t)
+    log_g = _log_sinh(X)
+    log_G = (N - 1.0) * log_g + math.log(t / N) + math.log(f)
+    return _Rim(N, cc.kappa, k, X, math.nan, math.nan, t, log_G, log_g, f, math.nan)
 
 
-def _log_ratio(N: float, kappa: float, X: float, u: float) -> tuple[float, float]:
+def _log_ratio(rim: _Rim, u: float) -> tuple[float, float]:
     """(log G(X - u) / G(X), log g(X - u) / g(X)) for 0 <= u <= X.
 
     The second is log1p of g(X - u)/g(X) - 1 by the addition theorem,
@@ -483,49 +625,47 @@ def _log_ratio(N: float, kappa: float, X: float, u: float) -> tuple[float, float
     """
     if u <= 0.0:
         return 0.0, 0.0
+    N, X = rim.N, rim.X
     if u >= X:
         return -math.inf, -math.inf
-    if kappa > 0:
-        sX, cX = math.sin(X), math.cos(X)
+    if rim.kappa > 0:
+        sX, cX = rim.sin, rim.cos
         su, cu = math.sin(u), math.cos(u)
         s, c = sX * cu - cX * su, cX * cu + sX * su
         if s <= 0.0:
             return -math.inf, -math.inf
         dg = -2.0 * math.sin(0.5 * u) ** 2 - su * cX / sX
         log_dg = math.log1p(dg) if dg > -0.5 else math.log(s / sX)
-        if dg > -0.5 and _sin_series(N, c) and _sin_series(N, cX):
-            return N * log_dg + math.log(_sin_2f1(N, s, c) / _sin_2f1(N, sX, cX)), log_dg
-        return _log_int_sin(N, s, c) - _log_int_sin(N, sX, cX), log_dg
-    tX, tu = math.tanh(X), math.tanh(u)
+        if dg > -0.5 and rim.f is not None and _sin_series(N, c):
+            return N * log_dg + math.log(_sin_2f1(N, s, c) / rim.f), log_dg
+        return _log_int_sin(N, s, c, rim.log_half_beta) - rim.log_G, log_dg
+    tX, tu = rim.tanh, math.tanh(u)
     dg = 2.0 * math.sinh(0.5 * u) ** 2 - math.sinh(u) / tX
     if dg <= -0.5:
-        log_dg = _log_sinh(X - u) - _log_sinh(X)
-        return _log_int_sinh(N, X - u) - _log_int_sinh(N, X), log_dg
+        return _log_int_sinh(N, X - u) - rim.log_G, _log_sinh(X - u) - rim.log_g
     log_dg = math.log1p(dg)
     t = (tX - tu) / (1.0 - tX * tu)
     log_t = math.log1p(-tu / tX) - math.log1p(-tX * tu)
-    return (N - 1.0) * log_dg + log_t + math.log(_sinh_2f1(N, t) / _sinh_2f1(N, tX)), log_dg
+    return ((N - 1.0) * log_dg + log_t + math.log(_sinh_2f1(N, X - u, t) / rim.f), log_dg)
 
 
-def _log_head(N: float, kappa: float, X: float, u: float, log_G: float) -> float:
-    """log int_{X-u}^X g^(N-1) for 0 < u <= X, given log_G = log G(X).
+def _log_head(rim: _Rim, u: float) -> float:
+    """log int_{X-u}^X g^(N-1) for 0 < u <= X.
 
     As 1 - v this cancels when most of the mass lies below X - u, which
     happens past pi/2 (kappa > 0, lam < 0: the profile peaks inside the
     ray).  There the integral is taken on the mirror side theta -> pi - theta,
-    where G is small, or split at pi/2 into two complements
-    B(N/2, 1/2) / 2 * I_{cos^2}(1/2, N/2).
+    where G is small, or split at pi/2 into two upper parts.
     """
-    if kappa > 0 and X > _HALF_PI:
-        theta = X - u
+    N, X = rim.N, rim.X
+    if rim.kappa > 0 and X > _HALF_PI:
+        theta = max(X - u, 0.0)
         s, c = math.sin(theta), math.cos(theta)
-        sX, cX = math.sin(X), math.cos(X)
+        mirror = _log_sin_parts(N, rim.sin, -rim.cos, rim.log_half_beta)
         if c < 0.0:
-            return _log_sub(_log_int_sin(N, s, -c), _log_int_sin(N, sX, -cX))
-        a = 0.5 * N
-        return _log_half_beta(N) + math.log(scipy.special.betainc(0.5, a, c * c)
-                                            + scipy.special.betainc(0.5, a, cX * cX))
-    return log_G + _log_sub(0.0, _log_ratio(N, kappa, X, u)[0])
+            return _log_sub(_log_sin_parts(N, s, -c, rim.log_half_beta)[0], mirror[0])
+        return _log_add(_log_sin_parts(N, s, c, rim.log_half_beta)[1], mirror[1])
+    return rim.log_G + _log_sub(0.0, _log_ratio(rim, u)[0])
 
 
 def _log_growth(N: float, cc: CurvatureClass, u: float) -> float:
@@ -542,11 +682,10 @@ def _log_growth(N: float, cc: CurvatureClass, u: float) -> float:
         c = 1.0 / lam
         lo = N * math.log1p(-u / c) if u < c else -math.inf
         return math.log(c / N) + _log_sub(0.0, lo)
-    k = math.sqrt(abs(kappa))
     if cc.is_ball:
-        k, X = _rim(cc)
-        log_G, log_g = _log_rim(N, kappa, X)
-        return _log_head(N, kappa, X, k * u, log_G) - m * log_g - math.log(k)
+        rim = _ball_rim(N, cc)
+        return _log_head(rim, rim.k * u) - m * rim.log_g - math.log(rim.k)
+    k = math.sqrt(abs(kappa))
     if lam == -k:
         # s = e^(k t) exactly
         return _log_expm1(m * k * u) - math.log(m * k)
@@ -564,7 +703,7 @@ def _log_growth(N: float, cc: CurvatureClass, u: float) -> float:
 
     (s_hi, l_hi), (s_lo, l_lo) = signed(hi), signed(theta0)
     if s_lo < 0 <= s_hi:
-        log_mass = float(np.logaddexp(l_hi, l_lo))
+        log_mass = _log_add(l_hi, l_lo)
     elif s_hi > 0:
         log_mass = _log_sub(l_hi, l_lo)
     else:
@@ -627,29 +766,62 @@ def v_ball(N: float, cc: CurvatureClass, r: float) -> float:
     if cc.kappa == 0.0:
         log_v = N * math.log1p(-r / c) if r < c else -math.inf
     else:
-        k, X = _rim(cc)
-        log_v = _log_ratio(N, cc.kappa, X, k * r)[0]
+        rim = _ball_rim(N, cc)
+        log_v = _log_ratio(rim, rim.k * r)[0]
     return min(math.exp(log_v), 1.0)
 
 
-def _newton(f, x: float, lo: float, hi: float) -> float:
-    """Root of a decreasing f in [lo, hi], given as x -> (f(x), f'(x)).
+def _taylor_step(fx: float, p0: float, q: tuple[float, float, float, float]) -> tuple[float, float]:
+    """(step, error) towards the root of f = log W - const from a point
+    where f = fx, W' = -w, the slope is p0 = -w/W < 0 and q = w'/w has the
+    Taylor coefficients q = (Q_0, ..., Q_3).
 
-    Newton steps, each of which also shrinks the bracket; a step that
-    leaves the bracket, or a slope lost to underflow, is replaced by
-    bisection, so the iteration ends even where f is flat at rounding
-    level.  On the concave maps solved here Newton steps land inside the
-    bracket once the iterate is right of the root.
+    Since p' = p (q - p), these give the Taylor coefficients of f to fifth
+    order, and the step goes to the root of that polynomial by series
+    reversion; ``error`` is its last term, which bounds the error of the
+    step where the terms fall geometrically.  Far from the root
+    (|f'' f / f'^2| > 0.2) the step is Newton's and the error the step.
+    """
+    q0, q1, q2, q3 = q
+    # Taylor coefficients P_k of p, then c_k = f^(k) / (k! f')
+    p1 = p0 * (q0 - p0)
+    p2 = 0.5 * (p0 * (q1 - p1) + p1 * (q0 - p0))
+    p3 = (p0 * (q2 - p2) + p1 * (q1 - p1) + p2 * (q0 - p0)) / 3.0
+    p4 = 0.25 * (p0 * (q3 - p3) + p1 * (q2 - p2) + p2 * (q1 - p1) + p3 * (q0 - p0))
+    c2, c3, c4, c5 = p1 / (2.0 * p0), p2 / (3.0 * p0), p3 / (4.0 * p0), p4 / (5.0 * p0)
+    e = -fx / p0
+    if abs(c2 * e) > 0.2:
+        return e, e
+    error = (14.0 * c2**4 - 21.0 * c2 * c2 * c3 + 6.0 * c2 * c4 + 3.0 * c3 * c3 - c5) * e**5
+    return e * (1.0 + e * (-c2 + e * (2.0 * c2 * c2 - c3 + e * (5.0 * c2 * (c3 - c2 * c2) - c4)))) + error, error
+
+
+def _newton(f, x: float, lo: float, hi: float) -> float:
+    """Root of a decreasing f = log W - const in [lo, hi], where W' = -w.
+
+    ``f(x)`` returns f(x), its slope p = -w/W and the Taylor coefficients
+    (Q_0, ..., Q_3) of q = w'/w at x, and each step is ``_taylor_step``:
+    of sixth order, it reaches rounding level from a start within 1e-3 in
+    one evaluation.  Each step also shrinks the bracket; one that leaves
+    it, or a slope lost to underflow, is replaced by bisection, so the
+    iteration ends even where f is flat at rounding level.  The iteration
+    ends, before the bracket moves, once the step's error is below
+    rounding level relative to x.
     """
     for _ in range(_NEWTON_MAX_STEPS):
-        fx, slope = f(x)
+        fx, p0, q = f(x)
         if fx == 0.0:
             return x
+        step = math.nan
+        if p0 < 0.0:
+            step, error = _taylor_step(fx, p0, q)
+            if abs(error) <= _NEWTON_RTOL * abs(x + step):
+                return x + step
         if fx > 0.0:
             lo = x
         else:
             hi = x
-        x_new = x - fx / slope if slope < 0.0 else math.nan
+        x_new = x + step
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
         if abs(x_new - x) <= _NEWTON_RTOL * abs(x_new):
@@ -658,52 +830,107 @@ def _newton(f, x: float, lo: float, hi: float) -> float:
     return x
 
 
+def _temme_terms(Z: float) -> tuple[float, float]:
+    """(h1, h2) of ``_sin_start``, by their series in Z^4 below |Z| = 1/2."""
+    if abs(Z) < 0.5:
+        Z4 = Z ** 4
+        return (Z ** 3 * (-1 / 48 + Z4 * (1 / 2560 + Z4 * (-61 / 7741440 + Z4 * 1261 / 7431782400))),
+                Z * (-1 / 16 + Z4 * (7 / 2560 + Z4 * (-671 / 7741440 + Z4 * 1261 / 495452160))))
+    tail = math.exp(-Z * Z)
+    h = abs(Z) * math.exp(-0.25 * Z * Z) / math.sqrt(1.0 - tail)
+    h1 = (h - 1.0) / Z
+    slope = h * (1.0 / Z - 0.5 * Z - Z * tail / (1.0 - tail))
+    return h1, (slope - h1) / (Z * Z)
+
+
+def _sin_start(N: float, T: float, log_half_beta: float) -> float:
+    """theta with int_0^theta sin^(N-1) = T B(N/2, 1/2) / 2, approximately,
+    for a normal float T < 2: a uniform asymptotic start
+    after N. M. Temme (J. Comput. Appl. Math. 41, 1992, 145-157).
+
+    Let Z^2 = -2 log sin theta, with Z of the sign of pi/2 - theta, and
+    mu = N - 1/2.  Then sin^(N-1) d theta = -e^(-mu Z^2 / 2) h(Z) dZ with
+    h(Z) = |Z| e^(-Z^2 / 4) / sqrt(1 - e^(-Z^2)) = 1 - Z^4/48 + ..., and two
+    integrations by parts give, with y = Z sqrt(mu / 2), h1 = (h - 1) / Z
+    and h2 = h1' / Z,
+
+        T = e^(-y^2) (erfcx(y) + (h1(Z) + h2(Z) / mu) / (mu B(N/2, 1/2) / 2))
+
+    up to O(mu^-3).  Its leading term y = erfc^-1(T) (``_erfc_inverse``)
+    starts one Newton step on the logarithm of this equation (a second
+    saves fewer forward evaluations than it costs).
+    """
+    mu = N - 0.5
+    root = math.sqrt(2.0 / mu)
+    y = _erfc_inverse(T)
+    h1, h2 = _temme_terms(y * root)
+    e = erfcx(y)
+    total = e + (h1 + h2 / mu) * math.exp(-log_half_beta) / mu
+    slope = -2.0 * y + (2.0 * y * e - 2.0 / _SQRT_PI) / total
+    if total > 0.0 and slope < 0.0:
+        y -= (math.log(total) - y * y - math.log(T)) / slope
+    Z = y * root
+    # pi/2 - theta = 2 asin(sqrt((1 - sin theta) / 2)) keeps its digits near pi/2
+    return _HALF_PI - math.copysign(2.0 * math.asin(math.sqrt(-0.5 * math.expm1(-0.5 * Z * Z))), Z)
+
+
 def v_inverse(N: float, cc: CurvatureClass, eta: float) -> float:
     """Unique r in [0, C] with v(r) = eta.
 
     kappa = 0: r = C (1 - eta^(1/N)).  A curved ball solves
-    log G(X - k r) - log G(X) = log eta, whose left side is concave in r
-    because G integrates a log-concave power.  The start is betaincinv
-    for kappa > 0 when eta I_{sin^2 X}(N/2, 1/2) is a normal float, and
-    otherwise the bracket end k r = X (1 - (eta min(1, g(X)/X)^(N-1))^(1/N)),
-    where v <= eta.  Newton steps on the exact forward map, whose slope
-    is -k g^(N-1) / G, then converge to rounding level.
+    log G(X - u) - log G(X) = log eta in u = k r, whose left side is
+    concave because G integrates a log-concave power.  So the root lies
+    below the tangent's root u = -log eta G(X) / g(X)^(N-1), and below
+    X (1 - (eta min(1, g(X)/X)^(N-1))^(1/N)), where v <= eta.  The start is
+    the lesser bound, or for kappa > 0 ``_sin_start`` where
+    eta G(X) / (B(N/2, 1/2) / 2) is a normal float and that start lies
+    within the bounds.  Newton steps with Halley's correction on the exact
+    forward map, whose slope is -g^(N-1) / G and whose curvature follows
+    from the slope, then converge to rounding level.
     """
     N = _check_N(N)
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
     _require_ball(cc)
-    c = c_radius(cc)
     if eta == 1.0:
         return 0.0
     if eta == 0.0:
-        return c
+        return c_radius(cc)
     log_eta = math.log(eta)
     if cc.kappa == 0.0:
-        return c * -math.expm1(log_eta / N)
-    kappa = cc.kappa
+        return c_radius(cc) * -math.expm1(log_eta / N)
     m = N - 1.0
-    k, X = _rim(cc)
-    log_G, log_g = _log_rim(N, kappa, X)
+    rim = _ball_rim(N, cc)
+    X, log_G, log_g = rim.X, rim.log_G, rim.log_g
     u_hi = X * -math.expm1((log_eta + m * min(0.0, log_g - math.log(X))) / N)
-    u0 = u_hi
-    if kappa > 0:
-        a = 0.5 * N
-        log_T = log_eta + log_G - _log_half_beta(N)
-        if log_T >= 0.0:
-            c2 = scipy.special.betaincinv(0.5, a, min(math.expm1(log_T), 1.0))
-            u0 = X - _HALF_PI - math.asin(math.sqrt(c2))
-        elif log_T > _LOG_TINY:
-            u0 = X - math.asin(math.sqrt(scipy.special.betaincinv(a, 0.5, math.exp(log_T))))
-        if not 0.0 < u0 <= u_hi:
-            u0 = u_hi
+    tangent = math.log(-log_eta) + log_G - m * log_g
+    if tangent < _LOG_HUGE:
+        u_hi = min(u_hi, math.exp(tangent))
+    # w = g(X - u)^(N-1): q = w'/w = m r with r = -g'/g at X - u and r' = sign - r^2
+    sign, g_over_slope = (-1.0, math.tan) if cc.kappa > 0 else (1.0, math.tanh)
+
+    def q_series(u):
+        r0 = -1.0 / g_over_slope(X - u)
+        r1 = sign - r0 * r0
+        r2 = -r0 * r1
+        r3 = -(2.0 * r0 * r2 + r1 * r1) / 3.0
+        return m * r0, m * r1, m * r2, m * r3
 
     def f(u):
-        log_v, log_dg = _log_ratio(N, kappa, X, u)
-        return log_v - log_eta, -math.exp(m * (log_g + log_dg) - log_G - log_v)
+        log_v, log_dg = _log_ratio(rim, u)
+        return log_v - log_eta, -math.exp(m * (log_g + log_dg) - log_G - log_v), q_series(u)
 
-    return min(_newton(f, u0, 0.0, u_hi) / k, c)
+    if cc.kappa > 0:
+        T = math.exp(log_eta + log_G - rim.log_half_beta)
+        u0 = X - _sin_start(N, T, rim.log_half_beta) if _TINY <= T < 2.0 else u_hi
+    else:
+        # f = -log eta at u = 0, with the slope -g(X)^(N-1) / G(X)
+        u0 = _taylor_step(-log_eta, -math.exp(m * log_g - log_G), q_series(0.0))[0]
+    if not 0.0 < u0 <= u_hi:
+        u0 = u_hi
+
+    return min(_newton(f, u0, 0.0, u_hi), X) / rim.k
 
 
 # ---------------------------------------------------------------------------
@@ -847,6 +1074,8 @@ def gaussian_tail_inverse(ic: InfiniteCurvature, eta: float) -> float:
 
     def f(r):
         z = (K * r + Lam) / root
-        return _log_gaussian_tail(K, Lam, r) - log_eta, -slope_scale / erfcx(z)
+        # q = w'/w = -(K r + Lam) for the weight w = e^(-K r^2 / 2 - Lam r)
+        return (_log_gaussian_tail(K, Lam, r) - log_eta, -slope_scale / erfcx(z),
+                (-z * root, -K, 0.0, 0.0))
 
     return _newton(f, r0, 0.0, r_hi)

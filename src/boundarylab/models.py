@@ -141,7 +141,10 @@ class ModelSpace:
 
 
 def model_from_json(text: str) -> ModelSpace:
-    obj = json.loads(text) if isinstance(text, str) else dict(text)
+    try:
+        obj = json.loads(text) if isinstance(text, str) else dict(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"bad model JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DomainError(f"a model descriptor is a JSON object, got {obj!r}")
     tag = obj.pop("tag", None)

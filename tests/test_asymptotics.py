@@ -193,6 +193,13 @@ class TestClassify:
         report = classify_concentration(spec, 0.5)
         assert report.verdict is Verdict.CONCENTRATES_TO_ZERO
 
+    @pytest.mark.parametrize("text, match", [("{", "bad sweep config JSON"),
+                                             ("not json", "bad sweep config JSON"),
+                                             ("[4, 8]", "JSON object"), ("1", "JSON object")])
+    def test_from_json_rejects_non_objects(self, text, match):
+        with pytest.raises(DomainError, match=match):
+            SequenceSpec.from_json(text)
+
 
 class TestStructuralBounds:
     def test_convex_ball_dominated_by_hemisphere(self):

@@ -1,5 +1,5 @@
 """Import footprint: a fresh process loads only the layers and the SciPy
-submodules its command uses.
+submodules its command uses; no command loads ``scipy.special``.
 
 Each check runs in a new interpreter and reads ``sys.modules``, so it does
 not depend on timing.  Interpreter start plus import is most of a CLI
@@ -169,7 +169,21 @@ def test_catalog_screens_load_no_integrate_optimize_or_linalg():
 
 
 def test_jacobi_loads_no_special():
-    assert "scipy.special" not in loaded_after("import boundarylab.jacobi")
+    """Every kernel, the curved ones of both signs and the growth outside a
+    ball included, runs without importing SciPy at all."""
+    mods = loaded_after(
+        "from boundarylab import jacobi\n"
+        "for N, kappa, lam in [(3.0, 1.0, 0.5), (4.5, 2.0, -1.0), (40.0, 0.5, 0.2), (2.5, -1.0, 1.5),\n"
+        "                      (1.01, -0.05, 0.22383), (12.0, -2.0, 3.0), (3.0, 0.0, 1.0)]:\n"
+        "    cc = jacobi.classify(kappa, lam)\n"
+        "    r = jacobi.v_inverse(N, cc, 0.3)\n"
+        "    jacobi.v_ball(N, cc, r), jacobi.s_growth(N, cc, 0.5 * r)\n"
+        "for kappa, lam in [(-1.0, 0.5), (-1.0, -2.0), (-1.0, -1.0), (0.0, -1.0)]:\n"
+        "    jacobi.s_growth(3.5, jacobi.classify(kappa, lam), 2.0)\n"
+        "ic = jacobi.classify_infinite(1.0, 0.5)\n"
+        "jacobi.gaussian_tail(ic, jacobi.gaussian_tail_inverse(ic, 0.3))\n"
+    )
+    assert not {m for m in mods if m == "scipy" or m.startswith("scipy.")}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -196,7 +210,21 @@ def test_flat_and_gaussian_commands_load_no_special(tmp_path, fmt):
     assert "scipy.special" not in mods
 
 
-def test_curved_ball_model_loads_special(tmp_path):
+def test_curved_commands_load_no_special(tmp_path):
+    hemisphere = tmp_path / "hemisphere.json"
+    hemisphere.write_text(json.dumps({"family": "hemisphere", "kappa": 1.0, "eta": 0.3,
+                                      "n": [2, 5, 20]}))
     mods = loaded_after_commands(
-        tmp_path, ["model", "--tag", "ball", "--n", "3", "--kappa", "1", "--lambda", "0.5"])
-    assert "scipy.special" in mods
+        tmp_path,
+        ["model", "--tag", "ball", "--n", "3", "--kappa", "1", "--lambda", "0.5",
+         "--eta", "0.2", "--eta", "0.7"],
+        ["--format", "csv", "model", "--tag", "ball", "--n", "4", "--kappa", "-1",
+         "--lambda", "1.5", "--eta", "0.3"],
+        ["compare", "--regime", "finite", "--N", "5.9", "--kappa", "1.8", "--lambda", "0.4"],
+        ["--format", "csv", "compare", "--regime", "finite", "--N", "2.5", "--kappa", "-0.5",
+         "--lambda", "1.2"],
+        ["compare", "--regime", "twisted", "--n", "6", "--kappa", "0.3", "--lambda", "0.4",
+         "--delta", "0.07"],
+        ["sweep", "--config", str(hemisphere)],
+    )
+    assert "scipy.special" not in mods

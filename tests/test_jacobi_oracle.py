@@ -257,6 +257,7 @@ class TestAgainstMpmath:
             (1000.0, 1.0, -0.5, 1e-6),   # reflected past pi/2
             (1000.0, -1.0, 3.0, 0.99),   # r << C: the start of the ray keeps precision
             (1.01, -1.0, 1.01, 1e-6),    # near-horospherical rim, N near 1
+            (1.01, -0.05, 0.22383, 0.9947),  # rim at w = 3.8, past the split of _sinh_2f1
             (1000.0, 0.0, 1.0, 1e-6),
         ],
     )
@@ -383,3 +384,25 @@ def test_gaussian_inverse_evaluation_count(monkeypatch):
         jacobi.gaussian_tail_inverse(classify_infinite(K, Lam), eta)
         counts.append(len(calls) - before)
     assert statistics.median(counts) <= 2
+
+
+def test_v_inverse_evaluation_count(monkeypatch):
+    """Forward evaluations per curved-ball inverse over kappa in [0.05, 3],
+    lam in [-1.5, 2], N in [1.5, 60], eta in [0.02, 0.98], and over balls
+    of negative curvature: the starts leave one sixth-order step in most
+    cases."""
+    forward = jacobi._log_ratio
+    calls = []
+    monkeypatch.setattr(jacobi, "_log_ratio", lambda *args: calls.append(args) or forward(*args))
+    rng = np.random.default_rng(11)
+    for sign in (1.0, -1.0):
+        counts = []
+        for _ in range(600):
+            kappa = sign * rng.uniform(0.05, 3.0)
+            lam = (rng.uniform(-1.5, 2.0) if sign > 0
+                   else math.sqrt(-kappa) * rng.uniform(1.001, 4.0))
+            before = len(calls)
+            jacobi.v_inverse(rng.uniform(1.5, 60.0), classify(kappa, lam), rng.uniform(0.02, 0.98))
+            counts.append(len(calls) - before)
+        assert statistics.median(counts) <= 2
+        assert max(counts) <= 8

@@ -260,6 +260,11 @@ class TestSerialization:
         with pytest.raises(DomainError):
             model_from_json('{"tag": "ball", "n": 3}')
 
+    @pytest.mark.parametrize("text", ["{", "", "not json", '{"tag": "ball",}'])
+    def test_not_json(self, text):
+        with pytest.raises(DomainError, match="bad model JSON"):
+            model_from_json(text)
+
 
 class TestRadialDensityContract:
     @pytest.mark.parametrize("where, bad", [
