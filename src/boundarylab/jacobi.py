@@ -48,8 +48,8 @@ step from r = 0, where the forward map and its derivatives are known;
 for the Gaussian tail the erfc inverse itself; and an analytic bracket
 end where these fail.  The derivatives of the log tail mass follow from
 its slope by a Riccati equation, so each step is of sixth order at the
-cost of one forward evaluation, and one usually reaches rounding level;
-bisection is the safeguard.  No quadrature runs here; the adaptive
+cost of one forward evaluation, and one step usually reaches rounding
+level; bisection is the safeguard.  No quadrature runs here; the adaptive
 quadrature these forms replaced is the oracle of
 ``tests/test_jacobi_oracle.py``.
 
@@ -63,7 +63,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-
 from typing import NamedTuple
 
 import numpy as np
@@ -353,7 +352,7 @@ def _log_half_beta(N: float) -> float:
 
     Below a = N/2 = 50 it is log(Gamma(a) / Gamma(a + 1/2) * sqrt(pi) / 2)
     on ``math.gamma``, whose quotient keeps the relative precision that a
-    difference of two log-gammas loses (4e-13 at N = 937).  Beyond,
+    difference of two log-gammas loses.  Beyond,
     log B(a, 1/2) = log Gamma(1/2) - log(Gamma(a + 1/2) / Gamma(a)) comes
     from the asymptotic series of the ratio (DLMF 5.11), whose next term is
     below 1e-18 at a = 50.
