@@ -534,7 +534,8 @@ def _log_int_cosh(N: float, w: float) -> float:
         return head
     # the summands peak at j = m q / (1 + q), q = e^(-2w) <= 1/e, with a
     # width of order sqrt(m); 12 widths each side leave e^-300 out
-    peak = m / (1.0 + math.exp(2.0 * w))
+    q = math.exp(-2.0 * w)
+    peak = m * q / (1.0 + q)
     reach = 12.0 * math.sqrt(m) + 60.0
     j = np.arange(max(0.0, math.floor(peak - reach)),
                   min(math.floor(m) + 61.0, math.ceil(peak + reach)))
@@ -791,8 +792,10 @@ def _taylor_step(fx: float, p0: float, q: tuple[float, float, float, float]) -> 
     e = -fx / p0
     if abs(c2 * e) > 0.2:
         return e, e
-    error = (14.0 * c2**4 - 21.0 * c2 * c2 * c3 + 6.0 * c2 * c4 + 3.0 * c3 * c3 - c5) * e**5
-    return e * (1.0 + e * (-c2 + e * (2.0 * c2 * c2 - c3 + e * (5.0 * c2 * (c3 - c2 * c2) - c4)))) + error, error
+    # products rather than powers, which raise where a product overflows to inf
+    c22, e2 = c2 * c2, e * e
+    error = (14.0 * c22 * c22 - 21.0 * c22 * c3 + 6.0 * c2 * c4 + 3.0 * c3 * c3 - c5) * e2 * e2 * e
+    return e * (1.0 + e * (-c2 + e * (2.0 * c22 - c3 + e * (5.0 * c2 * (c3 - c22) - c4)))) + error, error
 
 
 def _newton(f, x: float, lo: float, hi: float) -> float:
@@ -918,7 +921,9 @@ def v_inverse(N: float, cc: CurvatureClass, eta: float) -> float:
 
     def f(u):
         log_v, log_dg = _log_ratio(rim, u)
-        return log_v - log_eta, -math.exp(m * (log_g + log_dg) - log_G - log_v), q_series(u)
+        # at the rim (u = X) the profile vanishes, f has no slope and q a pole
+        return (log_v - log_eta, -math.exp(m * (log_g + log_dg) - log_G - log_v),
+                q_series(u) if u < X else None)
 
     if cc.kappa > 0:
         T = math.exp(log_eta + log_G - rim.log_half_beta)

@@ -180,6 +180,14 @@ class TestGrowth:
         with pytest.raises(DomainError):
             s_growth(2.0, classify(0.0, -1.0), math.inf)
 
+    @pytest.mark.parametrize("r", [2.0, 40.0, 400.0])
+    def test_outside_the_ball_at_large_angles(self, r):
+        # |lam| < k: s = cosh(theta0 + k t) / cosh(theta0), which integrates to
+        # sinh at N = 2; at r = 400, e^(2 (theta0 + r)) is past the float range
+        theta0 = -math.atanh(0.5)
+        ref = (math.sinh(theta0 + r) - math.sinh(theta0)) / math.cosh(theta0)
+        assert s_growth(2.0, classify(-1.0, 0.5), r) == pytest.approx(ref, rel=1e-12)
+
     def test_bad_N_rejected(self):
         with pytest.raises(DomainError):
             s_growth(1.0, classify(1.0, 0.0), 1.0)

@@ -258,6 +258,8 @@ class TestAgainstMpmath:
             (1000.0, -1.0, 3.0, 0.99),   # r << C: the start of the ray keeps precision
             (1.01, -1.0, 1.01, 1e-6),    # near-horospherical rim, N near 1
             (1.01, -0.05, 0.22383, 0.9947),  # rim at w = 3.8, past the split of _sinh_2f1
+            (2.29, -0.46, 0.68, 3.7e-159),   # the bracket end rounds onto the rim
+            (1.002, 24.0, 87.8, 4.4e-210),
             (1000.0, 0.0, 1.0, 1e-6),
         ],
     )
