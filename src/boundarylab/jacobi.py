@@ -884,11 +884,13 @@ def v_inverse(N: float, cc: CurvatureClass, eta: float) -> float:
     concave because G integrates a log-concave power.  So the root lies
     below the tangent's root u = -log eta G(X) / g(X)^(N-1), and below
     X (1 - (eta min(1, g(X)/X)^(N-1))^(1/N)), where v <= eta.  The start is
-    the lesser bound, or for kappa > 0 ``_sin_start`` where
-    eta G(X) / (B(N/2, 1/2) / 2) is a normal float and that start lies
-    within the bounds.  Newton steps with Halley's correction on the exact
-    forward map, whose slope is -g^(N-1) / G and whose curvature follows
-    from the slope, then converge to rounding level.
+    ``_sin_start`` for kappa > 0 where eta G(X) / (B(N/2, 1/2) / 2) is a
+    normal float, and for kappa < 0 a ``_taylor_step`` from u = 0, where
+    the forward map is 0 and its derivatives come from the rim; the lesser
+    bound where that start falls outside the bounds.  The steps of
+    ``_newton`` on the exact forward map, whose slope is -g^(N-1) / G and
+    whose higher derivatives follow from the slope, then converge to
+    rounding level.
     """
     N = _check_N(N)
     eta = float(eta)
@@ -1053,8 +1055,9 @@ def gaussian_tail_inverse(ic: InfiniteCurvature, eta: float) -> float:
     The start is z = erfc^-1(eta erfc(z0)) in closed form (``_erfc_inverse``)
     when that product is a normal float, and otherwise the upper bracket
     where the Gaussian factor alone reaches eta (erfcx decreases, so S
-    lies below that factor); Newton steps on the concave log S, whose slope is
-    -sqrt(2K/pi) / erfcx(z), then converge to rounding level.
+    lies below that factor); the steps of ``_newton`` on the concave log S,
+    whose slope is -sqrt(2K/pi) / erfcx(z) and whose weight has
+    w'/w = -(K r + Lam), then converge to rounding level.
     """
     _require_admissible(ic)
     eta = float(eta)
