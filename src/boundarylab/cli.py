@@ -19,11 +19,11 @@ import numpy as np
 from .errors import DomainError, RegimeError
 
 # Each command imports its own layer modules: a fresh process then loads
-# only what it runs.  No command loads scipy.special, scipy.linalg,
-# scipy.optimize or scipy.integrate: SciPy runs only in the library's
-# independent checks (``quad`` in models.normalization_audit and
-# models.volume_ratio_audit, ``brentq`` in screens.ky_fan_zero).
-# Interpreter start plus import is most of a command's wall time.
+# only what it runs.  No command loads SciPy: it runs only in the library's
+# independent checks, imported at the call (``quad`` in
+# models.normalization_audit and models.volume_ratio_audit, ``brentq`` in
+# screens.ky_fan_zero).  Interpreter start plus import is most of a
+# command's wall time.
 
 EXIT_OK = 0
 EXIT_INPUT = 2

@@ -1,7 +1,7 @@
 """Model-space catalog and comparison-bound dispatch.
 
 Each catalog entry is a radially symmetric space whose boundary-distance
-screen and observable inscribed radius have closed forms:
+screen and observable inscribed radius have closed forms on a kernel built once:
 
 * ``ball``                -- geodesic ball with profile-power density;
 * ``warped``              -- horospherical warped product (pure exponential);
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import jacobi, screens
 from ._integrate import cumulative_trapezoid, pl_cumulative, pl_density
@@ -78,20 +77,18 @@ class ModelSpace:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"{self.tag} model parameter {name} is not finite, got {value}")
+        if self.n is not None and self.n < 2:
+            raise DomainError(f"{self.tag} dimension must be >= 2, got {self.n}")
+        # the screen's (family, params, kernel), not a field: ==, hash, repr, replace, JSON skip it
+        family, params = _SCREENS[self.tag](self)
+        object.__setattr__(self, "_screen", (family, params, screens._FAMILIES[family].kernel(**params)))
 
     @classmethod
     def ball(cls, n: int, kappa: float, lam: float) -> "ModelSpace":
-        if n < 2:
-            raise DomainError(f"ball dimension must be >= 2, got {n}")
-        cc = jacobi.classify(kappa, lam)
-        if not cc.is_ball:
-            raise DomainError(f"({kappa}, {lam}) does not admit a comparison ball")
         return cls("ball", n=int(n), kappa=float(kappa), lam=float(lam))
 
     @classmethod
     def warped(cls, n: int, kappa: float) -> "ModelSpace":
-        if n < 2:
-            raise DomainError(f"warped dimension must be >= 2, got {n}")
         if not kappa < 0:
             raise DomainError(f"warped model needs kappa < 0, got {kappa}")
         return cls("warped", n=int(n), kappa=float(kappa), lam=math.sqrt(-kappa))
@@ -110,8 +107,6 @@ class ModelSpace:
 
     @classmethod
     def weighted_warped_exp(cls, n: int, N: float, kappa: float) -> "ModelSpace":
-        if n < 2:
-            raise DomainError(f"dimension must be >= 2, got {n}")
         if N < n:
             raise DomainError(f"effective dimension N={N} must be >= n={n}")
         if not kappa < 0:
@@ -121,8 +116,6 @@ class ModelSpace:
 
     @classmethod
     def weighted_warped_gauss(cls, n: int, kappa: float, delta: float) -> "ModelSpace":
-        if n < 2:
-            raise DomainError(f"dimension must be >= 2, got {n}")
         if not kappa < 0:
             raise DomainError(f"needs kappa < 0, got {kappa}")
         return cls("weighted_warped_gauss", n=int(n), kappa=float(kappa),
@@ -175,7 +168,7 @@ def boundary_screen(m: ModelSpace) -> screens.Screen:
     The density on the ray is the normalized radial volume element; all
     catalog screens have full support.
     """
-    family, params = _SCREENS[m.tag](m)
+    family, params, _ = m._screen
     return screens.closed_screen(family, **params)
 
 
@@ -184,9 +177,8 @@ def closed_form_obs_inradius(m: ModelSpace, eta: float) -> float:
     (1 - eta)-quantile of its boundary screen by the family's exact inverse."""
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must lie in (0, 1], got {eta}")
-    family, params = _SCREENS[m.tag](m)
-    fam = screens._FAMILIES[family]
-    return fam.inverse(fam.kernel(**params), eta)
+    family, _, kernel = m._screen
+    return screens._FAMILIES[family].inverse(kernel, eta)
 
 
 def normalization_audit(m: ModelSpace) -> float:
@@ -196,6 +188,7 @@ def normalization_audit(m: ModelSpace) -> float:
     normalizing constant are integrated independently instead of trusting
     the algebra; the result should be 1 for every catalog entry.
     """
+    import scipy
     if m.tag == "weighted_warped_exp":
         # raw weight e^{-f(z)} = (N-1) lam / vol(S^{n-1}) against s^{N-1}
         sphere = 2.0 * math.pi ** (m.n / 2.0) / math.gamma(m.n / 2.0)
@@ -237,12 +230,32 @@ class FiniteN:
     N: float
     cc: CurvatureClass
 
+    @functools.cached_property
+    def _kernel(self):
+        if not (self.N > 1 and math.isfinite(self.N)):
+            raise DomainError(f"N must be finite and exceed 1, got {self.N}")
+        if self.cc.is_ball:
+            return "ball", jacobi.ball_kernel(self.N, self.cc)
+        if self.cc.is_horospherical:
+            return "exponential", (self.N - 1) * math.sqrt(-self.cc.kappa)
+        raise RegimeError(f"no comparison available for regime {self.cc.regime.value} at N={self.N}")
+
 
 @dataclass(frozen=True)
 class Twisted:
     """Density-bounded comparison data."""
 
     tp: TwistParams
+
+    @functools.cached_property
+    def _kernel(self):
+        tp, raw = self.tp, jacobi.classify(self.tp.kappa, self.tp.lam)
+        if raw.is_convex_ball:
+            return "ball", jacobi.ball_kernel(float(tp.n), tp.effective())
+        if raw.is_horospherical and tp.kappa < 0:
+            return "exponential", (tp.n - 1) * tp.lam * math.exp(-2.0 * tp.delta)
+        raise RegimeError("twisted comparison needs the convex-ball regime or the "
+                          f"horospherical case, got {raw.regime.value}")
 
 
 @dataclass(frozen=True)
@@ -251,43 +264,25 @@ class Infinite:
 
     ic: InfiniteCurvature
 
+    @functools.cached_property
+    def _kernel(self):
+        if not self.ic.admissible:
+            raise RegimeError(f"no comparison available for (K, Lam) = ({self.ic.K}, {self.ic.Lam})")
+        return "half_gaussian", self.ic
+
 
 def comparison_bound(kind, eta: float) -> float:
     """Upper bound for ObsInRad of any admissible space with these bounds.
 
-    Raises ``RegimeError`` when the curvature data is outside every
-    covered regime (no comparison exists there).
+    Raises ``RegimeError``, at every call, when the curvature data is outside
+    every covered regime; a kind keeps its (family, kernel) from its first bound.
     """
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must lie in (0, 1], got {eta}")
-    if isinstance(kind, FiniteN):
-        if not (kind.N > 1 and math.isfinite(kind.N)):
-            raise DomainError(f"N must be finite and exceed 1, got {kind.N}")
-        cc = kind.cc
-        if cc.is_ball:
-            return screens._FAMILIES["ball"].inverse((kind.N, cc), eta)
-        if cc.is_horospherical:
-            lam = math.sqrt(-cc.kappa)
-            return screens._FAMILIES["exponential"].inverse((kind.N - 1) * lam, eta)
-        raise RegimeError(f"no comparison available for regime {cc.regime.value} at N={kind.N}")
-    if isinstance(kind, Twisted):
-        tp = kind.tp
-        raw = jacobi.classify(tp.kappa, tp.lam)
-        if raw.is_convex_ball:
-            return screens._FAMILIES["ball"].inverse((float(tp.n), tp.effective()), eta)
-        if raw.is_horospherical and tp.kappa < 0:
-            rate = (tp.n - 1) * tp.lam * math.exp(-2.0 * tp.delta)
-            return screens._FAMILIES["exponential"].inverse(rate, eta)
-        raise RegimeError(
-            "twisted comparison needs the convex-ball regime or the "
-            f"horospherical case, got {raw.regime.value}"
-        )
-    if isinstance(kind, Infinite):
-        ic = kind.ic
-        if not ic.admissible:
-            raise RegimeError(f"no comparison available for (K, Lam) = ({ic.K}, {ic.Lam})")
-        return screens._FAMILIES["half_gaussian"].inverse(ic, eta)
-    raise DomainError(f"unknown comparison kind {kind!r}")
+    if not isinstance(kind, (FiniteN, Twisted, Infinite)):
+        raise DomainError(f"unknown comparison kind {kind!r}")
+    family, kernel = kind._kernel
+    return screens._FAMILIES[family].inverse(kernel, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +331,7 @@ def volume_ratio_audit(
     if isinstance(kind, FiniteN):
         rhs = jacobi.s_growth(kind.N, kind.cc, R) / jacobi.s_growth(kind.N, kind.cc, r)
     elif isinstance(kind, Infinite):
+        import scipy
         ic = kind.ic
         w = lambda t: np.exp(-0.5 * ic.K * t * t - ic.Lam * t)  # noqa: E731
         num, _ = scipy.integrate.quad(w, 0.0, R, limit=200)

@@ -25,7 +25,6 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from ._integrate import cumulative_simpson as _cumulative_simpson
 from .errors import DomainError
@@ -314,7 +313,8 @@ class DensityScreen(Screen):
     ``scan_upper``, ``to_csv``) read a Simpson table of the density, built
     on first use: the curved-ball tail is a scalar kernel, too slow for
     the thousands of abscissae a scan probes.  Every parameter is checked
-    before a kernel runs.
+    before the kernel that every query reads is built, once (a ball's is a
+    ``jacobi.BallKernel``, which holds its rim).
     """
 
     def __init__(self, family: str, params: dict, scale_factor: float = 1.0,
@@ -442,18 +442,13 @@ def _positive(what: str, x) -> float:
 
 
 def _ball(N, kappa, lam):
-    jacobi = _jacobi()
-    N, cc = jacobi._check_N(N), jacobi.classify(kappa, lam)
-    if not (cc.is_ball and math.isfinite(jacobi.c_radius(cc))):
-        raise DomainError(f"({kappa}, {lam}) gives no ball of finite radius")
-    return N, cc
+    return _jacobi().ball_kernel(N, _jacobi().classify(kappa, lam))
 
 
 def _ball_pdf(kernel, t):
     jacobi = _jacobi()
-    N, cc = kernel
-    z = jacobi.s_growth(N, cc, jacobi.c_radius(cc))
-    return np.asarray(jacobi.s_profile_clamped(cc, t), dtype=float) ** (N - 1.0) / z
+    z = jacobi.s_growth(kernel.N, kernel.cc, kernel.C)
+    return np.asarray(jacobi.s_profile_clamped(kernel.cc, t), dtype=float) ** (kernel.N - 1.0) / z
 
 
 def _half_gaussian(K, Lam):
@@ -486,9 +481,8 @@ _FAMILIES = {f.name: f for f in (
         lambda rate, r: math.exp(-rate * r), lambda rate, eta: math.log(1.0 / eta) / rate,
         lambda rate, t: rate * np.exp(-rate * t)),
     _Family(
-        "ball", _ball, lambda k: _jacobi().c_radius(k[1]),
-        lambda k, r: _jacobi().v_ball(*k, r), lambda k, eta: _jacobi().v_inverse(*k, eta),
-        _ball_pdf),
+        "ball", _ball, lambda k: k.C, lambda k, r: _jacobi().ball_tail(k, r),
+        lambda k, eta: _jacobi().ball_inverse(k, eta), _ball_pdf),
     _Family(
         "half_gaussian", _half_gaussian, lambda ic: math.inf,
         lambda ic, r: _jacobi().gaussian_tail(ic, r),
@@ -583,6 +577,7 @@ def ky_fan_zero(s: Screen) -> float:
     g0 = s.tail_open(0.0)
     if g0 <= 0.0:
         return 0.0
+    import scipy
     return float(scipy.optimize.brentq(
         lambda e: s.tail_open(e) - e, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16,
     ))

@@ -1,5 +1,5 @@
-"""Import footprint: a fresh process loads only the layers and the SciPy
-submodules its command uses; no command loads ``scipy.special``.
+"""Import footprint: a fresh process loads only the layers its command
+uses, and no command loads SciPy.
 
 Each check runs in a new interpreter and reads ``sys.modules``, so it does
 not depend on timing.  Interpreter start plus import is most of a CLI
@@ -228,3 +228,39 @@ def test_curved_commands_load_no_special(tmp_path):
         ["sweep", "--config", str(hemisphere)],
     )
     assert "scipy.special" not in mods
+
+
+def test_no_command_loads_scipy(tmp_path):
+    """Every kind of command the cold-CLI benchmark runs, in one process:
+    SciPy is imported only by the library's independent checks
+    (``ky_fan_zero``, ``normalization_audit``, ``volume_ratio_audit``), which
+    no command calls."""
+    hemisphere = tmp_path / "hemisphere.json"
+    hemisphere.write_text(json.dumps({"family": "hemisphere", "kappa": 1.0, "eta": 0.5,
+                                      "n": [4, 8, 16]}))
+    classify = tmp_path / "classify.json"
+    classify.write_text(json.dumps({
+        "family": "euclid_ball", "eta": 0.4, "n": [4, 8, 16, 32],
+        "schedule": {"kind": "power", "coef": 1.0, "exp": -0.5}}))
+    mods = loaded_after_commands(
+        tmp_path,
+        ["model", "--tag", "ball", "--n", "5", "--kappa", "1.2", "--lambda", "-0.3",
+         "--eta", "0.2", "--eta", "0.6"],
+        ["--format", "csv", "model", "--tag", "half_gaussian", "--K", "0.8", "--lambda",
+         "-0.2", "--eta", "0.2"],
+        ["compare", "--regime", "finite", "--N", "4.5", "--kappa", "1.2", "--lambda", "-0.3",
+         "--eta", "0.2", "--eta", "0.6"],
+        ["compare", "--regime", "twisted", "--n", "3", "--kappa", "0.8", "--lambda", "0.9",
+         "--delta", "0.1"],
+        ["--format", "csv", "compare", "--regime", "infinite", "--K", "2", "--lambda", "-0.5"],
+        ["spectrum", "--file", "problem.csv", "--k", "3"],
+        ["audit", "--file", "problem.csv", "--k", "3", "--eta", "0.2", "--eta", "0.5"],
+        ["graph", "rho", "--file", "graph.json"],
+        ["graph", "screen", "--file", "graph.json"],
+        ["graph", "bsep", "--file", "graph.json", "--mode", "exact", "--eta", "0.2"],
+        ["--format", "csv", "graph", "bsep", "--file", "graph.json", "--mode", "greedy",
+         "--eta", "0.2", "--eta", "0.3"],
+        ["sweep", "--config", str(hemisphere)],
+        ["--format", "csv", "sweep", "--config", str(classify)],
+    )
+    assert not {m for m in mods if m == "scipy" or m.startswith("scipy.")}

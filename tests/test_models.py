@@ -1,5 +1,6 @@
 """Tests for the model catalog, comparison bounds, and volume audits."""
 
+import dataclasses
 import json
 import math
 
@@ -306,3 +307,95 @@ def test_screen_pipeline_equals_closed_form(m, eta):
     closed = closed_form_obs_inradius(m, eta)
     piped = screens.obs_inradius(boundary_screen(m), eta)
     assert piped == pytest.approx(closed, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# kernels held by models and comparison kinds
+# ---------------------------------------------------------------------------
+
+@st.composite
+def comparison_kinds(draw):
+    """(kind, direct) over the five regimes: a finite-N ball of each sign of
+    kappa, the horospherical case, a twisted ball and an infinite kind with
+    K > 0 or K = 0; ``direct(eta)`` is the jacobi call the bound makes."""
+    regime = draw(st.sampled_from(["ball", "horospherical", "twisted", "gaussian", "exp"]))
+    N = draw(st.floats(1.2, 60.0))
+    if regime == "ball":
+        kappa = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(st.floats(0.05, 3.0))
+        lam = (draw(st.floats(-2.0, 3.0)) if kappa > 0
+               else math.sqrt(-kappa) + draw(st.floats(0.01, 3.0)))
+        cc = jacobi.classify(kappa, lam)
+        return FiniteN(N, cc), lambda eta: jacobi.v_inverse(N, cc, eta)
+    if regime == "horospherical":
+        kappa = -draw(st.floats(0.05, 3.0))
+        rate = (N - 1) * math.sqrt(-kappa)
+        return (FiniteN(N, jacobi.classify(kappa, math.sqrt(-kappa))),
+                lambda eta: math.log(1.0 / eta) / rate)
+    if regime == "twisted":
+        kappa = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(st.floats(0.05, 2.0))
+        lam = (math.sqrt(-kappa) if kappa < 0 else 0.0) + draw(st.floats(0.01, 2.0))
+        tp = jacobi.TwistParams(draw(st.integers(2, 8)), kappa, lam, draw(st.floats(-0.5, 0.7)))
+        return Twisted(tp), lambda eta: jacobi.v_inverse(float(tp.n), tp.effective(), eta)
+    K = draw(st.floats(0.05, 3.0)) if regime == "gaussian" else 0.0
+    ic = jacobi.classify_infinite(K, draw(st.floats(-1.5, 2.0) if K else st.floats(0.1, 3.0)))
+    return Infinite(ic), lambda eta: jacobi.gaussian_tail_inverse(ic, eta)
+
+
+@settings(max_examples=150)
+@given(case=comparison_kinds(), etas=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4))
+def test_held_comparison_kernel_equals_direct_call(case, etas):
+    """Every bound of one kind, the first and the later ones, is bitwise the
+    kernel call with nothing held; the kind compares, hashes and prints as
+    a fresh one."""
+    kind, direct = case
+    fresh = type(kind)(*(getattr(kind, f.name) for f in dataclasses.fields(kind)))
+    for eta in etas:
+        assert comparison_bound(kind, eta) == direct(eta)
+    assert kind == fresh and hash(kind) == hash(fresh) and repr(kind) == repr(fresh)
+    assert dataclasses.fields(kind) == dataclasses.fields(fresh)
+
+
+@settings(max_examples=80)
+@given(m=catalog_models(), eta=st.floats(0.01, 0.99))
+def test_held_model_kernel(m, eta):
+    """The closed form and the boundary screen read the model's kernel and
+    agree bitwise; equality, hashing, repr, JSON and ``replace`` see the
+    parameters alone."""
+    assert closed_form_obs_inradius(m, eta) == screens.obs_inradius(boundary_screen(m), eta)
+    twin = model_from_json(m.to_json())
+    assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+    assert twin.to_json() == m.to_json()
+    assert "_screen" not in repr(m) and [f.name for f in dataclasses.fields(m)] == [
+        "tag", "n", "N", "kappa", "lam", "K", "Lam", "delta"]
+    copy = dataclasses.replace(m)
+    assert copy == m and closed_form_obs_inradius(copy, eta) == closed_form_obs_inradius(m, eta)
+
+
+def test_replace_rebuilds_the_held_kernel():
+    m = ModelSpace.ball(3, 1.0, 0.2)
+    moved = dataclasses.replace(m, lam=0.5)
+    assert moved == ModelSpace.ball(3, 1.0, 0.5) != m
+    assert closed_form_obs_inradius(moved, 0.3) == closed_form_obs_inradius(
+        ModelSpace.ball(3, 1.0, 0.5), 0.3)
+    kind = FiniteN(4.0, jacobi.classify(1.0, 0.3))
+    comparison_bound(kind, 0.4)
+    other = dataclasses.replace(kind, N=6.0)
+    assert comparison_bound(other, 0.4) == jacobi.v_inverse(6.0, kind.cc, 0.4)
+
+
+@pytest.mark.parametrize("kind, error, message", [
+    (FiniteN(3.0, jacobi.classify(-1.0, 0.5)), RegimeError,
+     "no comparison available for regime none at N=3.0"),
+    (FiniteN(math.inf, jacobi.classify(1.0, 0.5)), DomainError,
+     "N must be finite and exceed 1, got inf"),
+    (FiniteN(1, jacobi.classify(1.0, 0.5)), DomainError, "N must be finite and exceed 1, got 1"),
+    (Twisted(jacobi.TwistParams(3, 1.0, -0.5, 0.1)), RegimeError,
+     "twisted comparison needs the convex-ball regime or the horospherical case, got ball"),
+    (Infinite(jacobi.classify_infinite(0.0, -1.0)), RegimeError,
+     r"no comparison available for \(K, Lam\) = \(0.0, -1.0\)"),
+])
+def test_out_of_regime_kind_raises_at_each_call(kind, error, message):
+    """Construction succeeds; every bound raises the same error."""
+    for _ in range(2):
+        with pytest.raises(error, match=f"^{message}$"):
+            comparison_bound(kind, 0.5)
