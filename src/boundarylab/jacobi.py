@@ -368,24 +368,23 @@ def _log_half_beta(N: float) -> float:
     return _LOG_HALF_SQRT_PI - log_ratio
 
 
-def _beta_cf(a: float, b: float, x: float, extra_pairs: float = 0.0, share: float = 1.0) -> float:
+def _beta_cf(a: float, b: float, x: float, extra_pairs: float = 0.0) -> float:
     """The continued fraction h of DLMF 8.17.22, I_x(a, b) =
     x^a (1-x)^b / (a B(a, b)) * h; it converges fast for
     x < (a + 1) / (a + b + 2).
 
     Its partial numerators tend to -x/4, so its tails tend to
     t = (1 + sqrt(1 - x)) / 2 and contract by rho = x / (1 + sqrt(1 - x))^2
-    per term there.  It is summed backward from t over ``share`` times
-    log(eps) / (2 log rho) pairs plus ``extra_pairs`` (early partial
-    numerators differ from the limit): about an ulp, where the products of
-    the modified Lentz method leave 5 to 10.  Past 64 pairs (x near 1) it
-    takes the count at which Lentz's method converges.
+    per term there.  It is summed backward from t over log(eps) / (2 log rho)
+    pairs of terms plus ``extra_pairs`` (for early partial numerators above
+    the limit), which leaves about an ulp where the products of the modified
+    Lentz method leave 5 to 10.  Where that count passes 64 (x near 1) the
+    number of pairs is the one at which Lentz's method converges.
     """
     root = math.sqrt(1.0 - x)
     rho = x / (1.0 + root) ** 2
     if rho <= _CF_RHO_MAX:
-        pairs = (math.ceil(share * _LOG_EPS / (2.0 * math.log(rho)) + extra_pairs)
-                 if rho > 0.0 else 1)
+        pairs = math.ceil(_LOG_EPS / (2.0 * math.log(rho)) + extra_pairs) if rho > 0.0 else 1
     else:
         pairs = _lentz_pairs(a, b, x)
     t = 0.5 * (1.0 + root)
@@ -420,15 +419,8 @@ def _lentz_pairs(a: float, b: float, x: float) -> int:
 
 def _sin_2f1(N: float, s: float, c: float) -> float:
     """2F1(1/2, N/2; N/2 + 1; sin^2) = cos * h(N/2, 1/2, sin^2) (DLMF 8.17.7
-    against 8.17.22), where ``_sin_series(N, cos)`` holds.  From N = 30 the
-    early partial numerators, near -(2m/N)^2 sin^2, contract fast: a share of
-    the count plus 2.5 pairs gives the full count's double at all but 2 (3
-    and 5 ulps off) of 75,580 random points of N in [10, 3000].
-    """
-    if N < 30.0:
-        return c * _beta_cf(0.5 * N, 0.5, s * s)
-    share = 1.0 / (1.0 + 1.2 * math.log1p(N * c * math.sqrt(c) / 40.0))
-    return c * _beta_cf(0.5 * N, 0.5, s * s, 2.5, share)
+    against 8.17.22), where ``_sin_series(N, cos)`` holds."""
+    return c * _beta_cf(0.5 * N, 0.5, s * s)
 
 
 def _log_sin_parts(N: float, s: float, c: float, log_half_beta: float) -> tuple[float, float]:
@@ -606,6 +598,16 @@ def ball_kernel(N: float, cc: CurvatureClass) -> BallKernel:
     k = math.sqrt(abs(cc.kappa))
     if cc.kappa > 0:
         X = _HALF_PI - math.atan(cc.lam / k)
+    else:
+        # X = atanh(k / lam) = log1p(2k / (lam - k)) / 2, with lam - k taken as
+        # (lam^2 + kappa) / (lam + k) and lam^2 split exactly, so that a pair
+        # near the horospherical line keeps the digits of lam - k
+        square, square_error = _square(cc.lam)
+        X = 0.5 * math.log1p(2.0 * k / ((square + cc.kappa + square_error) / (cc.lam + k)))
+    if not X > 0.0:  # lam / sqrt|kappa| past about 1e16 (kappa > 0) or lam^2 overflowing
+        raise DomainError(f"({cc.kappa}, {cc.lam}): the rim angle sqrt|kappa| C of the "
+                          "comparison ball rounds to 0")
+    if cc.kappa > 0:
         s, c = math.sin(X), math.cos(X)
         log_half_beta = _log_half_beta(N)
         if _sin_series(N, c):
@@ -614,11 +616,6 @@ def ball_kernel(N: float, cc: CurvatureClass) -> BallKernel:
         else:
             f, log_G = None, _log_int_sin(N, s, c, log_half_beta)
         return BallKernel(N, cc, C, k, X, s, c, math.nan, log_G, math.log(s), f, log_half_beta)
-    # X = atanh(k / lam) = log1p(2k / (lam - k)) / 2, with lam - k taken as
-    # (lam^2 + kappa) / (lam + k) and lam^2 split exactly, so that a pair
-    # near the horospherical line keeps the digits of lam - k
-    square, square_error = _square(cc.lam)
-    X = 0.5 * math.log1p(2.0 * k / ((square + cc.kappa + square_error) / (cc.lam + k)))
     t = math.tanh(X)
     f = _sinh_2f1(N, X, t)
     log_g = _log_sinh(X)

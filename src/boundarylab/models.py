@@ -168,8 +168,8 @@ def boundary_screen(m: ModelSpace) -> screens.Screen:
     The density on the ray is the normalized radial volume element; all
     catalog screens have full support.
     """
-    family, params, _ = m._screen
-    return screens.closed_screen(family, **params)
+    family, params, kernel = m._screen
+    return screens.DensityScreen(family, params, kernel=kernel)
 
 
 def closed_form_obs_inradius(m: ModelSpace, eta: float) -> float:

@@ -314,21 +314,24 @@ class DensityScreen(Screen):
     on first use: the curved-ball tail is a scalar kernel, too slow for
     the thousands of abscissae a scan probes.  Every parameter is checked
     before the kernel that every query reads is built, once (a ball's is a
-    ``jacobi.BallKernel``, which holds its rim).
+    ``jacobi.BallKernel``, which holds its rim).  A ``kernel`` already built
+    from ``params`` is taken as it is, unchecked.
     """
 
     def __init__(self, family: str, params: dict, scale_factor: float = 1.0,
-                 full_support: bool = True):
+                 full_support: bool = True, kernel=None):
         self._family = _FAMILIES.get(family)
         if self._family is None:
             raise DomainError(f"unknown screen family {family!r}")
         try:
             self.params = dict(params)
-            for name, x in self.params.items():
-                _require_finite(f"{family} parameter {name}", x)
-            self.kernel = self._family.kernel(**self.params)
+            if kernel is None:
+                for name, x in self.params.items():
+                    _require_finite(f"{family} parameter {name}", x)
+                kernel = self._family.kernel(**self.params)
         except TypeError as exc:  # unknown, missing or non-numeric parameter
             raise DomainError(f"bad parameters for screen family {family!r}: {exc}") from None
+        self.kernel = kernel
         self.scale_factor = float(scale_factor)
         self.full_support = full_support
         self._upper = self._family.upper(self.kernel)
@@ -363,7 +366,7 @@ class DensityScreen(Screen):
 
     def scale(self, c):
         return DensityScreen(self._family.name, self.params, self.scale_factor * c,
-                             self.full_support)
+                             self.full_support, self.kernel)
 
     def _scan_table(self):
         """Knots and CDF values of the density's Simpson table on [0, hi]:

@@ -320,8 +320,10 @@ def comparison_kinds(draw):
     K > 0 or K = 0; ``direct(eta)`` is the jacobi call the bound makes."""
     regime = draw(st.sampled_from(["ball", "horospherical", "twisted", "gaussian", "exp"]))
     N = draw(st.floats(1.2, 60.0))
+    # |kappa| down to the least subnormal, where a ball's rim angle rounds to 0
+    size = st.one_of(st.floats(0.05, 3.0), st.sampled_from([5e-324, 1e-40, 1e-20]))
     if regime == "ball":
-        kappa = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(st.floats(0.05, 3.0))
+        kappa = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(size)
         lam = (draw(st.floats(-2.0, 3.0)) if kappa > 0
                else math.sqrt(-kappa) + draw(st.floats(0.01, 3.0)))
         cc = jacobi.classify(kappa, lam)
@@ -332,7 +334,7 @@ def comparison_kinds(draw):
         return (FiniteN(N, jacobi.classify(kappa, math.sqrt(-kappa))),
                 lambda eta: math.log(1.0 / eta) / rate)
     if regime == "twisted":
-        kappa = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(st.floats(0.05, 2.0))
+        kappa = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(size)
         lam = (math.sqrt(-kappa) if kappa < 0 else 0.0) + draw(st.floats(0.01, 2.0))
         tp = jacobi.TwistParams(draw(st.integers(2, 8)), kappa, lam, draw(st.floats(-0.5, 0.7)))
         return Twisted(tp), lambda eta: jacobi.v_inverse(float(tp.n), tp.effective(), eta)
@@ -341,16 +343,24 @@ def comparison_kinds(draw):
     return Infinite(ic), lambda eta: jacobi.gaussian_tail_inverse(ic, eta)
 
 
+def _outcome(f, *args):
+    """f(*args), or the type and text of the error it raises."""
+    try:
+        return f(*args)
+    except (DomainError, RegimeError) as exc:
+        return type(exc), str(exc)
+
+
 @settings(max_examples=150)
 @given(case=comparison_kinds(), etas=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4))
 def test_held_comparison_kernel_equals_direct_call(case, etas):
     """Every bound of one kind, the first and the later ones, is bitwise the
-    kernel call with nothing held; the kind compares, hashes and prints as
-    a fresh one."""
+    kernel call with nothing held, or raises the same error; the kind
+    compares, hashes and prints as a fresh one."""
     kind, direct = case
     fresh = type(kind)(*(getattr(kind, f.name) for f in dataclasses.fields(kind)))
     for eta in etas:
-        assert comparison_bound(kind, eta) == direct(eta)
+        assert _outcome(comparison_bound, kind, eta) == _outcome(direct, eta)
     assert kind == fresh and hash(kind) == hash(fresh) and repr(kind) == repr(fresh)
     assert dataclasses.fields(kind) == dataclasses.fields(fresh)
 
@@ -399,3 +409,15 @@ def test_out_of_regime_kind_raises_at_each_call(kind, error, message):
     for _ in range(2):
         with pytest.raises(error, match=f"^{message}$"):
             comparison_bound(kind, 0.5)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.5])
+def test_ball_whose_rim_angle_rounds_to_zero_is_a_domain_error(eta):
+    """At kappa = 5e-324, lam = 1 the rim angle pi/2 - atan(lam / sqrt(kappa))
+    rounds to 0: every bound raises DomainError, at eta = 1 too."""
+    cc = jacobi.classify(5e-324, 1.0)
+    for call in (lambda: jacobi.v_inverse(2.0, cc, eta),
+                 lambda: comparison_bound(FiniteN(2.0, cc), eta),
+                 lambda: comparison_bound(Twisted(jacobi.TwistParams(2, 5e-324, 1.0, 0.0)), eta)):
+        with pytest.raises(DomainError, match="rim angle"):
+            call()
