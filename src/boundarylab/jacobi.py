@@ -291,7 +291,7 @@ def c_radius(cc: CurvatureClass) -> float:
     if kappa == 0:
         return 1.0 / lam
     rk = math.sqrt(-kappa)
-    return math.log((lam + rk) / (lam - rk)) / (2.0 * rk)
+    return math.log1p(2.0 * rk / (lam - rk)) / (2.0 * rk)  # atanh(k / lam) / k
 
 
 # ---------------------------------------------------------------------------

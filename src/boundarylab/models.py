@@ -126,7 +126,10 @@ class ModelSpace:
         """Shifted-Gaussian rate (n-1) * lam * e^{-2 delta}."""
         if self.tag != "weighted_warped_gauss":
             raise DomainError("gauss_rate is defined for weighted_warped_gauss only")
-        return (self.n - 1) * self.lam * math.exp(-2.0 * self.delta)
+        try:
+            return (self.n - 1) * self.lam * math.exp(-2.0 * self.delta)
+        except OverflowError:
+            raise DomainError(f"e^(-2 delta) overflows at delta={self.delta}") from None
 
     def to_json(self) -> str:
         fields = {f: getattr(self, f) for f in _FIELDS[self.tag]}

@@ -10,7 +10,9 @@ formed, so no eigenvalue loses the eps/h^2 that Sturm bisection on the
 formed tridiagonal pays.  Small k: Lanczos without a stored basis, with
 the Cullum-Willoughby filter, on the exact inverse of the pencil (the
 Green's operator M^{1/2} S^{-1} M^{1/2}, applied by cumulative sums over
-the face resistances) in O(n) memory.  Its values are kept only when an
+the face resistances) in O(n) memory.  On large grids it starts from the
+prolonged Ritz vectors of a coarse grid (a two-grid start), which about
+halves its steps at 200k points.  Its values are kept only when an
 exact count of the eigenvalues below the k-th agrees; otherwise, and for
 larger k, the k smallest are root-found on those counts.  A count is the
 inertia of S - x M by cyclic reduction over the face conductances, which
@@ -249,6 +251,8 @@ _MATCH_TOL = 1e-12
 _ROUNDING = 8.0         # residual floor in units of eps * mu_1: the matvec rounding
 _MAX_ITER = 1000
 _BLOCK = 1024
+_STRIDE = 16            # the two-grid start's coarse grid keeps every _STRIDE-th node,
+_COARSE_MIN = 800       # and is used from this many: the measured break-even (BENCH_13.json)
 # eigenvalue counts and the root finder; constants, not options
 _LANCZOS_K = 16         # larger k is root-found: on 2k points the cheaper from here on
 _ROOT_TOL = 2.0 ** -44  # a root is returned once its bracket is this narrow, relative
@@ -432,7 +436,8 @@ def _green(p: RadialProblem):
 
     S^{-1} is the discrete Green's function of the finite-volume scheme,
     built from the face resistances r_f = h_f / theta_face by cumulative
-    sums; S itself is never formed.  Returns (apply, size).
+    sums; S itself is never formed.  Returns apply and the mass roots
+    M^{1/2} of the kept nodes.
     """
     theta = p.theta / p.theta.max()  # nu does not change when theta is scaled
     h, th_face, dual = _cells(p.grid, theta)
@@ -454,24 +459,24 @@ def _green(p: RadialProblem):
             y[:-1] += a[:-1] * _cumsum((c * x)[:0:-1])[::-1]
             return y
 
-        return apply, sm.size
-    if not left_d:  # Neumann-Dirichlet is the mirror image of Dirichlet-Neumann
-        sm, r = sm[::-1], r[::-1]
+        return apply, sm
+    # Neumann-Dirichlet is the mirror image of Dirichlet-Neumann
+    ms, r = (sm, r) if left_d else (sm[::-1], r[::-1])
 
     def apply(x):
         # face f carries the mass beyond it (a suffix sum), and u is the
         # resistance-weighted prefix sum of those fluxes
-        return sm * _cumsum(r * _cumsum((sm * x)[::-1])[::-1])
+        return ms * _cumsum(r * _cumsum((ms * x)[::-1])[::-1])
 
     if left_d:
-        return apply, sm.size
-    return (lambda x: apply(x[::-1])[::-1]), sm.size
+        return apply, sm
+    return (lambda x: apply(x[::-1])[::-1]), sm
 
 
 def _genuine(alpha, beta, k):
-    """The k largest genuine Ritz values of the Lanczos tridiagonal T, or
-    None while any of them lacks convergence or lies below what the matvec
-    rounding resolves.
+    """The k largest genuine Ritz values of the Lanczos tridiagonal T and
+    their eigenvectors in T, or None while any of them lacks convergence or
+    lies below what the matvec rounding resolves.
 
     The filter of Cullum and Willoughby (1985): Ritz values closer than
     _CLUSTER_TOL are copies of one eigenvalue (ghosts left by lost
@@ -489,49 +494,78 @@ def _genuine(alpha, beta, k):
     that = np.linalg.eigvalsh(T[1:, 1:])
     floor = _ROUNDING * np.finfo(float).eps * theta[-1]
     res = abs(beta[m - 1]) * np.abs(s[-1])
-    vals = []
+    kept = []
     i = m - 1
-    while i >= 0 and len(vals) < k:
+    while i >= 0 and len(kept) < k:
         if floor > _RESIDUAL_TOL * theta[i]:  # the rest is rounding noise
             return None
-        j = i
+        j = best = i
         while j > 0 and theta[j] - theta[j - 1] <= _CLUSTER_TOL * theta[j]:
             j -= 1
-        x, bound = theta[i], res[i]
+        bound = res[i]
         if j < i:  # copies: the best-resolved one, bounded by their spread
             best = j + int(np.argmin(res[j:i + 1]))
-            x, bound = theta[best], min(res[best], theta[i] - theta[j])
-        elif np.any(np.abs(that - x) <= max(_MATCH_TOL * x, floor)):
+            bound = min(res[best], theta[i] - theta[j])
+        elif np.any(np.abs(that - theta[i]) <= max(_MATCH_TOL * theta[i], floor)):
             i -= 1  # spurious
             continue
-        if bound + floor > _RESIDUAL_TOL * x:
+        if bound + floor > _RESIDUAL_TOL * theta[best]:
             return None
-        vals.append(x)
+        kept.append(best)
         i = j - 1
-    return np.array(vals) if len(vals) == k else None
+    return (theta[kept], s[:, kept]) if len(kept) == k else None
 
 
-def _lanczos(p: RadialProblem, k: int) -> np.ndarray | None:
+def _start(p: RadialProblem, k: int, sm: np.ndarray):
+    """Unit start vector of Lanczos on K, given the mass roots ``sm``, and
+    whether it is the two-grid one (Xu & Zhou, Math. Comp. 70, 2001): where
+    every _STRIDE-th node plus the last makes _COARSE_MIN nodes and 8k cells,
+    the sum of that coarsening's k Ritz vectors as nodal values, zero at
+    Dirichlet ends, interpolated to the fine nodes and scaled by M^{1/2}.
+    Elsewhere, or if the coarse run fails, a seeded random vector.
+    """
+    n = p.grid.size
+    nodes = np.append(np.arange(0, n - 1, _STRIDE), n - 1)
+    if nodes.size >= _COARSE_MIN and 8 * k <= nodes.size - 1:
+        coarse = replace(p, grid=p.grid[nodes], theta=p.theta[nodes])
+        u = _lanczos(coarse, k, ritz=True)
+        if u is not None:
+            lo = int(p.left_bc is Endpoint.DIRICHLET)
+            full = np.zeros(nodes.size)
+            full[lo:lo + u.size] = u
+            v = sm * np.interp(p.grid[lo:lo + sm.size], coarse.grid, full)
+            norm = float(np.linalg.norm(v))
+            if 0.0 < norm < math.inf:
+                return v / norm, True
+    v = np.random.default_rng(_SEED).standard_normal(sm.size)
+    return v / np.linalg.norm(v), False
+
+
+def _lanczos(p: RadialProblem, k: int, ritz: bool = False) -> np.ndarray | None:
     """The k smallest eigenvalues nu = 1/mu from the k largest mu of K, or
     None where Lanczos cannot vouch for them.
 
     Three-term Lanczos without a stored basis: O(n) working memory.  Its
     values need not be the k smallest: two eigenvalues closer than
     _CLUSTER_TOL read as one, and one the start vector barely meets can
-    lag; the caller checks them against a count.
+    lag; the caller checks them against a count.  Large grids start from
+    :func:`_start`'s two-grid vector and check from step k + 2.  With
+    ``ritz`` the basis is kept, and the sum of the k Ritz vectors as nodal
+    values M^{-1/2} y is returned instead.
     """
     # a theta spanning more than the floating-point range overflows here
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        apply, size = _green(p)
-        v = np.random.default_rng(_SEED).standard_normal(size)
-        v /= np.linalg.norm(v)
-        v_prev = np.zeros(size)
-        alpha, beta = [], []
+        apply, sm = _green(p)
+        v, two_grid = _start(p, k, sm)
+        v_prev = np.zeros(sm.size)
+        alpha, beta, basis = [], [], []
         b = 0.0
         # a check costs a dense eigensolve of T: every third step, and by m / 16
-        # on long runs
-        check = 2 * k + 2
+        # on long runs; after a two-grid start, which converges in few, every step
+        check = k + 2 if two_grid else 2 * k + 2
         for m in range(1, _MAX_ITER + 1):
+            if ritz:
+                basis.append(v)
             w = apply(v)
             w -= b * v_prev
             a = float(w @ v)
@@ -542,12 +576,13 @@ def _lanczos(p: RadialProblem, k: int) -> np.ndarray | None:
             alpha.append(a)
             beta.append(b)
             if m >= check or b == 0.0:
-                mu = _genuine(alpha, beta, k)
-                if mu is not None:
-                    return 1.0 / mu
+                found = _genuine(alpha, beta, k)
+                if found is not None:
+                    mu, s = found
+                    return s.sum(axis=1) @ np.array(basis) / sm if ritz else 1.0 / mu
                 if b == 0.0:  # an invariant subspace without k eigenvalues
                     return None
-                check = m + max(3, m // 16)
+                check = m + (1 if two_grid else max(3, m // 16))
             v_prev, v = v, w / b
     return None
 
@@ -584,7 +619,9 @@ def dirichlet_spectrum(p: RadialProblem, k: int) -> SpectrumResult:
     read ``_cells``, so min-max holds), for any k up to the resolution
     guard m/4, to 1e-9 relative or better: Lanczos values carry a residual
     bound of 1e-9 and typically sit near 1e-14, and root-found ones are
-    bracketed to 6e-14 (see the module docstring).  Never
+    bracketed to 6e-14 (see the module docstring).  Lanczos on a grid of
+    12,770 points or more starts from a coarse grid's Ritz vectors, which
+    changes its cost, not its values or their check.  Never
     returned unconverged: a theta beyond the floating-point range, or root
     finding that outruns its sweep cap, raise DomainError.  The scheme is
     second-order accurate: halving the grid spacing cuts the

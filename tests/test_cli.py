@@ -87,6 +87,14 @@ class TestModel:
         assert code == 2
         assert "--kappa" in err
 
+    def test_gauss_rate_overflow_exits_2(self, capsys):
+        # the Gaussian rate (n-1) lam e^(-2 delta) raised OverflowError
+        code, out, err = run(capsys, "model", "--tag", "weighted_warped_gauss", "--n", "3",
+                             "--kappa", "-1", "--delta", "-400")
+        assert code == 2
+        assert out == ""
+        assert err == "error: e^(-2 delta) overflows at delta=-400.0\n"
+
     def test_csv_has_header(self, capsys):
         code, out, _ = run(
             capsys, "--format", "csv", "model", "--tag", "exponential",

@@ -132,6 +132,16 @@ class TestCRadius:
             0.5 * math.log(3.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize("kappa", [-1e-40, -1e-33, -1e-20])
+    def test_hyperbolic_near_the_flat_ball(self, kappa):
+        # log((lam + k) / (lam - k)) rounded its quotient to 1 once k / lam
+        # fell below about 1e-16, giving C = 0 where the ball is the flat one
+        cc = classify(kappa, 1.0)
+        assert c_radius(cc) == pytest.approx(1.0, rel=1e-15)
+        assert v_inverse(2.0, cc, 0.0) == pytest.approx(1.0, rel=1e-15)
+        assert v_inverse(2.0, cc, 0.5) == pytest.approx(1.0 - math.sqrt(0.5), rel=1e-12)
+        assert v_ball(2.0, cc, 0.5) == pytest.approx(0.25, rel=1e-12)
+
     def test_infinite_outside_ball_regime(self):
         assert c_radius(classify(-1.0, 1.0)) == math.inf
         assert c_radius(classify(0.0, -1.0)) == math.inf

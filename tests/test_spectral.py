@@ -1,7 +1,9 @@
 """Tests for the weighted eigensolver, scanner, packings, and audits."""
 
+import functools
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1107,3 +1109,134 @@ class TestNoUnconvergedEigenvalues:
         p = RadialProblem(t, np.where(t < 0.5, 1e-200, 1e200))
         with pytest.raises(DomainError, match="floating-point range"):
             dirichlet_spectrum(p, 2)
+
+
+# ---------------------------------------------------------------------------
+# two-grid start: large grids seed Lanczos with a coarse grid's Ritz vectors
+# ---------------------------------------------------------------------------
+
+def _count_green_applies(monkeypatch) -> dict:
+    """Green's applies per grid size from here on, keyed by the grid's point count."""
+    counts = {}
+    green = spectral._green
+
+    def counting(p):
+        apply, sm = green(p)
+
+        def counted(x):
+            counts[p.grid.size] = counts.get(p.grid.size, 0) + 1
+            return apply(x)
+
+        return counted, sm
+
+    monkeypatch.setattr(spectral, "_green", counting)
+    return counts
+
+
+class TestTwoGridStart:
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    @pytest.mark.parametrize("pair", sorted(BC_PAIRS))
+    def test_nonuniform_grids_against_root_finding(self, monkeypatch, pair, grading):
+        # 4001 points keep 251 coarse nodes: a lowered threshold lets this
+        # small grid take the two-grid start
+        monkeypatch.setattr(spectral, "_COARSE_MIN", 200)
+        left, right = BC_PAIRS[pair]
+        rng = np.random.default_rng(13)
+        t = 2.0 * np.linspace(0.0, 1.0, 4001) ** grading
+        log_theta = np.interp(t, np.linspace(0.0, 2.0, 7), rng.uniform(-2.0, 2.0, 7))
+        p = RadialProblem(t, np.exp(log_theta), left_bc=left, right_bc=right)
+        counts = _count_green_applies(monkeypatch)
+        nu = spectral._lanczos(p, 5)
+        assert set(counts) == {251, 4001}
+        want = spectral._roots(p, spectral._chain(p), 5)
+        np.testing.assert_allclose(nu, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(dirichlet_spectrum(p, 5).eigenvalues, want, rtol=1e-12, atol=0.0)
+
+    def test_near_degenerate_pair_falls_back_to_the_count(self, monkeypatch):
+        # two equal wells joined by a neck of density e^-30, symmetric about
+        # the middle node: the odd modes are those of the left half with a
+        # Dirichlet middle, the even ones those with a Neumann middle, and the
+        # first of each agree to 1e-12; Lanczos reads them as one, and the
+        # count hands the solve to root finding
+        monkeypatch.setattr(spectral, "_COARSE_MIN", 200)
+        t = np.arange(4001) / 4000.0
+        theta = np.exp(-30.0 * (np.abs(np.arange(4001) - 2000) <= 400))
+        p = RadialProblem(t, theta)
+        half = RadialProblem(t[:2001], theta[:2001])
+        odd = dirichlet_spectrum(half, 2).eigenvalues
+        even = dirichlet_spectrum(replace(half, right_bc=Endpoint.NEUMANN), 2).eigenvalues
+        want = np.sort(np.concatenate([odd, even]))
+        assert want[1] / want[0] - 1 < 1e-12
+        counts = _count_green_applies(monkeypatch)
+        roots, root_find = [], spectral._roots
+        monkeypatch.setattr(spectral, "_roots", lambda *a: roots.append(a) or root_find(*a))
+        np.testing.assert_allclose(spectral._eigenvalues(p, 4), want, rtol=1e-12, atol=0.0)
+        assert set(counts) == {251, 4001} and len(roots) == 1
+
+    @pytest.mark.parametrize("kind", ["log_concave", "uniform"])
+    def test_fine_applies_at_200k_points(self, monkeypatch, kind):
+        # from the seeded random start the fine grid took 21 to 24 applies
+        if kind == "uniform":
+            p = uniform_problem(200001)
+        else:
+            p = generate_log_concave_problem(np.random.default_rng(21), points=200001)
+        counts = _count_green_applies(monkeypatch)
+        assert spectral._lanczos(p, 5) is not None
+        assert counts[200001] <= 12
+        assert set(counts) == {12501, 200001}
+
+    def test_small_grids_keep_the_random_start(self, monkeypatch):
+        counts = _count_green_applies(monkeypatch)
+        spectral._lanczos(uniform_problem(2001), 5)
+        assert set(counts) == {2001}
+
+
+@functools.cache
+def _above_the_threshold():
+    """A fixed generated problem on 20,001 points, which takes the two-grid
+    start, and its first eigenvalue."""
+    p = generate_log_concave_problem(np.random.default_rng(8), points=20001)
+    return p, dirichlet_spectrum(p, 1).eigenvalues[0]
+
+
+def _admissible_phi(p, seed, sweeps):
+    """A random grid function, zero at the Dirichlet ends, after ``sweeps``
+    power steps of the Green's operator: more sweeps bring it toward the
+    first eigenfunction, and its Rayleigh quotient down toward nu_1."""
+    apply, sm = spectral._green(p)
+    x = sm * np.random.default_rng(seed).standard_normal(sm.size)
+    for _ in range(sweeps):
+        x = apply(x)
+        x /= np.linalg.norm(x)
+    phi = np.zeros(p.grid.size)
+    lo = int(p.left_bc is Endpoint.DIRICHLET)
+    phi[lo:lo + sm.size] = x / sm
+    return phi
+
+
+class TestRayleighAtLeastNu1:
+    """Min-max: the Rayleigh quotient of every admissible phi is >= nu_1."""
+
+    @settings(max_examples=60)
+    @given(
+        points=st.integers(17, 400),
+        grading=st.sampled_from([1.0, 2.0, 4.0]),
+        sd=st.floats(0.0, 3.0),
+        z=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+        pair=st.sampled_from(sorted(BC_PAIRS)),
+        seed=st.integers(0, 2**32 - 1),
+        sweeps=st.integers(0, 40),
+    )
+    def test_generated_problems(self, points, grading, sd, z, pair, seed, sweeps):
+        left, right = BC_PAIRS[pair]
+        t = 1.5 * np.linspace(0.0, 1.0, points) ** grading
+        log_theta = np.interp(t, np.linspace(0.0, 1.5, 6), sd * np.asarray(z))
+        p = RadialProblem(t, np.exp(log_theta), left_bc=left, right_bc=right)
+        nu1 = dirichlet_spectrum(p, 1).eigenvalues[0]
+        assert rayleigh(p, _admissible_phi(p, seed, sweeps)) >= nu1 * (1.0 - 1e-9)
+
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1), sweeps=st.integers(0, 40))
+    def test_a_problem_above_the_two_grid_threshold(self, seed, sweeps):
+        p, nu1 = _above_the_threshold()
+        assert rayleigh(p, _admissible_phi(p, seed, sweeps)) >= nu1 * (1.0 - 1e-9)
