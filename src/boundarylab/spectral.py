@@ -621,7 +621,7 @@ def dirichlet_spectrum(p: RadialProblem, k: int) -> SpectrumResult:
     bound of 1e-9 and typically sit near 1e-14, and root-found ones are
     bracketed to 6e-14 (see the module docstring).  Lanczos on a grid of
     12,770 points or more starts from a coarse grid's Ritz vectors, which
-    changes its cost, not its values or their check.  Never
+    changes its cost, not its accuracy or the count that checks it.  Never
     returned unconverged: a theta beyond the floating-point range, or root
     finding that outruns its sweep cap, raise DomainError.  The scheme is
     second-order accurate: halving the grid spacing cuts the
