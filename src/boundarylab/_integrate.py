@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .errors import DomainError
@@ -74,16 +76,19 @@ def pl_cumulative(x, grid: np.ndarray, theta: np.ndarray, cum: np.ndarray):
     operations per element, so an array call equals the scalar calls bitwise.
     """
     if not isinstance(x, np.ndarray):
-        # plain floats: IEEE doubles like the array branch, without numpy scalars
-        x = min(max(float(x), float(grid[0])), float(grid[-1]))
-        i = min(int(grid.searchsorted(x, side="right")), grid.size - 1) - 1
-        t0, t1 = float(grid[i]), float(grid[i + 1])
-        th0, th1 = float(theta[i]), float(theta[i + 1])
-        dx = x - t0
-        return float(cum[i]) + 0.5 * dx * (th0 + (th0 + (th1 - th0) * dx / (t1 - t0)))
+        grid, theta, cum = memoryview(grid), memoryview(theta), memoryview(cum)
+        x = min(max(float(x), grid[0]), grid[-1])
+        return pl_cell(x, min(bisect_right(grid, x), len(grid) - 1) - 1, grid, theta, cum)
     x = np.clip(x.astype(float, copy=False), grid[0], grid[-1])
     i = np.minimum(grid.searchsorted(x, side="right"), grid.size - 1) - 1
     t0, th0 = grid[i], theta[i]
     dx = x - t0
     thx = th0 + (theta[i + 1] - th0) * dx / (grid[i + 1] - t0)
     return cum[i] + 0.5 * dx * (th0 + thx)
+
+
+def pl_cell(x: float, i: int, grid, theta, cum) -> float:
+    """:func:`pl_cumulative` at a float x in cell i, on float memoryviews."""
+    t0, th0, th1 = grid[i], theta[i], theta[i + 1]
+    dx = x - t0
+    return cum[i] + 0.5 * dx * (th0 + (th0 + (th1 - th0) * dx / (grid[i + 1] - t0)))

@@ -23,7 +23,7 @@ boundary separation distances of the interval by exact 1D packing, and
 audits every eigenvalue inequality of the theory.  The distance-to-boundary
 screen, the isoperimetric scan and its exact polish are array evaluations of
 one cumulative-mass primitive (``_integrate.pl_cumulative``); the packing's
-regula falsi calls it per scalar, beside a closed-form mass inverse.
+regula falsi reads it in plain floats, beside a closed-form mass inverse.
 """
 
 from __future__ import annotations
@@ -34,13 +34,14 @@ import io
 import itertools
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import screens
-from ._integrate import cumulative_auto, pl_cumulative, pl_density
+from ._integrate import cumulative_auto, pl_cell, pl_cumulative, pl_density
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -129,8 +130,8 @@ class RadialProblem:
         return float(np.interp(x, self.grid, self.theta))
 
     def _mass_inverse(self, target: float) -> float:
-        """:func:`_invert_mass`, building its O(n) reach table for the call."""
-        return _invert_mass(self, _reach(self), target)
+        """:func:`_invert_mass`, building its table for the call."""
+        return _invert_mass(_hull(self), target)
 
     # -- serialization: CSV body with a JSON comment header --------------
     def to_csv(self) -> str:
@@ -181,34 +182,39 @@ class RadialProblem:
 def _reach(p: RadialProblem) -> np.ndarray:
     """The most mass reached before each cell's right knot: the left limit
     of the cell's trapezoid, as a running maximum, since the Simpson knot
-    table can dip.  Built per call rather than stored on the problem,
+    table can dip.  Built per :func:`_hull`, not stored on the problem,
     which would add 8 bytes a grid point to every problem held."""
     reach = p._cum[:-1] + 0.5 * np.diff(p.grid) * (p.theta[:-1] + p.theta[1:])
     # the running maximum costs twice the rest; most tables need none
     return reach if np.all(reach[1:] >= reach[:-1]) else np.maximum.accumulate(reach)
 
 
-def _invert_mass(p: RadialProblem, reach: np.ndarray, target: float) -> float:
-    """Smallest x with M(x) >= target (:func:`interval_bsep`), given ``reach = _reach(p)``.
+def _hull(p: RadialProblem) -> tuple:
+    """The packings' table: float memoryviews of grid, theta, knot masses, reach."""
+    return tuple(map(memoryview, (p.grid, p.theta, p._cum, _reach(p))))
+
+
+def _invert_mass(hull: tuple, target: float) -> float:
+    """Smallest x with M(x) >= target (:func:`interval_bsep`), given ``hull = _hull(p)``.
 
     The cell is the first whose mass reaches the target before its right
     knot, so a knot table that dips is never entered below the target.
     Inside the cell theta is linear and the mass r past its left knot is
     quadratic in dx; the root dx = 2r / (theta_i + sqrt(theta_i^2 + 2 s r)),
     with s the slope, has no cancellation.  The densities are scaled to the
-    cell's larger one, so no square overflows.
+    cell's larger one, so no square overflows.  Plain floats throughout.
     """
+    grid, theta, cum, reach = hull
     if target <= 0.0:
         return 0.0
-    i = int(reach.searchsorted(target))
-    if target >= p._cum[-1] or i == reach.size:
-        return p.length
-    t0 = float(p.grid[i])
-    r = target - float(p._cum[i])
+    i = bisect_left(reach, target)
+    if target >= cum[-1] or i == len(reach):
+        return grid[-1]
+    t0 = grid[i]
+    r = target - cum[i]
     if r <= 0.0:
         return t0
-    t1 = float(p.grid[i + 1])
-    th0, th1 = float(p.theta[i]), float(p.theta[i + 1])
+    t1, th0, th1 = grid[i + 1], theta[i], theta[i + 1]
     w = max(th0, th1)
     a, u = th0 / w, r / w
     dx = 2.0 * u / (a + math.sqrt(max(a * a + 2.0 * (th1 / w - a) * u / (t1 - t0), 0.0)))
@@ -815,19 +821,28 @@ def interval_bsep(p: RadialProblem, etas) -> float:
     max(``_cum_at(x)``, the most mass reached before the cell of x), so the
     supremum is a root, found to adjacent floats by Pegasus regula falsi
     (Dowell & Jarratt, BIT 12, 1972) that bisects when a step stalls.
+    Packings run in plain floats on a table (:func:`_hull`) built per call.
+    Masses must be finite and positive; past 1 in sum the distance is 0.
     """
+    return _bsep(p, etas, None)
+
+
+def _bsep(p: RadialProblem, etas, hull: tuple | None) -> float:
+    """:func:`interval_bsep` on ``hull = _hull(p)``, built here if None."""
     etas = [float(e) for e in etas]
+    screens._require_finite("all masses", np.array(etas))
     if any(e <= 0 for e in etas):
         raise DomainError("all masses must be positive")
     if any(e > 1 for e in etas) or sum(etas) > 1.0:
         return 0.0
-    L, total, perms = p.length, p.total_mass, set(itertools.permutations(etas))
+    grid, theta, cum, reach = hull = hull or _hull(p)
+    L, total, last, perms = grid[-1], cum[-1], len(grid) - 1, set(itertools.permutations(etas))
     left_b, right_b = (bc is Endpoint.DIRICHLET for bc in (p.left_bc, p.right_bc))
-    reach = _reach(p)
 
     def mass(x: float) -> float:
-        i = int(p.grid.searchsorted(x, side="right")) - 2
-        return max(p._cum_at(x), float(reach[i])) if i >= 0 else p._cum_at(x)
+        j = bisect_right(grid, x)
+        m = pl_cell(min(x, L), min(j, last) - 1, grid, theta, cum)
+        return max(m, reach[j - 2]) if j >= 2 else m
 
     # (feasible, least overshoot): finite, since targets past the total are clamped
     def overshoot(D: float) -> tuple[bool, float]:
@@ -838,7 +853,7 @@ def interval_bsep(p: RadialProblem, etas) -> float:
             for eta in perm:
                 c = mass(pos)
                 target = c + eta * total
-                end = _invert_mass(p, reach, min(target, total))
+                end = _invert_mass(hull, min(target, total))
                 fits = (fits and pos < L and target <= total * (1.0 + 1e-12)
                         and mass(end) - c >= eta * total * (1.0 - 1e-9))
                 pos = end + D
@@ -957,8 +972,8 @@ def audit_inequalities(p: RadialProblem, k_max: int, etas) -> AuditReport:
     Unconditional: the Cheeger upper bound, its higher-eigenvalue
     improvement, and the separation/observable bounds from the spectrum.
     Gated on both curvature flags: the Buser-Ledoux lower bound, the
-    Li-Yau inradius bound, and the universal k^2 ratio bound.  Failures
-    are report entries, never exceptions.
+    Li-Yau inradius bound, and the universal k^2 ratio bound.  Failures are
+    report entries, never exceptions; the packings share one :func:`_hull`.
     """
     etas = [float(e) for e in etas]
     spec = _spectrum(p, k_max)
@@ -977,7 +992,7 @@ def audit_inequalities(p: RadialProblem, k_max: int, etas) -> AuditReport:
         "inradius": inradius(p),
         "note": p.note,
     })
-    add = report.entries.append
+    add, hull = report.entries.append, _hull(p)
     add(_entry("cheeger", None, None, iso, 2.0 * math.sqrt(nu[0]), "<="))
     for k in range(1, k_max + 1):
         add(_entry(
@@ -1002,7 +1017,7 @@ def audit_inequalities(p: RadialProblem, k_max: int, etas) -> AuditReport:
         for k in range(1, min(k_max, 3) + 1):
             add(_entry(
                 "bsep_eigen", k, eta,
-                interval_bsep(p, [eta] * k), 2.0 / math.sqrt(nu[k - 1] * eta), "<=",
+                _bsep(p, [eta] * k, hull), 2.0 / math.sqrt(nu[k - 1] * eta), "<=",
             ))
     return report
 

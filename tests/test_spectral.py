@@ -256,6 +256,11 @@ class TestIntervalBsep:
         assert interval_bsep(p, [0.7, 0.7]) == 0.0
         assert interval_bsep(p, [1.5]) == 0.0
 
+    @pytest.mark.parametrize("etas", [[math.nan], [math.inf], [0.2, math.nan], [-math.inf]])
+    def test_non_finite_masses_raise(self, etas):
+        with pytest.raises(DomainError, match="all masses must be finite"):
+            interval_bsep(uniform_problem(64), etas)
+
 
 class TestUniversalConstant:
     def test_stationary_point_and_sup(self):
@@ -666,6 +671,130 @@ class TestIntervalBsepProperties:
         assert interval_bsep(p, more) <= _above(p, D)
 
 
+def _reach_oracle(p):
+    """The packing's reach table with numpy scalars, as first written."""
+    reach = p._cum[:-1] + 0.5 * np.diff(p.grid) * (p.theta[:-1] + p.theta[1:])
+    return reach if np.all(reach[1:] >= reach[:-1]) else np.maximum.accumulate(reach)
+
+
+def _invert_mass_oracle(p, reach, target):
+    """The closed-form mass inverse with numpy scalars, as first written."""
+    if target <= 0.0:
+        return 0.0
+    i = int(reach.searchsorted(target))
+    if target >= p._cum[-1] or i == reach.size:
+        return p.length
+    t0 = float(p.grid[i])
+    r = target - float(p._cum[i])
+    if r <= 0.0:
+        return t0
+    t1 = float(p.grid[i + 1])
+    th0, th1 = float(p.theta[i]), float(p.theta[i + 1])
+    w = max(th0, th1)
+    a, u = th0 / w, r / w
+    dx = 2.0 * u / (a + math.sqrt(max(a * a + 2.0 * (th1 / w - a) * u / (t1 - t0), 0.0)))
+    return min(t0 + dx, t1)
+
+
+def _numpy_scalar_bsep(p, etas):
+    """interval_bsep with every mass read as a numpy scalar and a reach table
+    per call: the same Pegasus root finding, operation for operation."""
+    etas = [float(e) for e in etas]
+    if any(e > 1 for e in etas) or sum(etas) > 1.0:
+        return 0.0
+    L, total, perms = p.length, p.total_mass, set(itertools.permutations(etas))
+    left_b, right_b = (bc is Endpoint.DIRICHLET for bc in (p.left_bc, p.right_bc))
+    reach = _reach_oracle(p)
+
+    def mass(x):
+        i = int(p.grid.searchsorted(x, side="right")) - 2
+        return max(_cum_at_oracle(p, x), float(reach[i])) if i >= 0 else _cum_at_oracle(p, x)
+
+    def overshoot(D):
+        feasible, least = False, math.inf
+        for perm in perms:
+            pos = end = D if left_b else 0.0
+            fits, target = True, 0.0
+            for eta in perm:
+                c = mass(pos)
+                target = c + eta * total
+                end = _invert_mass_oracle(p, reach, min(target, total))
+                fits = (fits and pos < L and target <= total * (1.0 + 1e-12)
+                        and mass(end) - c >= eta * total * (1.0 - 1e-9))
+                pos = end + D
+            over = end - (L - D + 1e-12) if right_b else target - total * (1.0 + 1e-12)
+            feasible, least = feasible or (fits and over <= 0.0), min(least, over)
+        return feasible, least
+
+    lo, hi = 0.0, L / max(len(etas) - 1 + left_b + right_b, 1)
+    (ok_lo, f_lo), (ok_hi, f_hi) = overshoot(lo), overshoot(hi)
+    if not ok_lo or ok_hi:
+        return hi if ok_lo else 0.0
+    unit, falsi, moved = math.ulp(L if right_b else total), True, None
+    while math.nextafter(lo, hi) < hi:
+        x = 0.5 * (lo + hi)
+        if falsi and f_lo <= 0.0 < f_hi:
+            w = max(-f_lo, unit) / (max(-f_lo, unit) + f_hi)
+            y = min(max(lo + (hi - lo) * w, lo + 2.0 * math.ulp(lo)), hi - 2.0 * math.ulp(hi))
+            x = y if lo < y < hi else x
+        ok, f = overshoot(x)
+        old = f_lo if ok else f_hi
+        falsi = abs(f) <= max(0.5 * abs(old), 4.0 * unit)
+        scale = (old / (old + f) if old + f else 0.5) if moved is ok else 1.0
+        lo, f_lo, hi, f_hi = (x, f, hi, f_hi * scale) if ok else (lo, f_lo * scale, x, f)
+        moved = ok
+    return lo
+
+
+def _dips(p):
+    """The raw reach table dips, so the running maximum engages."""
+    reach = p._cum[:-1] + 0.5 * np.diff(p.grid) * (p.theta[:-1] + p.theta[1:])
+    return bool(np.any(reach[1:] < reach[:-1]))
+
+
+class TestIntervalBsepBitwise:
+    """The packings run in plain floats on memoryviews: every distance is
+    bitwise the numpy-scalar packer's."""
+
+    @pytest.mark.parametrize("kind", SMOOTH_KINDS)
+    def test_audit_shapes(self, kind):
+        rng = np.random.default_rng(500 + SMOOTH_KINDS.index(kind))
+        for points in (2001, 20001):
+            p = _smooth_problem(kind, rng, points)
+            for eta in rng.uniform(0.1, 0.3, size=2):
+                for k in (1, 2, 3):
+                    assert interval_bsep(p, [eta] * k) == _numpy_scalar_bsep(p, [eta] * k)
+
+    @pytest.mark.parametrize("bcs", [
+        (Endpoint.DIRICHLET, Endpoint.DIRICHLET),
+        (Endpoint.DIRICHLET, Endpoint.NEUMANN),
+        (Endpoint.NEUMANN, Endpoint.DIRICHLET),
+    ])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_pl_problems(self, bcs, data):
+        p = data.draw(pl_problems(bcs))
+        etas = data.draw(st.lists(st.floats(0.02, 0.45), min_size=1, max_size=3))
+        assert interval_bsep(p, etas) == _numpy_scalar_bsep(p, etas)
+
+    @pytest.mark.parametrize("bcs", [
+        (Endpoint.DIRICHLET, Endpoint.DIRICHLET),
+        (Endpoint.DIRICHLET, Endpoint.NEUMANN),
+        (Endpoint.NEUMANN, Endpoint.DIRICHLET),
+    ])
+    def test_rough_tables(self, bcs):
+        rng = np.random.default_rng(600)
+        rough = 0
+        for _ in range(40):
+            t = np.linspace(0.0, float(rng.uniform(0.5, 5.0)), int(rng.integers(16, 41)))
+            p = RadialProblem(t, np.exp(rng.uniform(-6.0, 6.0, t.size)),
+                              left_bc=bcs[0], right_bc=bcs[1])
+            rough += _dips(p)
+            for etas in ([0.1], [0.2, 0.1], [0.15, 0.15, 0.15]):
+                assert interval_bsep(p, etas) == _numpy_scalar_bsep(p, etas)
+        assert rough >= 10
+
+
 class TestIntervalBsepEvaluations:
     """Packings per call, counted as mass inversions over the sets of every
     order: the bisection took about 56."""
@@ -701,6 +830,33 @@ class TestIntervalBsepEvaluations:
         p = data.draw(pl_problems(bcs))
         etas = data.draw(st.lists(st.floats(0.02, 0.45), min_size=1, max_size=3))
         assert self._packings(p, etas) <= 100
+
+    @pytest.mark.parametrize("kind", SMOOTH_KINDS)
+    def test_each_call_packs_both_bracket_ends(self, kind):
+        # an inlined inverse would count 0 here and pass the bounds above
+        rng = np.random.default_rng(200 + SMOOTH_KINDS.index(kind))
+        p = _smooth_problem(kind, rng)
+        for eta in rng.uniform(0.1, 0.3, size=2):
+            for k in (1, 2, 3):
+                assert self._packings(p, [eta] * k) >= 2
+
+    @pytest.mark.parametrize("etas", [[], [0.2], [0.15, 0.25], [0.1, 0.2, 0.3]])
+    def test_audit_builds_one_reach_table(self, etas):
+        p = _smooth_problem("two_dirichlet", np.random.default_rng(300))
+        calls = []
+        reach = spectral._reach
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_reach", lambda *a: calls.append(1) or reach(*a))
+            audit_inequalities(p, 3, etas)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", SMOOTH_KINDS)
+    def test_audit_entries_equal_the_public_calls(self, kind):
+        p = _smooth_problem(kind, np.random.default_rng(400 + SMOOTH_KINDS.index(kind)))
+        entries = [e for e in audit_inequalities(p, 3, [0.15, 0.25]).entries
+                   if e.name == "bsep_eigen"]
+        assert len(entries) == 6
+        assert all(e.lhs == interval_bsep(p, [e.eta] * e.k) for e in entries)
 
 
 # ---------------------------------------------------------------------------
