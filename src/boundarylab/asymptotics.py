@@ -14,15 +14,13 @@ reported alongside but never overriding it.
 from __future__ import annotations
 
 import enum
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import jacobi, screens
+from . import _text, jacobi, screens
 from .errors import DomainError
 from .models import ModelSpace, boundary_screen, closed_form_obs_inradius
 
@@ -74,27 +72,18 @@ class SweepReport:
         return np.array([r.gap for r in self.rows])
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("n,value,limit,gap\n")
-        for r in self.rows:
-            buf.write(f"{r.n},{r.value:.17g},{r.limit:.17g},{r.gap:.17g}\n")
-        return buf.getvalue()
+        return _text.records_csv(SweepRow, self.rows)
 
     def to_json(self) -> str:
         def _j(x):
-            return None if isinstance(x, float) and math.isnan(x) else x
+            return None if math.isnan(x) else x
 
-        return json.dumps(
-            {
-                "verdict": self.verdict.value,
-                "extras": self.extras,
-                "rows": [
-                    {"n": r.n, "value": r.value, "limit": _j(r.limit), "gap": _j(r.gap)}
-                    for r in self.rows
-                ],
-            },
-            allow_nan=False,
-        )
+        return _text.dumps({
+            "verdict": self.verdict.value,
+            "extras": self.extras,
+            "rows": [{"n": r.n, "value": r.value, "limit": _j(r.limit), "gap": _j(r.gap)}
+                     for r in self.rows],
+        })
 
 
 def _numeric_trend(values) -> str:
@@ -126,7 +115,7 @@ def _flat_ball_power(n: int, lam: float, eta: float) -> float:
 
 def _dimensions(n_values) -> list[int]:
     listed = isinstance(n_values, (list, tuple, range))
-    if not (listed and all(isinstance(n, (int, np.integer)) for n in n_values)):
+    if not (listed and all(_text.is_integer(n) or isinstance(n, np.integer) for n in n_values)):
         raise DomainError(f"n must be a list of integers, got {n_values!r}")
     return [int(n) for n in n_values]
 
@@ -216,7 +205,12 @@ class Schedule:
 
     def __call__(self, n: int) -> float:
         if self.kind == "power":
-            return self.coef * float(n) ** self.exp
+            if n < 1:  # float(n) ** exp would be complex or divide by zero
+                raise DomainError(f"a power schedule needs n >= 1, got n={n}")
+            try:
+                return self.coef * float(n) ** self.exp
+            except OverflowError:
+                raise DomainError(f"the power schedule overflows at n={n}") from None
         if self.kind == "const":
             return self.coef
         if self.kind == "table":
@@ -236,20 +230,20 @@ class Schedule:
 
     @classmethod
     def from_json(cls, obj) -> "Schedule":
-        if isinstance(obj, (int, float)):
+        if _text.is_number(obj):
             return cls("const", coef=float(obj))
         if not isinstance(obj, dict):
             raise DomainError(f"a schedule is a number or an object, got {obj!r}")
         kind = obj.get("kind")
-        try:
-            if kind == "power":
-                return cls("power", coef=float(obj["coef"]), exp=float(obj["exp"]))
-            if kind == "const":
-                return cls("const", coef=float(obj.get("value", obj.get("coef", 0.0))))
-            if kind == "table":
-                return cls("table", values={k: float(v) for k, v in obj["values"].items()})
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"bad {kind} schedule {obj!r}: {exc!r}") from None
+        if kind == "power":
+            return cls("power", coef=_text.number(obj, "coef", "schedule"),
+                       exp=_text.number(obj, "exp", "schedule"))
+        if kind == "const":
+            return cls("const", coef=_text.number(
+                obj, "value", "schedule", _text.number(obj, "coef", "schedule", 0.0)))
+        if kind == "table":
+            values = _text.number_object(obj, "values", "schedule")
+            return cls("table", values={k: float(v) for k, v in values.items()})
         raise DomainError(f"unknown schedule kind {kind!r}")
 
 
@@ -335,16 +329,8 @@ class SequenceSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SequenceSpec":
-        try:
-            obj = json.loads(text) if isinstance(text, str) else dict(text)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"bad sweep config JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise DomainError(f"a sweep config is a JSON object, got {obj!r}")
-        for key in ("family", "schedule", "n"):
-            if key not in obj:
-                raise DomainError(f"sweep config missing field {key!r}")
-        return cls(obj["family"], obj["schedule"], obj["n"])
+        obj = _text.read_object(text, "sweep config")
+        return cls(*(_text.field(obj, key, "sweep config") for key in ("family", "schedule", "n")))
 
 
 def _sequence_value(family: str, n: int, params: dict, eta: float) -> float:

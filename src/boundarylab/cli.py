@@ -9,13 +9,13 @@ deterministic (byte-identical across runs); exit codes are 0 on success,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
 
 import numpy as np
 
+from . import _text
 from .errors import DomainError, RegimeError
 
 # Each command imports its own layer modules: a fresh process then loads
@@ -28,8 +28,6 @@ from .errors import DomainError, RegimeError
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_REGIME = 3
-
-_json = functools.partial(json.dumps, allow_nan=False)
 
 
 def _fmt(x: float) -> str:
@@ -78,27 +76,15 @@ def svg_line_chart(xs, ys, xlabel: str, ylabel: str, title: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, text: str) -> None:
+def _write(args, to_json, to_csv, to_svg=None) -> int:
+    """Emit the rendering ``--format`` selects; each is a zero-argument
+    callable, and ``svg`` falls back to the CSV when there is no chart."""
+    text = {"json": to_json, "svg": to_svg or to_csv}.get(args.format, to_csv)()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-
-
-def _write(args, to_json, to_csv, to_svg=None) -> int:
-    """Emit the rendering ``--format`` selects; each is a zero-argument
-    callable, and ``svg`` falls back to the CSV when there is no chart."""
-    if args.format == "json":
-        try:
-            text = to_json()
-        except ValueError as exc:  # strict JSON met a non-finite number
-            raise DomainError(f"result is not finite: {exc}") from None
-    else:
-        text = (to_svg if args.format == "svg" and to_svg else to_csv)()
-    _emit(args, text)
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return EXIT_OK
 
 
@@ -106,7 +92,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path) as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
 
 
@@ -122,15 +108,11 @@ def _need(args, owner: str, *names):
             raise DomainError(f"{owner} needs {flag}")
 
 
-def _write_eta_rows(args, rows: list, key: str, blob, ylabel: str, title: str) -> int:
-    """Write ``rows`` that map each eta to ``key``; ``blob`` makes the JSON report."""
-    return _write(
-        args,
-        lambda: _json(blob()),
-        lambda: f"eta,{key}\n" + "".join(f"{r['eta']:.17g},{r[key]:.17g}\n" for r in rows),
-        lambda: svg_line_chart([r["eta"] for r in rows], [r[key] for r in rows],
-                               "eta", ylabel, title),
-    )
+def _write_table(args, blob, names, columns, chart=None) -> int:
+    """Write ``blob()`` as JSON, ``columns`` under ``names`` as CSV and, given a
+    ``chart`` (y label, title), the second column against the first as SVG."""
+    return _write(args, lambda: _text.dumps(blob()), lambda: _text.csv_text(names, columns),
+                  chart and (lambda: svg_line_chart(*columns[:2], names[0], *chart)))
 
 
 def _model_from_args(args):
@@ -153,19 +135,17 @@ def cmd_model(args) -> int:
 
     m = _model_from_args(args)
     etas = args.eta or [0.5]
-    rows = [
-        {"eta": eta, "obs_inradius": models.closed_form_obs_inradius(m, eta)}
-        for eta in etas
-    ]
+    names = ("eta", "obs_inradius")
+    columns = (etas, [models.closed_form_obs_inradius(m, eta) for eta in etas])
     upper = models.boundary_screen(m).upper_support
-    return _write_eta_rows(
-        args, rows, "obs_inradius",
+    return _write_table(
+        args,
         lambda: {
             "model": json.loads(m.to_json()),
             "upper_support": upper if math.isfinite(upper) else "inf",
-            "rows": rows,
+            "rows": [dict(zip(names, row)) for row in zip(*columns)],
         },
-        "observable inscribed radius", f"model {m.tag}",
+        names, columns, ("observable inscribed radius", f"model {m.tag}"),
     )
 
 
@@ -188,11 +168,10 @@ def cmd_compare(args) -> int:
         params = {"K": args.K, "Lambda": args.lam}
     else:
         raise DomainError(f"unknown regime {args.regime!r}")
-    rows = [{"eta": eta, "bound": models.comparison_bound(kind, eta)} for eta in etas]
-    return _write_eta_rows(
-        args, rows, "bound", lambda: {"regime": args.regime, "params": params, "rows": rows},
-        "comparison bound", f"{args.regime} comparison",
-    )
+    names, columns = ("eta", "bound"), (etas, [models.comparison_bound(kind, eta) for eta in etas])
+    rows = [dict(zip(names, row)) for row in zip(*columns)]
+    return _write_table(args, lambda: {"regime": args.regime, "params": params, "rows": rows},
+                        names, columns, ("comparison bound", f"{args.regime} comparison"))
 
 
 def cmd_spectrum(args) -> int:
@@ -201,18 +180,16 @@ def cmd_spectrum(args) -> int:
     p = spectral.RadialProblem.from_csv(_read_file(args.file))
     res = spectral.dirichlet_spectrum(p, args.k)
     err = res.estimated_discretization_error
-    return _write(
+    return _write_table(
         args,
-        lambda: _json({
+        lambda: {
             "eigenvalues": res.eigenvalues.tolist(),
             "grid_size": res.grid_size,
             "estimated_discretization_error": None if math.isnan(err) else err,
             "note": p.note,
-        }),
-        lambda: "k,eigenvalue\n" + "".join(
-            f"{i + 1},{v:.17g}\n" for i, v in enumerate(res.eigenvalues)),
-        lambda: svg_line_chart(np.arange(1, res.eigenvalues.size + 1), res.eigenvalues,
-                               "k", "eigenvalue", "Dirichlet spectrum"),
+        },
+        ("k", "eigenvalue"), (range(1, res.eigenvalues.size + 1), res.eigenvalues),
+        ("eigenvalue", "Dirichlet spectrum"),
     )
 
 
@@ -234,41 +211,26 @@ def cmd_graph(args) -> int:
 
     g = graphs.BoundaryGraph.from_json(_read_file(args.file))
     if args.subcommand == "rho":
-        return _write(args, lambda: _json({"rho": g.rho.tolist()}), g.rho_csv)
+        return _write(args, lambda: _text.dumps({"rho": g.rho.tolist()}), g.rho_csv)
     if args.subcommand == "screen":
         s = graphs.graph_screen(g)
         return _write(args, s.to_json, s.to_csv)
     if args.subcommand == "bsep":
         etas = args.eta or [0.5]
         value = graphs.bsep_k(g, etas, mode=args.mode)
-        return _write(
-            args,
-            lambda: _json({"etas": etas, "mode": args.mode, "value": value}),
-            lambda: f"mode,value\n{args.mode},{value:.17g}\n",
-        )
+        return _write_table(args, lambda: {"etas": etas, "mode": args.mode, "value": value},
+                            ("mode", "value"), ([args.mode], [value]))
     raise DomainError(f"unknown graph subcommand {args.subcommand!r}")
-
-
-def _config_number(cfg: dict, key: str, default=None) -> float:
-    value = cfg.get(key, default)
-    if value is None:
-        raise DomainError(f"sweep config missing field {key!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"sweep config field {key!r} must be a number, got {value!r}") from None
 
 
 def cmd_sweep(args) -> int:
     from . import asymptotics
 
-    cfg = json.loads(_read_file(args.config))
-    if not isinstance(cfg, dict):
-        raise DomainError("sweep config must be a JSON object")
+    cfg = _text.read_object(_read_file(args.config), "sweep config")
     family = cfg.get("family")
     if not isinstance(family, str):
         raise DomainError("sweep config needs a 'family' field")
-    eta = _config_number(cfg, "eta", 0.5)
+    eta = _text.number(cfg, "eta", "sweep config", 0.5)
     if "schedule" in cfg:
         report = asymptotics.classify_concentration(asymptotics.SequenceSpec.from_json(cfg), eta)
     else:
@@ -281,7 +243,8 @@ def cmd_sweep(args) -> int:
                 f"family {family!r} needs a 'schedule' (classification) or must "
                 "be one of hemisphere/euclid_ball/warped (canonical sweep)"
             )
-        report = asymptotics._sweep(family, _config_number(cfg, fam.primary), eta, ns)
+        report = asymptotics._sweep(family, _text.number(cfg, fam.primary, "sweep config"),
+                                    eta, ns)
     return _write(
         args, report.to_json, report.to_csv,
         lambda: svg_line_chart([r.n for r in report.rows], [r.value for r in report.rows],
@@ -366,7 +329,7 @@ def main(argv=None) -> int:
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (DomainError, json.JSONDecodeError, OSError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

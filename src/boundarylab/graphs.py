@@ -11,14 +11,12 @@ with a witnessed family), and the concentration trend report.
 from __future__ import annotations
 
 import heapq
-import io
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import screens
+from . import _text, screens
 from .errors import DomainError
 
 __all__ = [
@@ -42,6 +40,10 @@ class BoundaryGraph:
         n = int(n_vertices)
         if n < 1:
             raise DomainError("graph needs at least one vertex")
+        # the measure fixes n before n adjacency lists are built
+        measure = np.asarray(measure, dtype=float)
+        if measure.shape != (n,):
+            raise DomainError(f"measure must have one weight per vertex ({n})")
         self.n = n
         self.edges = []
         adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
@@ -62,9 +64,6 @@ class BoundaryGraph:
             raise DomainError("boundary vertex set must be nonempty")
         if self.boundary[0] < 0 or self.boundary[-1] >= n:
             raise DomainError("boundary references a missing vertex")
-        measure = np.asarray(measure, dtype=float)
-        if measure.shape != (n,):
-            raise DomainError(f"measure must have one weight per vertex ({n})")
         if not np.isfinite(measure).all():
             raise DomainError("measure weights must be finite")
         if np.any(measure < 0):
@@ -123,33 +122,35 @@ class BoundaryGraph:
 
     # -- serialization -----------------------------------------------------
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "vertices": self.n,
-                "edges": [[u, v, w] for u, v, w in self.edges],
-                "boundary": self.boundary,
-                "measure": self.measure.tolist(),
-            },
-            allow_nan=False,
-        )
+        return _text.dumps({
+            "vertices": self.n,
+            "edges": [[u, v, w] for u, v, w in self.edges],
+            "boundary": self.boundary,
+            "measure": self.measure.tolist(),
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "BoundaryGraph":
-        try:
-            obj = json.loads(text) if isinstance(text, str) else dict(text)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"bad graph JSON: {exc}") from None
-        for key in ("vertices", "edges", "boundary", "measure"):
-            if key not in obj:
-                raise DomainError(f"graph JSON missing field {key!r}")
-        return cls(obj["vertices"], obj["edges"], obj["boundary"], obj["measure"])
+        obj = _text.read_object(text, "graph")
+        return cls(
+            _text.integer(obj, "vertices", "graph"),
+            _text.field(obj, "edges", "graph", _edges, "a list of [u, v, length] triples"),
+            _text.field(obj, "boundary", "graph", _vertex_list, "a list of integer vertices"),
+            _text.numbers(obj, "measure", "graph"),
+        )
 
     def rho_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("vertex,rho\n")
-        for v, r in enumerate(self.rho):
-            buf.write(f"{v},{r:.17g}\n")
-        return buf.getvalue()
+        return _text.csv_text(("vertex", "rho"), (range(self.n), self.rho))
+
+
+def _vertex_list(x) -> bool:
+    return isinstance(x, list) and all(map(_text.is_integer, x))
+
+
+def _edges(x) -> bool:
+    return isinstance(x, list) and all(
+        isinstance(e, list) and len(e) == 3 and _vertex_list(e[:2]) and _text.is_number(e[2])
+        for e in x)
 
 
 def rho_boundary(g: BoundaryGraph) -> np.ndarray:
@@ -395,34 +396,11 @@ class TrendReport:
     )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "r": self.r,
-                "eta": self.eta,
-                "note": self.note,
-                "rows": [
-                    {
-                        "index": row.index,
-                        "obs_lower": row.obs_lower,
-                        "obs_upper": row.obs_upper,
-                        "bsep": row.bsep,
-                        "boundary_mass": row.boundary_mass,
-                    }
-                    for row in self.rows
-                ],
-            },
-            allow_nan=False,
-        )
+        return _text.dumps({"r": self.r, "eta": self.eta, "note": self.note,
+                            "rows": [asdict(row) for row in self.rows]})
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("index,obs_lower,obs_upper,bsep,boundary_mass\n")
-        for row in self.rows:
-            buf.write(
-                f"{row.index},{row.obs_lower:.17g},{row.obs_upper:.17g},"
-                f"{row.bsep:.17g},{row.boundary_mass:.17g}\n"
-            )
-        return buf.getvalue()
+        return _text.records_csv(TrendRow, self.rows)
 
 
 def concentration_equivalence_check(seq, r: float, eta: float) -> TrendReport:

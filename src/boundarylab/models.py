@@ -20,13 +20,12 @@ relative volume comparison against them.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import jacobi, screens
+from . import _text, jacobi, screens
 from ._integrate import cumulative_trapezoid, pl_cumulative, pl_density
 from .errors import DomainError, RegimeError
 from .jacobi import CurvatureClass, InfiniteCurvature, TwistParams
@@ -133,19 +132,16 @@ class ModelSpace:
 
     def to_json(self) -> str:
         fields = {f: getattr(self, f) for f in _FIELDS[self.tag]}
-        return json.dumps({"tag": self.tag, **fields}, allow_nan=False)
+        return _text.dumps({"tag": self.tag, **fields})
 
 
 def model_from_json(text: str) -> ModelSpace:
-    try:
-        obj = json.loads(text) if isinstance(text, str) else dict(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"bad model JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise DomainError(f"a model descriptor is a JSON object, got {obj!r}")
+    obj = _text.read_object(text, "model")
     tag = obj.pop("tag", None)
     if not isinstance(tag, str) or tag not in _FIELDS:
         raise DomainError(f"unknown model tag {tag!r}; expected one of {tuple(_FIELDS)}")
+    for name in _FIELDS[tag]:  # the constructor's signature refuses missing and unknown fields
+        (_text.integer if name == "n" else _text.number)(obj, name, "model", None)
     try:
         return getattr(ModelSpace, tag)(**obj)
     except TypeError as exc:

@@ -19,13 +19,12 @@ quantiles the right edge.
 from __future__ import annotations
 
 import functools
-import io
-import json
 import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _text
 from ._integrate import cumulative_simpson as _cumulative_simpson
 from .errors import DomainError
 
@@ -127,12 +126,7 @@ class Screen:
         """CSV of (t, F(t)) pairs with a header row."""
         hi = self.scan_upper()
         ts = np.unique(np.concatenate([np.linspace(0.0, hi, n), self.knots()]))
-        fs = self.cdf_fast(ts)
-        buf = io.StringIO()
-        buf.write("t,F\n")
-        for t, f in zip(ts, fs):
-            buf.write(f"{t:.17g},{f:.17g}\n")
-        return buf.getvalue()
+        return _text.csv_text(("t", "F"), (ts, self.cdf_fast(ts)))
 
 
 class GridScreen(Screen):
@@ -201,15 +195,8 @@ class GridScreen(Screen):
         return float(self.t[-1])
 
     def to_json(self):
-        return json.dumps(
-            {
-                "kind": "grid",
-                "t": self.t.tolist(),
-                "F": self.F.tolist(),
-                "full_support": self.full_support,
-            },
-            allow_nan=False,
-        )
+        return _text.dumps({"kind": "grid", "t": self.t.tolist(), "F": self.F.tolist(),
+                            "full_support": self.full_support})
 
 
 class AtomScreen(Screen):
@@ -298,10 +285,7 @@ class AtomScreen(Screen):
         return float(self.t[-1])
 
     def to_json(self):
-        return json.dumps(
-            {"kind": "atoms", "t": self.t.tolist(), "p": self.p.tolist()},
-            allow_nan=False,
-        )
+        return _text.dumps({"kind": "atoms", "t": self.t.tolist(), "p": self.p.tolist()})
 
 
 class DensityScreen(Screen):
@@ -389,16 +373,8 @@ class DensityScreen(Screen):
         return float(self._scan_table()[0][-1])
 
     def to_json(self):
-        return json.dumps(
-            {
-                "kind": "closed",
-                "family": self._family.name,
-                "params": self.params,
-                "scale": self.scale_factor,
-                "full_support": self.full_support,
-            },
-            allow_nan=False,
-        )
+        return _text.dumps({"kind": "closed", "family": self._family.name, "params": self.params,
+                            "scale": self.scale_factor, "full_support": self.full_support})
 
 
 # ---------------------------------------------------------------------------
@@ -499,24 +475,18 @@ def closed_screen(family: str, **params) -> DensityScreen:
 
 
 def screen_from_json(text: str) -> Screen:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"bad screen JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise DomainError(f"a screen descriptor is a JSON object, got {obj!r}")
+    obj = _text.read_object(text, "screen")
     kind = obj.get("kind")
-    try:
-        if kind == "grid":
-            return GridScreen(obj["t"], obj["F"], obj.get("full_support"))
-        if kind == "atoms":
-            return AtomScreen(obj["t"], obj["p"])
-        if kind == "closed":
-            base = DensityScreen(obj["family"], obj["params"],
-                                 full_support=obj.get("full_support", True))
-            return scale(base, obj.get("scale", 1.0))
-    except (KeyError, TypeError) as exc:  # a missing field, a non-number or a non-object
-        raise DomainError(f"bad {kind} screen JSON: {exc!r}") from None
+    if kind == "grid":
+        return GridScreen(_text.numbers(obj, "t", "screen"), _text.numbers(obj, "F", "screen"),
+                          _text.boolean(obj, "full_support", "screen", None))
+    if kind == "atoms":
+        return AtomScreen(_text.numbers(obj, "t", "screen"), _text.numbers(obj, "p", "screen"))
+    if kind == "closed":
+        base = DensityScreen(_text.string(obj, "family", "screen"),
+                             _text.number_object(obj, "params", "screen"),
+                             full_support=_text.boolean(obj, "full_support", "screen", True))
+        return scale(base, _text.number(obj, "scale", "screen", 1.0))
     raise DomainError(f"unknown screen kind {kind!r}")
 
 

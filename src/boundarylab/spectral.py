@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
 import itertools
-import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, replace
@@ -40,7 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import screens
+from . import _text, screens
 from ._integrate import cumulative_auto, pl_cell, pl_cumulative, pl_density
 from .errors import DomainError
 
@@ -135,29 +133,28 @@ class RadialProblem:
 
     # -- serialization: CSV body with a JSON comment header --------------
     def to_csv(self) -> str:
-        header = {
+        header = _text.dumps({
             "left_bc": self.left_bc.value,
             "right_bc": self.right_bc.value,
             "nonneg_ricci_f": self.nonneg_ricci_f,
             "nonneg_mean_curv": self.nonneg_mean_curv,
             "note": self.note,
-        }
-        buf = io.StringIO()
-        buf.write("# " + json.dumps(header, allow_nan=False) + "\n")
-        buf.write("t,theta\n")
-        for t, th in zip(self.grid, self.theta):
-            buf.write(f"{t:.17g},{th:.17g}\n")
-        return buf.getvalue()
+        })
+        return _text.csv_text(("t", "theta"), (self.grid, self.theta), f"# {header}\n")
 
     @classmethod
     def from_csv(cls, text: str) -> "RadialProblem":
         lines = text.strip().splitlines()
         if not lines or not lines[0].startswith("#"):
             raise DomainError("problem file must start with a JSON header comment")
-        try:
-            header = json.loads(lines[0][1:].strip())
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"bad JSON header: {exc}") from None
+        what, ends = "problem header", [e.value for e in Endpoint]
+        header = _text.read_object(lines[0][1:].strip(), what)
+        options = {key: Endpoint(_text.field(header, key, what, ends.__contains__,
+                                             f"one of {ends}", "dirichlet"))
+                   for key in ("left_bc", "right_bc")}
+        for key in ("nonneg_ricci_f", "nonneg_mean_curv"):
+            options[key] = _text.boolean(header, key, what, False)
+        options["note"] = _text.string(header, "note", what, "")
         if len(lines) < 2 or next(csv.reader(lines[1:2])) != ["t", "theta"]:
             raise DomainError("expected a 't,theta' CSV header row")
         body = lines[2:]
@@ -168,15 +165,7 @@ class RadialProblem:
             raise DomainError(f"bad CSV row: {exc}") from None
         if data.shape != (len(body), 2):  # loadtxt skips blank lines
             raise DomainError("bad CSV row: every row needs exactly t,theta")
-        return cls(
-            data[:, 0],
-            data[:, 1],
-            left_bc=Endpoint(header.get("left_bc", "dirichlet")),
-            right_bc=Endpoint(header.get("right_bc", "dirichlet")),
-            nonneg_ricci_f=bool(header.get("nonneg_ricci_f", False)),
-            nonneg_mean_curv=bool(header.get("nonneg_mean_curv", False)),
-            note=header.get("note", ""),
-        )
+        return cls(data[:, 0], data[:, 1], **options)
 
 
 def _reach(p: RadialProblem) -> np.ndarray:
@@ -943,20 +932,10 @@ class AuditReport:
         return all(e.passed for e in self.entries)
 
     def to_json(self) -> str:
-        return json.dumps({"meta": self.meta, "entries": [asdict(e) for e in self.entries]},
-                          allow_nan=False)
+        return _text.dumps({"meta": self.meta, "entries": [asdict(e) for e in self.entries]})
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("name,k,eta,lhs,rhs,relation,margin,passed\n")
-        for e in self.entries:
-            k = "" if e.k is None else e.k
-            eta = "" if e.eta is None else f"{e.eta:.17g}"
-            buf.write(
-                f"{e.name},{k},{eta},{e.lhs:.17g},{e.rhs:.17g},"
-                f"{e.relation},{e.margin:.17g},{e.passed}\n"
-            )
-        return buf.getvalue()
+        return _text.records_csv(AuditEntry, self.entries)
 
 
 def _entry(name, k, eta, lhs, rhs, relation) -> AuditEntry:
