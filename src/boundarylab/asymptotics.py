@@ -35,6 +35,7 @@ __all__ = [
     "warped_sweep",
     "distribution_law",
     "classify_concentration",
+    "run_config",
 ]
 
 
@@ -201,6 +202,7 @@ class Schedule:
     kind: str
     coef: float = 1.0
     exp: float = 0.0
+    value: float = 0.0
     values: dict | None = None
 
     def __call__(self, n: int) -> float:
@@ -212,7 +214,7 @@ class Schedule:
             except OverflowError:
                 raise DomainError(f"the power schedule overflows at n={n}") from None
         if self.kind == "const":
-            return self.coef
+            return self.value
         if self.kind == "table":
             key = n if n in self.values else str(n)
             if key not in self.values:
@@ -231,20 +233,14 @@ class Schedule:
     @classmethod
     def from_json(cls, obj) -> "Schedule":
         if _text.is_number(obj):
-            return cls("const", coef=float(obj))
+            return cls("const", value=float(obj))
         if not isinstance(obj, dict):
             raise DomainError(f"a schedule is a number or an object, got {obj!r}")
-        kind = obj.get("kind")
-        if kind == "power":
-            return cls("power", coef=_text.number(obj, "coef", "schedule"),
-                       exp=_text.number(obj, "exp", "schedule"))
-        if kind == "const":
-            return cls("const", coef=_text.number(
-                obj, "value", "schedule", _text.number(obj, "coef", "schedule", 0.0)))
-        if kind == "table":
-            values = _text.number_object(obj, "values", "schedule")
-            return cls("table", values={k: float(v) for k, v in values.items()})
-        raise DomainError(f"unknown schedule kind {kind!r}")
+        obj = dict(obj)
+        kind = obj.pop("kind", None)
+        if not isinstance(kind, str) or kind not in _text.SCHEDULES:
+            raise DomainError(f"unknown schedule kind {kind!r}")
+        return cls(kind, **_text.read(_text.SCHEDULES[kind], obj, "schedule"))
 
 
 @dataclass(frozen=True)
@@ -296,7 +292,7 @@ _FAMILIES = {
         lambda n, p: n * math.sqrt(-p["kappa"]) * math.exp(-2.0 * p["delta"]),
         # a varying delta tilts the driver exponentially, not by a power
         lambda s: 1.0 + 0.5 * s["kappa"].exponent if s["delta"].kind == "const" else None,
-        primary="kappa", defaults={"delta": Schedule("const", coef=0.0)}),
+        primary="kappa", defaults={"delta": Schedule("const", value=0.0)}),
 }
 
 
@@ -319,9 +315,9 @@ class SequenceSpec:
         if not isinstance(raw, dict):
             raise DomainError(f"schedule must be an object, got {raw!r}")
         sched = {**fam.defaults, **{name: Schedule.from_json(obj) for name, obj in raw.items()}}
-        for name in fam.params:
-            if name not in sched:
-                raise DomainError(f"family {self.family!r} needs a schedule for {name!r}")
+        if set(sched) != set(fam.params):
+            raise DomainError(f"family {self.family!r} takes schedules for {fam.params}, "
+                              f"got {tuple(raw)}")
         self.schedule = sched
         self.n_values = _dimensions(self.n_values)
         if not self.n_values:
@@ -329,8 +325,35 @@ class SequenceSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SequenceSpec":
-        obj = _text.read_object(text, "sweep config")
-        return cls(*(_text.field(obj, key, "sweep config") for key in ("family", "schedule", "n")))
+        cfg = _config(text)
+        return cls(cfg["family"], cfg["schedule"], cfg["n"])
+
+
+def _config(text: str) -> dict:
+    cfg = _text.read_object(text, "sweep config")
+    # family and n go first, each refused with the message it has always had
+    if not isinstance(cfg.get("family"), str):
+        raise DomainError("sweep config needs a 'family' field")
+    if not cfg.get("n"):
+        raise DomainError("sweep config needs an 'n' list")
+    _dimensions(cfg["n"])
+    return _text.read(_text.SWEEP_CONFIG, cfg, "sweep config")
+
+
+def run_config(text: str) -> tuple[str, SweepReport]:
+    """The family a sweep config names and its report: the classification of
+    its schedule, or the canonical sweep of its family's parameter."""
+    cfg = _config(text)
+    family, eta, n_values = cfg["family"], cfg["eta"], cfg["n"]
+    if cfg["schedule"] is not None:
+        return family, classify_concentration(SequenceSpec(family, cfg["schedule"], n_values), eta)
+    fam = _FAMILIES.get(family)
+    if fam is None or fam.limit is None:
+        raise DomainError(f"family {family!r} needs a 'schedule' (classification) or must "
+                          "be one of hemisphere/euclid_ball/warped (canonical sweep)")
+    if cfg[fam.primary] is None:
+        raise DomainError(f"sweep config JSON missing field {fam.primary!r}")
+    return family, _sweep(family, cfg[fam.primary], eta, n_values)
 
 
 def _sequence_value(family: str, n: int, params: dict, eta: float) -> float:

@@ -226,25 +226,7 @@ def cmd_graph(args) -> int:
 def cmd_sweep(args) -> int:
     from . import asymptotics
 
-    cfg = _text.read_object(_read_file(args.config), "sweep config")
-    family = cfg.get("family")
-    if not isinstance(family, str):
-        raise DomainError("sweep config needs a 'family' field")
-    eta = _text.number(cfg, "eta", "sweep config", 0.5)
-    if "schedule" in cfg:
-        report = asymptotics.classify_concentration(asymptotics.SequenceSpec.from_json(cfg), eta)
-    else:
-        ns = cfg.get("n")
-        if not ns:
-            raise DomainError("sweep config needs an 'n' list")
-        fam = asymptotics._FAMILIES.get(family)
-        if fam is None or fam.limit is None:
-            raise DomainError(
-                f"family {family!r} needs a 'schedule' (classification) or must "
-                "be one of hemisphere/euclid_ball/warped (canonical sweep)"
-            )
-        report = asymptotics._sweep(family, _text.number(cfg, fam.primary, "sweep config"),
-                                    eta, ns)
+    family, report = asymptotics.run_config(_read_file(args.config))
     return _write(
         args, report.to_json, report.to_csv,
         lambda: svg_line_chart([r.n for r in report.rows], [r.value for r in report.rows],

@@ -36,8 +36,8 @@ _EXACT_VERTEX_GUARD = 20
 class BoundaryGraph:
     """Weighted graph with boundary vertices and a probability measure."""
 
-    def __init__(self, n_vertices: int, edges, boundary, measure):
-        n = int(n_vertices)
+    def __init__(self, vertices: int, edges, boundary, measure):
+        n = _text.check(_text.INTEGER, vertices, "graph vertex count")
         if n < 1:
             raise DomainError("graph needs at least one vertex")
         # the measure fixes n before n adjacency lists are built
@@ -122,35 +122,15 @@ class BoundaryGraph:
 
     # -- serialization -----------------------------------------------------
     def to_json(self) -> str:
-        return _text.dumps({
-            "vertices": self.n,
-            "edges": [[u, v, w] for u, v, w in self.edges],
-            "boundary": self.boundary,
-            "measure": self.measure.tolist(),
-        })
+        values = (self.n, [list(e) for e in self.edges], self.boundary, self.measure.tolist())
+        return _text.dumps(dict(zip(_text.GRAPH, values)))
 
     @classmethod
     def from_json(cls, text: str) -> "BoundaryGraph":
-        obj = _text.read_object(text, "graph")
-        return cls(
-            _text.integer(obj, "vertices", "graph"),
-            _text.field(obj, "edges", "graph", _edges, "a list of [u, v, length] triples"),
-            _text.field(obj, "boundary", "graph", _vertex_list, "a list of integer vertices"),
-            _text.numbers(obj, "measure", "graph"),
-        )
+        return cls(**_text.read(_text.GRAPH, text, "graph"))
 
     def rho_csv(self) -> str:
         return _text.csv_text(("vertex", "rho"), (range(self.n), self.rho))
-
-
-def _vertex_list(x) -> bool:
-    return isinstance(x, list) and all(map(_text.is_integer, x))
-
-
-def _edges(x) -> bool:
-    return isinstance(x, list) and all(
-        isinstance(e, list) and len(e) == 3 and _vertex_list(e[:2]) and _text.is_number(e[2])
-        for e in x)
 
 
 def rho_boundary(g: BoundaryGraph) -> np.ndarray:

@@ -180,8 +180,8 @@ class TwistParams:
     delta: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise DomainError(f"dimension must be >= 2, got {self.n}")
+        if not 2 <= self.n <= sys.float_info.max:
+            raise DomainError(f"dimension must be >= 2 and within the float range, got {self.n}")
 
     def effective(self) -> CurvatureClass:
         return classify(
@@ -609,12 +609,15 @@ def ball_kernel(N: float, cc: CurvatureClass) -> BallKernel:
                           "comparison ball rounds to 0")
     if cc.kappa > 0:
         s, c = math.sin(X), math.cos(X)
-        log_half_beta = _log_half_beta(N)
-        if _sin_series(N, c):
-            f = _sin_2f1(N, s, c)
-            log_G = N * math.log(s) - math.log(N) + math.log(f)
-        else:
-            f, log_G = None, _log_int_sin(N, s, c, log_half_beta)
+        try:  # from N of about 1e50 on, a factor leaves the float range
+            log_half_beta = _log_half_beta(N)
+            if _sin_series(N, c):
+                f = _sin_2f1(N, s, c)
+                log_G = N * math.log(s) - math.log(N) + math.log(f)
+            else:
+                f, log_G = None, _log_int_sin(N, s, c, log_half_beta)
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(f"the ball kernel overflows at dimension N={N:g}") from None
         return BallKernel(N, cc, C, k, X, s, c, math.nan, log_G, math.log(s), f, log_half_beta)
     t = math.tanh(X)
     f = _sinh_2f1(N, X, t)
@@ -942,7 +945,10 @@ def ball_inverse(kernel: BallKernel, eta: float) -> float:
     if not 0.0 < u0 <= u_hi:
         u0 = u_hi
 
-    return min(_newton(f, u0, 0.0, u_hi), X) / kernel.k
+    try:  # from N of about 1e20 on, the forward map leaves the float range
+        return min(_newton(f, u0, 0.0, u_hi), X) / kernel.k
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"the ball quantile overflows at dimension N={N:g}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -48,15 +48,13 @@ __all__ = [
     "model_from_json",
 ]
 
-# tag -> fields of its classmethod constructor, in descriptor order
-_FIELDS = {
-    "ball": ("n", "kappa", "lam"),
-    "warped": ("n", "kappa"),
-    "half_gaussian": ("K", "Lam"),
-    "exponential": ("Lam",),
-    "weighted_warped_exp": ("n", "N", "kappa"),
-    "weighted_warped_gauss": ("n", "kappa", "delta"),
-}
+_FIELDS = _text.MODELS  # tag -> the fields of its descriptor and constructor
+
+
+def _checked(tag: str, *args) -> list:
+    """The constructor arguments of model ``tag``, checked against its fields."""
+    return [_text.check(kind, x, f"{tag} model parameter {name!r}")
+            for (name, kind), x in zip(_FIELDS[tag].items(), args)]
 
 
 @dataclass(frozen=True)
@@ -84,41 +82,45 @@ class ModelSpace:
 
     @classmethod
     def ball(cls, n: int, kappa: float, lam: float) -> "ModelSpace":
-        return cls("ball", n=int(n), kappa=float(kappa), lam=float(lam))
+        n, kappa, lam = _checked("ball", n, kappa, lam)
+        return cls("ball", n=n, kappa=kappa, lam=lam)
 
     @classmethod
     def warped(cls, n: int, kappa: float) -> "ModelSpace":
+        n, kappa = _checked("warped", n, kappa)
         if not kappa < 0:
             raise DomainError(f"warped model needs kappa < 0, got {kappa}")
-        return cls("warped", n=int(n), kappa=float(kappa), lam=math.sqrt(-kappa))
+        return cls("warped", n=n, kappa=kappa, lam=math.sqrt(-kappa))
 
     @classmethod
     def half_gaussian(cls, K: float, Lam: float) -> "ModelSpace":
+        K, Lam = _checked("half_gaussian", K, Lam)
         if not K > 0:
             raise DomainError(f"half-Gaussian model needs K > 0, got {K}")
-        return cls("half_gaussian", K=float(K), Lam=float(Lam))
+        return cls("half_gaussian", K=K, Lam=Lam)
 
     @classmethod
     def exponential(cls, Lam: float) -> "ModelSpace":
+        (Lam,) = _checked("exponential", Lam)
         if not Lam > 0:
             raise DomainError(f"exponential model needs Lam > 0, got {Lam}")
-        return cls("exponential", Lam=float(Lam))
+        return cls("exponential", Lam=Lam)
 
     @classmethod
     def weighted_warped_exp(cls, n: int, N: float, kappa: float) -> "ModelSpace":
+        n, N, kappa = _checked("weighted_warped_exp", n, N, kappa)
         if N < n:
             raise DomainError(f"effective dimension N={N} must be >= n={n}")
         if not kappa < 0:
             raise DomainError(f"needs kappa < 0, got {kappa}")
-        return cls("weighted_warped_exp", n=int(n), N=float(N), kappa=float(kappa),
-                   lam=math.sqrt(-kappa))
+        return cls("weighted_warped_exp", n=n, N=N, kappa=kappa, lam=math.sqrt(-kappa))
 
     @classmethod
     def weighted_warped_gauss(cls, n: int, kappa: float, delta: float) -> "ModelSpace":
+        n, kappa, delta = _checked("weighted_warped_gauss", n, kappa, delta)
         if not kappa < 0:
             raise DomainError(f"needs kappa < 0, got {kappa}")
-        return cls("weighted_warped_gauss", n=int(n), kappa=float(kappa),
-                   lam=math.sqrt(-kappa), delta=float(delta))
+        return cls("weighted_warped_gauss", n=n, kappa=kappa, lam=math.sqrt(-kappa), delta=delta)
 
     @property
     def gauss_rate(self) -> float:
@@ -140,9 +142,7 @@ def model_from_json(text: str) -> ModelSpace:
     tag = obj.pop("tag", None)
     if not isinstance(tag, str) or tag not in _FIELDS:
         raise DomainError(f"unknown model tag {tag!r}; expected one of {tuple(_FIELDS)}")
-    for name in _FIELDS[tag]:  # the constructor's signature refuses missing and unknown fields
-        (_text.integer if name == "n" else _text.number)(obj, name, "model", None)
-    try:
+    try:  # the constructor checks the fields' types; its signature refuses missing and unknown ones
         return getattr(ModelSpace, tag)(**obj)
     except TypeError as exc:
         raise DomainError(f"bad parameters for model {tag!r}: {exc}") from None

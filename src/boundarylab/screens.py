@@ -310,10 +310,11 @@ class DensityScreen(Screen):
         try:
             self.params = dict(params)
             if kernel is None:
+                _text.check(_text.NUMBER_OBJECT, self.params, f"{family} screen parameters")
                 for name, x in self.params.items():
                     _require_finite(f"{family} parameter {name}", x)
                 kernel = self._family.kernel(**self.params)
-        except TypeError as exc:  # unknown, missing or non-numeric parameter
+        except TypeError as exc:  # unknown or missing parameter
             raise DomainError(f"bad parameters for screen family {family!r}: {exc}") from None
         self.kernel = kernel
         self.scale_factor = float(scale_factor)
@@ -476,18 +477,14 @@ def closed_screen(family: str, **params) -> DensityScreen:
 
 def screen_from_json(text: str) -> Screen:
     obj = _text.read_object(text, "screen")
-    kind = obj.get("kind")
-    if kind == "grid":
-        return GridScreen(_text.numbers(obj, "t", "screen"), _text.numbers(obj, "F", "screen"),
-                          _text.boolean(obj, "full_support", "screen", None))
-    if kind == "atoms":
-        return AtomScreen(_text.numbers(obj, "t", "screen"), _text.numbers(obj, "p", "screen"))
+    kind = obj.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _text.SCREENS:
+        raise DomainError(f"unknown screen kind {kind!r}")
+    fields = _text.read(_text.SCREENS[kind], obj, "screen")
     if kind == "closed":
-        base = DensityScreen(_text.string(obj, "family", "screen"),
-                             _text.number_object(obj, "params", "screen"),
-                             full_support=_text.boolean(obj, "full_support", "screen", True))
-        return scale(base, _text.number(obj, "scale", "screen", 1.0))
-    raise DomainError(f"unknown screen kind {kind!r}")
+        return scale(DensityScreen(fields["family"], fields["params"],
+                                   full_support=fields["full_support"]), fields["scale"])
+    return (GridScreen if kind == "grid" else AtomScreen)(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -133,13 +133,9 @@ class RadialProblem:
 
     # -- serialization: CSV body with a JSON comment header --------------
     def to_csv(self) -> str:
-        header = _text.dumps({
-            "left_bc": self.left_bc.value,
-            "right_bc": self.right_bc.value,
-            "nonneg_ricci_f": self.nonneg_ricci_f,
-            "nonneg_mean_curv": self.nonneg_mean_curv,
-            "note": self.note,
-        })
+        fields = {key: getattr(self, key) for key in _text.PROBLEM_HEADER}
+        header = _text.dumps({**fields, "left_bc": self.left_bc.value,
+                              "right_bc": self.right_bc.value})
         return _text.csv_text(("t", "theta"), (self.grid, self.theta), f"# {header}\n")
 
     @classmethod
@@ -147,14 +143,8 @@ class RadialProblem:
         lines = text.strip().splitlines()
         if not lines or not lines[0].startswith("#"):
             raise DomainError("problem file must start with a JSON header comment")
-        what, ends = "problem header", [e.value for e in Endpoint]
-        header = _text.read_object(lines[0][1:].strip(), what)
-        options = {key: Endpoint(_text.field(header, key, what, ends.__contains__,
-                                             f"one of {ends}", "dirichlet"))
-                   for key in ("left_bc", "right_bc")}
-        for key in ("nonneg_ricci_f", "nonneg_mean_curv"):
-            options[key] = _text.boolean(header, key, what, False)
-        options["note"] = _text.string(header, "note", what, "")
+        options = _text.read(_text.PROBLEM_HEADER, lines[0][1:].strip(), "problem header")
+        options.update(left_bc=Endpoint(options["left_bc"]), right_bc=Endpoint(options["right_bc"]))
         if len(lines) < 2 or next(csv.reader(lines[1:2])) != ["t", "theta"]:
             raise DomainError("expected a 't,theta' CSV header row")
         body = lines[2:]
