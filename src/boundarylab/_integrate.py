@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError
 
 

@@ -21,9 +21,8 @@ import dataclasses
 import io
 import itertools
 import json
+import numbers
 import sys
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -43,10 +42,11 @@ def csv_text(names, columns, preamble: str = "") -> str:
     ``columns``.  A float array is formatted as a column, ``_ROWS`` rows at a
     time into one buffer: a whole column at once holds a float object per
     cell, and prepending to a finished text copies it, each raising the peak
-    memory of a 200,001-row table.  Other columns go cell by cell."""
+    memory of a 200,001-row table.  Other columns go cell by cell.  An array
+    is told by its ``dtype``, so a table of lists never imports numpy."""
     cells, formats = [], []
     for col in columns:
-        if isinstance(col, np.ndarray):
+        if hasattr(col, "dtype"):
             cells.append(col)
             formats.append(_FLOAT)
         else:
@@ -57,7 +57,7 @@ def csv_text(names, columns, preamble: str = "") -> str:
     buf = io.StringIO()
     buf.write(preamble + ",".join(names) + "\n")
     for i in range(0, len(cells[0]), _ROWS):
-        block = [c[i:i + _ROWS].tolist() if isinstance(c, np.ndarray) else c[i:i + _ROWS]
+        block = [c[i:i + _ROWS] if isinstance(c, list) else c[i:i + _ROWS].tolist()
                  for c in cells]
         buf.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
     return buf.getvalue()
@@ -89,6 +89,12 @@ def is_number(x) -> bool:
 def is_integer(x) -> bool:
     """An int, not a boolean, within the float range."""
     return isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def is_index(x) -> bool:
+    """An int that ``is_integer`` or a numpy integer (an ``Integral`` that is no
+    int), as Python callers pass ids and dimensions; never a boolean."""
+    return is_integer(x) or isinstance(x, numbers.Integral) and not isinstance(x, int)
 
 
 NUMBER = {"type": "number", "description": "a number"}

@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from . import _text, jacobi, screens
+from ._numpy import np
 from .errors import DomainError
 from .models import ModelSpace, boundary_screen, closed_form_obs_inradius
 
@@ -116,7 +115,7 @@ def _flat_ball_power(n: int, lam: float, eta: float) -> float:
 
 def _dimensions(n_values) -> list[int]:
     listed = isinstance(n_values, (list, tuple, range))
-    if not (listed and all(_text.is_integer(n) or isinstance(n, np.integer) for n in n_values)):
+    if not (listed and all(map(_text.is_index, n_values))):
         raise DomainError(f"n must be a list of integers, got {n_values!r}")
     return [int(n) for n in n_values]
 
@@ -384,8 +383,7 @@ def classify_concentration(spec: SequenceSpec, eta: float) -> SweepReport:
         params = {name: sched(n) for name, sched in spec.schedule.items()}
         report.add(n, _sequence_value(spec.family, n, params, eta), math.nan)
         drivers.append(fam.driver(n, params))
-    drivers = np.array(drivers)
-    report.extras["driver"] = drivers.tolist()
+    report.extras["driver"] = drivers
     report.extras["numeric_trend_of_values"] = _numeric_trend([r.value for r in report.rows])
 
     # the exponent of the analytic driver in n, when the schedules allow it
@@ -399,15 +397,15 @@ def classify_concentration(spec: SequenceSpec, eta: float) -> SweepReport:
     elif q is not None:
         verdict = Verdict.CONCENTRATES_TO_ZERO if q > 1e-12 else Verdict.BOUNDED_AWAY
     else:
-        diffs = np.diff(drivers)
-        if np.all(diffs >= -1e-12 * np.abs(drivers[:-1])):
+        steps = list(zip(drivers, drivers[1:]))
+        if all(b - a >= -1e-12 * abs(a) for a, b in steps):
             if drivers[-1] >= 4.0 * drivers[0]:
                 verdict = Verdict.CONCENTRATES_TO_ZERO
             elif drivers[-1] <= 1.05 * drivers[0]:
                 verdict = Verdict.BOUNDED_AWAY
             else:
                 verdict = Verdict.INCONCLUSIVE
-        elif np.all(diffs <= 1e-12 * np.abs(drivers[:-1])):
+        elif all(b - a <= 1e-12 * abs(a) for a, b in steps):
             verdict = Verdict.BOUNDED_AWAY
         else:
             verdict = Verdict.INCONCLUSIVE

@@ -13,8 +13,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import _text
 from .errors import DomainError, RegimeError
 
@@ -22,8 +20,10 @@ from .errors import DomainError, RegimeError
 # only what it runs.  No command loads SciPy: it runs only in the library's
 # independent checks, imported at the call (``quad`` in
 # models.normalization_audit and models.volume_ratio_audit, ``brentq`` in
-# screens.ky_fan_zero).  Interpreter start plus import is most of a
-# command's wall time.
+# screens.ky_fan_zero).  model, compare and sweep run on math scalars and
+# load no numpy either: the package imports it at the first array it builds
+# (boundarylab._numpy), which only spectrum, audit and graph do.  Interpreter
+# start plus import is most of a command's wall time.
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -37,14 +37,11 @@ def _fmt(x: float) -> str:
 def svg_line_chart(xs, ys, xlabel: str, ylabel: str, title: str) -> str:
     """Minimal deterministic SVG polyline chart."""
     W, H, ML, MB, MT, MR = 640, 400, 70, 50, 30, 20
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    good = np.isfinite(xs) & np.isfinite(ys)
-    xs, ys = xs[good], ys[good]
-    if xs.size == 0:
-        xs = ys = np.array([0.0])
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
+    pairs = [(x, y) for x, y in zip(map(float, xs), map(float, ys))
+             if math.isfinite(x) and math.isfinite(y)] or [(0.0, 0.0)]
+    xs, ys = zip(*pairs)
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
@@ -56,7 +53,7 @@ def svg_line_chart(xs, ys, xlabel: str, ylabel: str, title: str) -> str:
     def sy(y):
         return H - MB - (y - y0) / (y1 - y0) * (H - MB - MT)
 
-    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pairs)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {W} {H}">',
         f'<rect width="{W}" height="{H}" fill="white"/>',
@@ -201,7 +198,7 @@ def cmd_audit(args) -> int:
     margins = [e.margin for e in report.entries]
     return _write(
         args, report.to_json, report.to_csv,
-        lambda: svg_line_chart(np.arange(len(margins)), margins,
+        lambda: svg_line_chart(range(len(margins)), margins,
                                "entry", "margin", "inequality audit margins"),
     )
 

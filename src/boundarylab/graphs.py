@@ -14,9 +14,8 @@ import heapq
 import math
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import _text, screens
+from ._numpy import np
 from .errors import DomainError
 
 __all__ = [
@@ -31,6 +30,14 @@ __all__ = [
 ]
 
 _EXACT_VERTEX_GUARD = 20
+
+
+def _vertex(x) -> int:
+    """A vertex id, which the graph documents type as an integer: a float or a
+    boolean is refused, not truncated."""
+    if not _text.is_index(x):
+        raise DomainError(f"graph vertex id must be an integer, got {x!r}")
+    return int(x)
 
 
 class BoundaryGraph:
@@ -48,7 +55,7 @@ class BoundaryGraph:
         self.edges = []
         adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         for e in edges:
-            u, v, w = int(e[0]), int(e[1]), float(e[2])
+            u, v, w = _vertex(e[0]), _vertex(e[1]), float(e[2])
             if not (0 <= u < n and 0 <= v < n):
                 raise DomainError(f"edge ({u}, {v}) references a missing vertex")
             if not 0 < w < math.inf:  # also rejects NaN
@@ -59,7 +66,7 @@ class BoundaryGraph:
             adj[u].append((v, w))
             adj[v].append((u, w))
         self.adj = adj
-        self.boundary = sorted({int(b) for b in boundary})
+        self.boundary = sorted({_vertex(b) for b in boundary})
         if not self.boundary:
             raise DomainError("boundary vertex set must be nonempty")
         if self.boundary[0] < 0 or self.boundary[-1] >= n:

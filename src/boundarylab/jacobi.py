@@ -65,8 +65,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError
 
 __all__ = [
@@ -334,7 +333,9 @@ def _log_sum_exp(x, sign=1.0) -> float:
     return top + math.log(float(np.sum(sign * np.exp(x - top))))
 
 
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
+def _lgamma(x):
+    """log|Gamma| at each x of an array."""
+    return np.array([math.lgamma(v) for v in x.tolist()], dtype=float)
 
 
 def _gamma_sign(x):

@@ -23,10 +23,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _text, jacobi, screens
 from ._integrate import cumulative_trapezoid, pl_cumulative, pl_density
+from ._numpy import np
 from .errors import DomainError, RegimeError
 from .jacobi import CurvatureClass, InfiniteCurvature, TwistParams
 

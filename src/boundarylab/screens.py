@@ -22,10 +22,9 @@ import functools
 import math
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import _text
 from ._integrate import cumulative_simpson as _cumulative_simpson
+from ._numpy import np
 from .errors import DomainError
 
 __all__ = [
@@ -52,8 +51,9 @@ _TAIL_CUTOFF = 1e-13  # tail mass a DensityScreen's scan table leaves out
 def _require_finite(what: str, x) -> None:
     """Raise ``DomainError`` unless ``x`` (a number or an array) is finite
     throughout; NaN compares false, so the ordered checks alone let it by.
-    Numbers take ``math.isfinite``: numpy costs microseconds per scalar."""
-    finite = np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x)
+    Numbers are tested first, by ``math.isfinite``: numpy costs microseconds
+    per scalar, and a scalar check then never imports it."""
+    finite = math.isfinite(x) if isinstance(x, (float, int)) else np.isfinite(x).all()
     if not finite:
         raise DomainError(f"{what} must be finite")
 

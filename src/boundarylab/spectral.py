@@ -36,10 +36,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import _text, screens
 from ._integrate import cumulative_auto, pl_cell, pl_cumulative, pl_density
+from ._numpy import np
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -244,7 +243,7 @@ _ROOT_TOL = 2.0 ** -44  # a root is returned once its bracket is this narrow, re
 _MAX_SWEEPS = 100
 _SUSPECT = 1e-6         # a pivot below this share of its terms is recounted in order
 _CHUNK = 1 << 18        # shifts times nodes per batch of counts (2 MB arrays)
-_EPS = float(np.finfo(float).eps)
+_EPS = 2.0 ** -52       # machine epsilon of a double
 
 
 def _cumsum(z: np.ndarray) -> np.ndarray:

@@ -300,6 +300,19 @@ class TestSerialization:
         with pytest.raises(DomainError):
             BoundaryGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], [0], [0.5, 0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [0.9, True])
+    def test_vertex_ids_are_integers_not_truncated(self, bad):
+        """A float or boolean id is refused where int() would make it vertex 0
+        or 1, as the graph documents refuse it; numpy integers still serve."""
+        with pytest.raises(DomainError, match="vertex id must be an integer"):
+            BoundaryGraph(3, [(bad, 1, 1.0), (1, 2, 1.0)], [0], [1 / 3] * 3)
+        with pytest.raises(DomainError, match="vertex id must be an integer"):
+            BoundaryGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], [bad], [1 / 3] * 3)
+        g = BoundaryGraph(3, [(np.int64(0), np.int32(1), 1.0), (1, 2, 1.0)], [np.uint8(2)],
+                          [1 / 3] * 3)
+        assert g.edges[0][:2] == (0, 1) and g.boundary == [2]
+        assert all(type(u) is int for e in g.edges for u in e[:2]) and type(g.boundary[0]) is int
+
 
 class TestNonFiniteInput:
     """NaN fails no ``w <= 0`` test and JSON's 1e400 parses to inf, so the

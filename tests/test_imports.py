@@ -264,3 +264,76 @@ def test_no_command_loads_scipy(tmp_path):
         ["--format", "csv", "sweep", "--config", str(classify)],
     )
     assert not {m for m in mods if m == "scipy" or m.startswith("scipy.")}
+
+
+SCALAR_COMMANDS = ("model", "compare", "sweep")
+
+
+def test_scalar_commands_load_no_numpy_and_every_command_keeps_its_output(tmp_path):
+    """Every golden CLI case in every format, in one fresh process: the
+    ``model``, ``compare`` and ``sweep`` cases run first and leave numpy
+    unloaded; then ``spectrum``, ``audit`` and ``graph`` load it through the
+    package's deferred handle.  Every output equals, byte for byte, that of
+    ``cli.main`` run in this process, where numpy is loaded."""
+    from test_golden_cli import CASES, FORMATS, run_case, write_inputs
+
+    write_inputs(tmp_path)
+    groups = [[(name, fmt) for name in CASES for fmt in FORMATS
+               if (CASES[name][0][0] in SCALAR_COMMANDS) == scalar] for scalar in (True, False)]
+    argvs = [[["--format", fmt, *(a.replace("{dir}", str(tmp_path)) for a in CASES[name][0])]
+              for name, fmt in group] for group in groups]
+    (tmp_path / "argvs.json").write_text(json.dumps(argvs))
+    loaded_after(
+        "import contextlib, io, json, sys\n"
+        "from boundarylab.cli import main\n"
+        "report = []\n"
+        f"for group in json.loads(open({str(tmp_path / 'argvs.json')!r}).read()):\n"
+        "    for argv in group:\n"
+        "        out, err = io.StringIO(), io.StringIO()\n"
+        "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "            code = main(argv)\n"
+        "        report.append({'code': code, 'stdout': out.getvalue(), 'stderr': err.getvalue()})\n"
+        "    report.append('numpy' in sys.modules)\n"
+        f"open({str(tmp_path / 'report.json')!r}, 'w').write(json.dumps(report))\n"
+    )
+    report = json.loads((tmp_path / "report.json").read_text())
+    scalar, rest = groups
+    assert scalar and rest and report[len(scalar)] is False and report[-1] is True
+    for (name, fmt), got in zip(scalar + rest, report[:len(scalar)] + report[len(scalar) + 1:-1]):
+        assert got == run_case(name, fmt, tmp_path), f"{name}.{fmt}"
+
+
+def test_numpy_handle_becomes_numpy_at_first_use():
+    """The deferred handle turns into a plain module on its first attribute
+    load, so later loads cost what they cost on numpy itself."""
+    loaded_after(
+        "import sys, types\n"
+        "from boundarylab._numpy import np\n"
+        "assert 'numpy' not in sys.modules and type(np) is not types.ModuleType\n"
+        "assert np.float64(2.0) == 2.0\n"
+        "import numpy\n"
+        "assert type(np) is types.ModuleType\n"
+        "assert np.ndarray is numpy.ndarray and np.linalg is numpy.linalg\n"
+        "assert np.__name__ == 'numpy' and np.__version__ == numpy.__version__\n"
+    )
+    mods = loaded_after("import numpy\nfrom boundarylab._numpy import np\nassert np is numpy\n")
+    assert "numpy" in mods
+
+
+def test_library_scalar_calls_load_no_numpy():
+    """The README example, and a catalog screen of every family with its
+    invariants, run on ``math`` scalars alone."""
+    mods = loaded_after(
+        "from boundarylab import jacobi, models, screens\n"
+        "m = models.ModelSpace.ball(3, 1.0, 0.2)\n"
+        "assert screens.obs_inradius(models.boundary_screen(m), 0.5) == "
+        "models.closed_form_obs_inradius(m, 0.5)\n"
+        "models.comparison_bound(models.Infinite(jacobi.classify_infinite(1.0, 0.0)), 0.5)\n"
+        "for family, params in [('uniform', {'width': 2.0}), ('exponential', {'rate': 1.5}),\n"
+        "                       ('ball', {'N': 3.0, 'kappa': 1.0, 'lam': 0.2}),\n"
+        "                       ('half_gaussian', {'K': 1.0, 'Lam': 0.5})]:\n"
+        "    s = screens.closed_screen(family, **params)\n"
+        "    for fn in (screens.obs_inradius, screens.part_inradius, screens.bsep_single):\n"
+        "        fn(s, 0.3)\n"
+    )
+    assert "numpy" not in mods

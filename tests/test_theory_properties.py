@@ -1,0 +1,76 @@
+"""Properties of the observable inscribed radius over generated screens of
+every kind: grid, atom and closed (catalog) screens.
+
+ObsInRad is nonincreasing in eta, and it lies in the enclosure
+
+    part_inradius(s, 1 - eta)  <=  ObsInRad  <=  bsep_single(s, eta).
+
+When a screen does not declare full support, ``obs_inradius`` returns that
+enclosure as ``ObsBounds``: both of its ends must then be monotone, and its
+lower end may not pass its upper one.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_screens import closed_screens
+
+from boundarylab.screens import (
+    AtomScreen,
+    GridScreen,
+    ObsBounds,
+    bsep_single,
+    obs_inradius,
+    part_inradius,
+)
+
+
+@st.composite
+def grid_screens(draw):
+    """Knot gaps of 0.05 to 1, CDF increments that may be 0 (a flat stretch,
+    so no full support) and an optional atom at 0."""
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=30))
+    incr = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                         min_size=len(gaps), max_size=len(gaps)))
+    F = np.cumsum([draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))), *incr])
+    assume(F[-1] > 0.0)
+    return GridScreen(np.cumsum([0.0, *gaps]), F / F[-1])
+
+
+@st.composite
+def atom_screens(draw):
+    """Up to 30 atoms on [0, 10], repeated locations allowed."""
+    t = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=30))
+    p = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(t), max_size=len(t))))
+    return AtomScreen(t, p / p.sum())
+
+
+SCREENS = {"grid": grid_screens, "atoms": atom_screens, "closed": closed_screens}
+
+
+def enclosure(s, eta):
+    out = obs_inradius(s, eta)
+    return tuple(out) if isinstance(out, ObsBounds) else (out, out)
+
+
+@pytest.mark.parametrize("kind", list(SCREENS))
+@settings(max_examples=60)
+@given(data=st.data(), etas=st.lists(st.floats(0.001, 1.0), min_size=2, max_size=2))
+def test_obs_inradius_is_nonincreasing_in_eta(kind, data, etas):
+    s = data.draw(SCREENS[kind]())
+    small, large = sorted(etas)
+    (lo_small, hi_small), (lo_large, hi_large) = enclosure(s, small), enclosure(s, large)
+    assert lo_large <= lo_small and hi_large <= hi_small
+
+
+@pytest.mark.parametrize("kind", list(SCREENS))
+@settings(max_examples=60)
+@given(data=st.data(), eta=st.floats(0.001, 0.999))
+def test_obs_inradius_lies_between_part_inradius_and_bsep(kind, data, eta):
+    s = data.draw(SCREENS[kind]())
+    lo, hi = enclosure(s, eta)
+    # 1 - eta is rounded, so on a full-support screen the quantile may pass
+    # bsep_single(s, eta), the same radius by another route, by an ulp or two
+    assert part_inradius(s, 1.0 - eta) <= lo + 1e-12
+    assert lo <= hi <= bsep_single(s, eta)
