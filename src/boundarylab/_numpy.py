@@ -9,7 +9,6 @@ costs on numpy itself, and numpy's own module ``__getattr__`` still serves
 its lazy submodules.
 """
 
-import sys
 import types
 
 
@@ -22,4 +21,4 @@ class _Deferred(types.ModuleType):
         return getattr(self, name)
 
 
-np = sys.modules.get("numpy") or _Deferred("numpy")
+np = _Deferred("numpy")

@@ -316,8 +316,12 @@ def test_numpy_handle_becomes_numpy_at_first_use():
         "assert np.ndarray is numpy.ndarray and np.linalg is numpy.linalg\n"
         "assert np.__name__ == 'numpy' and np.__version__ == numpy.__version__\n"
     )
-    mods = loaded_after("import numpy\nfrom boundarylab._numpy import np\nassert np is numpy\n")
-    assert "numpy" in mods
+    loaded_after(
+        "import types, numpy\n"
+        "from boundarylab._numpy import np\n"
+        "assert type(np) is not types.ModuleType\n"
+        "assert np.ndarray is numpy.ndarray and type(np) is types.ModuleType\n"
+    )
 
 
 def test_library_scalar_calls_load_no_numpy():
