@@ -327,23 +327,6 @@ def _log_add(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi)) if lo > -math.inf else hi
 
 
-def _log_sum_exp(x, sign=1.0) -> float:
-    """log sum(sign e^x) over an array, its largest exponent factored out."""
-    top = float(np.max(x))
-    return top + math.log(float(np.sum(sign * np.exp(x - top))))
-
-
-def _lgamma(x):
-    """log|Gamma| at each x of an array."""
-    return np.array([math.lgamma(v) for v in x.tolist()], dtype=float)
-
-
-def _gamma_sign(x):
-    """Sign of Gamma at each x of an array that holds no pole:
-    (-1)^ceil(-x) on the negative axis."""
-    return np.where(x > 0.0, 1.0, 1.0 - 2.0 * (np.ceil(-x) % 2.0))
-
-
 def _sin_series(N: float, c: float) -> bool:
     """Whether theta with cos theta = c lies where the continued fraction
     of I_{sin^2}(N/2, 1/2) converges fast: sin^2 < (a + 1) / (a + 5/2).
@@ -522,18 +505,22 @@ def _log_int_cosh(N: float, w: float) -> float:
     """log int_0^w cosh^(N-1) for w > 0.
 
     Up to w = 1/2: tanh w * 2F1(1/2, (N+1)/2; 3/2; tanh^2 w) (DLMF 15.2.1),
-    summed here in log space because every term is positive.  Beyond:
+    of positive terms, summed with the total rescaled in range.  Beyond:
     cosh^m = 2^-m sum_j binom(m, j) e^((m - 2j) theta) integrates term by
     term; with e^(-2 theta) <= 1/e the terms are positive up to j = m and
-    negligible after m + 60.
+    negligible after m + 60.  Both series run on ``math`` floats.
     """
     m = N - 1.0
     w1 = min(w, 0.5)
     t = math.tanh(w1)
     z, b = t * t, 0.5 * (N + 1.0)
-    k = np.arange(int(2.0 * b * z / (1.0 - z) + 10.0 * math.sqrt(b * z) / (1.0 - z)) + 60.0)
-    log_terms = np.cumsum(np.log((k + 0.5) * (k + b) * z / ((k + 1.5) * (k + 1.0))))
-    head = math.log(t) + _log_add(0.0, _log_sum_exp(log_terms))
+    term, rest, shift = 1.0, 0.0, 0.0  # the terms after the first sum to rest e^shift
+    for k in range(int(2.0 * b * z / (1.0 - z) + 10.0 * math.sqrt(b * z) / (1.0 - z) + 60.0)):
+        term *= (k + 0.5) * (k + b) * z / ((k + 1.5) * (k + 1.0))
+        rest += term
+        if rest > 1e250:
+            shift, term, rest = shift + math.log(rest), term / rest, 1.0
+    head = math.log(t) + _log_add(0.0, shift + math.log(rest) if rest else -math.inf)
     if w == w1:
         return head
     # the summands peak at j = m q / (1 + q), q = e^(-2w) <= 1/e, with a
@@ -541,20 +528,19 @@ def _log_int_cosh(N: float, w: float) -> float:
     q = math.exp(-2.0 * w)
     peak = m * q / (1.0 + q)
     reach = 12.0 * math.sqrt(m) + 60.0
-    j = np.arange(max(0.0, math.floor(peak - reach)),
-                  min(math.floor(m) + 61.0, math.ceil(peak + reach)))
-    j = j[j < m + 1.0] if m == math.floor(m) else j  # binom(m, j) = 0 past an integer m
-    log_binom = math.lgamma(m + 1.0) - _lgamma(j + 1.0) - _lgamma(m - j + 1.0)
-    beta = m - 2.0 * j
-    span = w - w1
-    # int_{w1}^{w} e^(beta theta) d theta, written without cancellation
-    rate = np.where(beta == 0.0, 1.0, np.abs(beta))
-    log_int = np.where(
-        beta == 0.0,
-        math.log(span),
-        np.maximum(beta * w, beta * w1) + np.log(-np.expm1(-rate * span)) - np.log(rate),
-    )
-    tail = _log_sum_exp(log_binom + log_int, _gamma_sign(m - j + 1.0)) - m * _LOG2
+    # binom(m, j) = 0 past an integer m
+    stop = min(math.floor(m) + 61.0, math.ceil(peak + reach), m + 1.0 if m == math.floor(m) else math.inf)
+    span, log_gamma_m = w - w1, math.lgamma(m + 1.0)
+    terms = []  # (log |summand|, sign of Gamma(m - j + 1))
+    for j in range(int(max(0.0, math.floor(peak - reach))), int(stop)):
+        beta = m - 2.0 * j
+        # int_{w1}^{w} e^(beta theta) d theta, written without cancellation
+        log_int = math.log(span) if beta == 0.0 else (
+            max(beta * w, beta * w1) + math.log(-math.expm1(-abs(beta) * span) / abs(beta)))
+        terms.append((log_gamma_m - math.lgamma(j + 1.0) - math.lgamma(m - j + 1.0) + log_int,
+                      1.0 if m - j + 1.0 > 0.0 else (-1.0) ** math.ceil(j - m - 1.0)))
+    top = max(x for x, _ in terms)
+    tail = top + math.log(math.fsum(sg * math.exp(x - top) for x, sg in terms)) - m * _LOG2
     return _log_add(head, tail)
 
 

@@ -77,12 +77,16 @@ class Screen:
         raise NotImplementedError
 
     def cdf_fast(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized CDF for scans: exact on grids and atoms.  A closed
-        screen interpolates a 32,768-interval Simpson table linearly, which
-        errs by about h^2/8 max|pdf'| (1e-7 on the rate-1 exponential), and
-        by order h^N on balls with N < 2, whose density has an unbounded
-        slope at the rim (6e-6 at N = 1.05)."""
+        """Vectorized CDF for scans and ``to_csv``, not ``ks_distance``: exact on
+        grids and atoms.  A closed screen interpolates a 32,768-interval Simpson
+        table linearly, which errs by about h^2/8 max|pdf'| (1e-7 on the rate-1
+        exponential), and by order h^N on balls with N < 2, whose density has an
+        unbounded slope at the rim (6e-6 at N = 1.05)."""
         raise NotImplementedError
+
+    def _breaks(self) -> np.ndarray:
+        """Abscissae where the CDF may jump or bend, up to ``scan_upper``."""
+        return self.knots()
 
     def cdf_left(self, t: float) -> float:
         """Left limit F(t-)."""
@@ -112,7 +116,7 @@ class Screen:
         raise NotImplementedError
 
     def knots(self) -> np.ndarray:
-        """Abscissae worth probing in sup-distance scans."""
+        """Abscissae worth probing in scans (``to_csv``)."""
         raise NotImplementedError
 
     def scan_upper(self) -> float:
@@ -165,6 +169,18 @@ class GridScreen(Screen):
             return 0.0
         return self.cdf(t)
 
+    def _sides(self, ts):
+        F = self.cdf_fast(ts)
+        return np.where(ts > 0.0, F, 0.0), F
+
+    @functools.cached_property
+    def _slope(self):
+        return np.append(np.diff(self.F) / np.diff(self.t), 0.0)  # each cell's, then 0 outside
+
+    def _density(self, ts):
+        return (self._slope[np.searchsorted(self.t, ts) - 1],
+                self._slope[np.searchsorted(self.t, ts, side="right") - 1])
+
     def quantile(self, xi):
         i = int(np.searchsorted(self.F, xi, side="left"))
         if i == 0:
@@ -200,7 +216,11 @@ class GridScreen(Screen):
 
 
 class AtomScreen(Screen):
-    """Finite discrete distribution; all conventions are exact."""
+    """Finite discrete distribution; all conventions are exact.  Each query
+    is one ``searchsorted`` or one array pass over ``_cum``, the CDF, or the
+    masses of the k top atoms, held exactly as ``_top`` (``np.cumsum``) plus
+    ``_top_err`` (its rounding errors): ``bsep`` and ``ky_fan`` compare them
+    with eta by the sign of an exact difference, so a tie is a tie."""
 
     full_support = False
 
@@ -227,53 +247,55 @@ class AtomScreen(Screen):
         self.t = uniq[keep]
         self.p = mass[keep]
         self.upper_support = float(self.t[-1])
+        self._cum = np.concatenate(([0.0], np.cumsum(self.p)))
+        self._top = np.concatenate(([0.0], np.cumsum(self.p[::-1])))
+        lo, hi = self._top[:-1], self._top[1:]
+        step = hi - lo  # TwoSum: the rounding error of each step, exactly
+        self._top_err = np.concatenate(([0.0], np.cumsum((lo - (hi - step)) + (self.p[::-1] - step))))
 
     def cdf(self, t):
-        i = int(np.searchsorted(self.t, t, side="right"))
-        return float(self.p[:i].sum())
+        return float(self._cum[np.searchsorted(self.t, t, side="right")])
 
     def cdf_fast(self, ts):
-        idx = np.searchsorted(self.t, ts, side="right")
-        cum = np.concatenate([[0.0], np.cumsum(self.p)])
-        return cum[idx]
+        return self._cum[np.searchsorted(self.t, ts, side="right")]
 
     def cdf_left(self, t):
-        i = int(np.searchsorted(self.t, t, side="left"))
-        return float(self.p[:i].sum())
+        return float(self._cum[np.searchsorted(self.t, t, side="left")])
+
+    def _sides(self, ts):
+        return self._cum[np.searchsorted(self.t, ts)], self.cdf_fast(ts)
+
+    def _density(self, ts):
+        return (np.zeros(np.shape(ts)),) * 2
 
     def tail_closed(self, r):
-        i = int(np.searchsorted(self.t, r, side="left"))
-        return float(self.p[i:].sum())
+        k = self.t.size - np.searchsorted(self.t, r, side="left")
+        return float(self._top[k] + self._top_err[k])
 
     def tail_open(self, eps):
-        i = int(np.searchsorted(self.t, eps, side="right"))
-        return float(self.p[i:].sum())
+        k = self.t.size - np.searchsorted(self.t, eps, side="right")
+        return float(self._top[k] + self._top_err[k])
 
     def quantile(self, xi):
-        cum = np.cumsum(self.p)
-        i = int(np.searchsorted(cum, xi, side="left"))
-        if i >= self.t.size:
-            i = self.t.size - 1
-        return float(self.t[i])
+        i = int(np.searchsorted(self._cum[1:], xi, side="left"))
+        return float(self.t[min(i, self.t.size - 1)])
 
     def bsep(self, eta):
-        best = 0.0
-        for j in range(self.t.size - 1, -1, -1):
-            if float(self.p[j:].sum()) >= eta:
-                return float(self.t[j])
-        return best
+        # the fewest top atoms that hold eta: the last of them is the answer
+        holds = (self._top - eta) + self._top_err >= 0.0
+        return float(self.t[self.t.size - np.argmax(holds)]) if holds[-1] else 0.0
 
     def ky_fan(self):
-        """Exact inf{eps >= 0 : P[T > eps] <= eps} on the atom grid."""
-        edges = np.concatenate([[0.0], self.t, [math.inf]])
-        for j in range(self.t.size + 1):
-            a, b = edges[j], edges[j + 1]
-            v = self.tail_open(a)  # constant tail on [a, b)
-            if v <= a:
-                return float(a)
-            if v < b:
-                return float(v)
-        return 1.0  # pragma: no cover - tail reaches 0 at the last atom
+        """Exact inf{eps >= 0 : P[T > eps] <= eps} on the atom grid: the
+        tail is a constant v on each [a, b) between atoms, and the answer
+        is max(a, v) on the first one where v <= a or v < b."""
+        a = np.concatenate(([0.0], self.t))
+        b = np.append(self.t, math.inf)
+        k = self.t.size - (self.t[0] == 0.0)  # the atoms past 0; past each atom, those above it
+        top = np.concatenate(([self._top[k]], self._top[-2::-1]))
+        err = np.concatenate(([self._top_err[k]], self._top_err[-2::-1]))
+        j = int(np.argmax(((top - a) + err <= 0.0) | ((top - b) + err < 0.0)))
+        return float(max(a[j], top[j] + err[j]))
 
     def scale(self, c):
         return AtomScreen(self.t * c, self.p.copy())
@@ -292,11 +314,11 @@ class DensityScreen(Screen):
     """Closed catalog screen: the law of c*T, where T has the unit-scale
     screen of one catalog family and c is ``scale_factor``.
 
-    Point queries (``cdf``, the tails, ``quantile``, ``bsep``, ``pdf``)
+    Point queries (``cdf``, the tails, ``quantile``, ``bsep``, ``pdf``) and KS
     evaluate the family's exact kernels.  Scans (``cdf_fast``, ``knots``,
-    ``scan_upper``, ``to_csv``) read a Simpson table of the density, built
-    on first use: the curved-ball tail is a scalar kernel, too slow for
-    the thousands of abscissae a scan probes.  Every parameter is checked
+    ``to_csv``) read a Simpson table of the density, built on first use: the
+    curved-ball tail is a scalar kernel, too slow for the thousands of
+    abscissae a scan probes.  Every parameter is checked
     before the kernel that every query reads is built, once (a ball's is a
     ``jacobi.BallKernel``, which holds its rim).  A ``kernel`` already built
     from ``params`` is taken as it is, unchecked.
@@ -349,6 +371,15 @@ class DensityScreen(Screen):
         c = self.scale_factor
         return self._family.pdf(self.kernel, np.asarray(t, dtype=float) / c) / c
 
+    def _sides(self, ts):
+        return (np.array([self.cdf(t) for t in ts.tolist()]),) * 2
+
+    def _density(self, ts):
+        return (self.pdf(ts),) * 2
+
+    def _breaks(self):
+        return np.array([0.0, self.scan_upper()])
+
     def scale(self, c):
         return DensityScreen(self._family.name, self.params, self.scale_factor * c,
                              self.full_support, self.kernel)
@@ -357,8 +388,7 @@ class DensityScreen(Screen):
         """Knots and CDF values of the density's Simpson table on [0, hi]:
         hi is the support end, or the radius of tail mass _TAIL_CUTOFF."""
         if self._table is None:
-            hi = self.bsep(_TAIL_CUTOFF) if math.isinf(self._upper) else self.upper_support
-            ts = np.linspace(0.0, hi, _TABLE_SIZE + 1)
+            ts = np.linspace(0.0, self.scan_upper(), _TABLE_SIZE + 1)
             table = _cumulative_simpson(self.pdf(ts), ts[1] - ts[0])
             self._table = (ts, table / table[-1])
         return self._table
@@ -371,7 +401,7 @@ class DensityScreen(Screen):
         return self._scan_table()[0][:: _TABLE_SIZE // 256]
 
     def scan_upper(self):
-        return float(self._scan_table()[0][-1])
+        return self.bsep(_TAIL_CUTOFF) if math.isinf(self._upper) else self.upper_support
 
     def to_json(self):
         return _text.dumps({"kind": "closed", "family": self._family.name, "params": self.params,
@@ -425,10 +455,14 @@ def _ball(N, kappa, lam):
     return _jacobi().ball_kernel(N, _jacobi().classify(kappa, lam))
 
 
-def _ball_pdf(kernel, t):
-    jacobi = _jacobi()
-    z = jacobi.s_growth(kernel.N, kernel.cc, kernel.C)
-    return np.asarray(jacobi.s_profile_clamped(kernel.cc, t), dtype=float) ** (kernel.N - 1.0) / z
+def _ball_pdf(rim, t):
+    """k g(X - k t)^(N-1) / G(X), g = sin (kappa > 0) or sinh (kappa < 0), or
+    N (1 - t/C)^(N-1) / C (kappa = 0), off the kernel's rim; 0 past it."""
+    m = rim.N - 1.0
+    if rim.cc.kappa == 0.0:
+        return np.maximum(1.0 - t / rim.C, 0.0) ** m * (rim.N / rim.C)
+    s = (np.sin if rim.cc.kappa > 0 else np.sinh)(np.maximum(rim.X - rim.k * t, 0.0))
+    return (s / math.exp(rim.log_g)) ** m / np.exp(rim.log_G - m * rim.log_g - math.log(rim.k))
 
 
 def _half_gaussian(K, Lam):
@@ -562,36 +596,36 @@ def scale(s: Screen, c: float) -> Screen:
 
 
 def ks_distance(s1: Screen, s2: Screen) -> float:
-    """sup_t |F1(t) - F2(t)| by dense scan plus local zoom refinement."""
-    hi = max(s1.scan_upper(), s2.scan_upper())
-    cand = np.unique(
-        np.concatenate([np.linspace(0.0, hi, 4097), s1.knots(), s2.knots()])
-    )
-    cand = cand[(cand >= 0) & (cand <= hi)]
-    d = np.abs(s1.cdf_fast(cand) - s2.cdf_fast(cand))
-    best = float(d.max())
-    # atoms create jumps: probe both one-sided limits exactly
-    for s, o in ((s1, s2), (s2, s1)):
-        if isinstance(s, AtomScreen):
-            for t in s.t:
-                best = max(
-                    best,
-                    abs(s.cdf(t) - o.cdf(t)),
-                    abs(s.cdf_left(t) - o.cdf_left(t)),
-                )
-    # residual disagreement past the scan window
-    best = max(best, abs((1.0 - s1.cdf_fast(np.array([hi]))[0]) -
-                         (1.0 - s2.cdf_fast(np.array([hi]))[0])))
-    # zoom around the top local maxima
-    order = np.argsort(d)[::-1][:8]
-    for i in order:
-        lo = cand[max(i - 1, 0)]
-        up = cand[min(i + 1, cand.size - 1)]
-        for _ in range(4):
-            ts = np.linspace(lo, up, 65)
-            dd = np.abs(s1.cdf_fast(ts) - s2.cdf_fast(ts))
-            j = int(np.argmax(dd))
-            best = max(best, float(dd[j]))
-            lo = ts[max(j - 1, 0)]
-            up = ts[min(j + 1, ts.size - 1)]
-    return best
+    """sup_t |F1(t) - F2(t)|, exactly: F1 - F2 is smooth between the merged
+    knots of the two screens (atoms, grid knots, support ends, and scan ends
+    past which under 1e-13 of mass remains), so the supremum lies at a knot,
+    on either side, or where the densities (``_density``: 0 on atoms, a
+    grid's cell slope, ``pdf``) cross.  Crossings are bracketed on the knots
+    plus 256 cells, two in one cell going unseen, and root-found; ``_sides``
+    reads the exact one-sided CDFs there, a closed screen by its exact tail,
+    with no scan table (0.1-0.3 ms for ``distribution_law``'s pairs)."""
+    knots = np.concatenate([s1._breaks(), s2._breaks()])
+    grid = np.unique(np.concatenate([knots, np.linspace(0.0, knots.max(), 257)]))
+    (left1, right1), (left2, right2) = s1._density(grid), s2._density(grid)
+    g_lo, g_up = (right1 - right2)[:-1], (left1 - left2)[1:]
+    turn = g_lo * g_up < 0.0
+    roots = [_crossing(lambda x: float(s1._density(x)[0] - s2._density(x)[0]), *cell)
+             for cell in zip(grid[:-1][turn], grid[1:][turn], g_lo[turn], g_up[turn])]
+    ts = np.concatenate([knots, roots])
+    return max(float(np.abs(a - b).max()) for a, b in zip(s1._sides(ts), s2._sides(ts)))
+
+
+def _crossing(g, a: float, b: float, ga: float, gb: float) -> float:
+    """A sign change of g in (a, b), g(a) = ga and g(b) = gb of opposite signs, to 1e-7
+    of b by Anderson-Bjorck regula falsi (BIT 13, 1973): F1 - F2 is flat to O(dx^2) there."""
+    for _ in range(100):
+        x = (a * gb - b * ga) / (gb - ga)
+        if b - a <= 1e-7 * b or (gx := g(x)) == 0.0:
+            break
+        if (gx > 0.0) == (gb > 0.0):  # x replaces b, and the value kept at a shrinks
+            m = 1.0 - gx / gb
+            b, gb, ga = x, gx, ga * (m if m > 0.0 else 0.5)
+        else:
+            m = 1.0 - gx / ga
+            a, ga, gb = x, gx, gb * (m if m > 0.0 else 0.5)
+    return x

@@ -20,8 +20,12 @@ eta / (1 - eta) ulps, and for v deep in the tail at large N.
 
 import inspect
 import itertools
+import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -284,6 +288,36 @@ class TestAgainstMpmath:
         ref = r - (mp.log(S) - mp.log(eta)) / slope
         assert within(r, float(ref), float(1 / abs(ref * slope)))
         assert within(jacobi.gaussian_tail(ic, r), float(S), float(abs(r * slope)))
+
+
+# outside the ball regimes with |lam| < sqrt(-kappa), s = cosh(theta0 + k t) / cosh(theta0):
+# the 2F1 series alone (w <= 1/2), the binomial series past it, an integer
+# N - 1, theta0 + k t crossing 0, and a 2F1 sum past 1e250 at N = 6000
+COSH_CASES = [(3.5, -1.0, 0.5, 2.0), (3.5, -1.0, 0.5, 0.1), (1.01, -1.0, 0.3, 0.2),
+              (3.0, -2.0, -1.0, 1.5), (40.0, -0.5, 0.1, 3.0), (1000.0, -1.0, 0.5, 0.3),
+              (2.0, -1.0, 0.0, 5.0), (7.5, -4.0, 1.9, 0.05), (6000.0, -1.0, 0.6, 1.0)]
+
+
+def test_cosh_growth_runs_on_math_and_matches_mpmath():
+    """``s_growth`` in the cosh regime sums its series on ``math``: in a
+    fresh process it loads no numpy, and each value agrees with a 40-digit
+    quadrature within the oracle tolerance, at condition number N: the
+    power N - 1 scales the rounding of the profile."""
+    src = os.path.dirname(os.path.dirname(jacobi.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import json, sys\nfrom boundarylab import jacobi\n"
+            f"values = [jacobi.s_growth(N, jacobi.classify(k, l), r) for N, k, l, r in {COSH_CASES!r}]\n"
+            "print(json.dumps([values, 'numpy' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    values, numpy_loaded = json.loads(proc.stdout)
+    assert not numpy_loaded
+    for (N, kappa, lam, r), value in zip(COSH_CASES, values):
+        k = mp.sqrt(-mp.mpf(kappa))
+        theta0 = -mp.atanh(mp.mpf(lam) / k)
+        ref = mp.quad(lambda t: (mp.cosh(theta0 + k * t) / mp.cosh(theta0)) ** (N - 1), [0, r / 2, r])
+        assert within(value, float(ref), N), (N, kappa, lam, r, value, float(ref))
 
 
 class TestHorospherical:

@@ -8,14 +8,21 @@ ObsInRad is nonincreasing in eta, and it lies in the enclosure
 When a screen does not declare full support, ``obs_inradius`` returns that
 enclosure as ``ObsBounds``: both of its ends must then be monotone, and its
 lower end may not pass its upper one.
+
+The comparison sandwich ObsInRad <= comparison_bound holds over generated
+admissible densities in each of the five regimes of criterion 08.
 """
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from test_screens import closed_screens
 
+from boundarylab import jacobi, models
+from boundarylab.errors import DomainError
 from boundarylab.screens import (
     AtomScreen,
     GridScreen,
@@ -74,3 +81,44 @@ def test_obs_inradius_lies_between_part_inradius_and_bsep(kind, data, eta):
     # bsep_single(s, eta), the same radius by another route, by an ulp or two
     assert part_inradius(s, 1.0 - eta) <= lo + 1e-12
     assert lo <= hi <= bsep_single(s, eta)
+
+
+def _admissible(regime, draw):
+    """(density, comparison kind) of one regime of criterion 08, its
+    parameters and the generator's seed drawn by hypothesis."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if regime == "infinite":
+        ic = jacobi.classify_infinite(draw(st.floats(0.1, 3.0)), draw(st.floats(-1.5, 2.0)))
+        return models.generate_admissible_infinite(ic, rng, points=1201), models.Infinite(ic)
+    if regime == "infinite-flat":
+        ic = jacobi.classify_infinite(0.0, draw(st.floats(0.2, 3.0)))
+        return models.generate_admissible_infinite(ic, rng, points=1201), models.Infinite(ic)
+    if regime == "twisted":
+        kappa, lam = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.0, 2.0))
+        assume(jacobi.classify(kappa, lam).is_convex_ball)
+        tp = jacobi.TwistParams(draw(st.integers(2, 6)), kappa, lam, draw(st.floats(-0.5, 0.7)))
+        return models.generate_admissible_twisted(tp, rng, points=1201), models.Twisted(tp)
+    if regime == "ball":
+        cc = jacobi.classify(draw(st.floats(-2.0, 2.0)), draw(st.floats(-1.5, 2.0)))
+        assume(cc.is_ball)
+    else:  # horospherical
+        kappa = draw(st.floats(-4.0, -0.1))
+        cc = jacobi.classify(kappa, math.sqrt(-kappa))
+    N = draw(st.floats(1.5, 10.0))
+    return models.generate_admissible_finite(N, cc, rng, points=1201), models.FiniteN(N, cc)
+
+
+@pytest.mark.parametrize("regime", ["ball", "horospherical", "twisted", "infinite", "infinite-flat"])
+@settings(max_examples=60)
+@given(data=st.data(), eta=st.floats(0.01, 0.99))
+def test_comparison_sandwich_over_generated_admissible_densities(regime, data, eta):
+    """obs_inradius(density.screen(), eta) <= comparison_bound(kind, eta).
+
+    Near-flat balls (a radius in the thousands, or one that rounds to 0)
+    are beyond the generators, which raise ``DomainError`` there; such
+    draws hold no density to test."""
+    try:
+        density, kind = _admissible(regime, data.draw)
+    except DomainError:
+        reject()
+    assert obs_inradius(density.screen(), eta) <= models.comparison_bound(kind, eta) + 1e-9
