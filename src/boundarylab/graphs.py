@@ -228,8 +228,6 @@ def _exact_feasible(g: BoundaryGraph, etas, D: float) -> bool:
     etas = sorted(etas, reverse=True)
 
     def rec(avail: int, needs) -> bool:
-        if not needs:
-            return True
         eta = needs[0]
         if len(needs) == 1:
             return mass[avail] >= eta - 1e-12
@@ -243,8 +241,6 @@ def _exact_feasible(g: BoundaryGraph, etas, D: float) -> bool:
             sub_mask = (sub_mask - 1) & avail
         return False
 
-    if len(etas) == 1:
-        return bool(mass[full] >= etas[0] - 1e-12)
     if len(etas) == 2:
         # vectorized: for every first-set mask, take all remaining allowed mass
         masks = np.arange(1, full + 1, dtype=np.int64)
@@ -342,13 +338,11 @@ def bsep_k(g: BoundaryGraph, etas, mode: str = "exact") -> float:
             else:
                 hi = mid
         return float(cand[lo])
-    best = 0.0
-    for D in np.unique(_candidate_values(g))[::-1]:
+    for D in _candidate_values(g)[::-1]:
         family = _greedy_family(g, etas, float(D))
         if family is not None:
-            best = max(best, _family_value(g, family))
-            break
-    return best
+            return _family_value(g, family)
+    return 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -800,7 +800,9 @@ def interval_bsep(p: RadialProblem, etas) -> float:
     supremum is a root, found to adjacent floats by Pegasus regula falsi
     (Dowell & Jarratt, BIT 12, 1972) that bisects when a step stalls.
     Packings run in plain floats on a table (:func:`_hull`) built per call.
-    Masses must be finite and positive; past 1 in sum the distance is 0.
+    The last set may end 1e-12 L past L - D, a slack relative to L, so D
+    scales with the grid.  Masses must be finite and positive; past 1 in
+    sum the distance is 0.
     """
     return _bsep(p, etas, None)
 
@@ -835,7 +837,7 @@ def _bsep(p: RadialProblem, etas, hull: tuple | None) -> float:
                 fits = (fits and pos < L and target <= total * (1.0 + 1e-12)
                         and mass(end) - c >= eta * total * (1.0 - 1e-9))
                 pos = end + D
-            over = end - (L - D + 1e-12) if right_b else target - total * (1.0 + 1e-12)
+            over = end - (L - D + 1e-12 * L) if right_b else target - total * (1.0 + 1e-12)
             feasible, least = feasible or (fits and over <= 0.0), min(least, over)
         return feasible, least
 

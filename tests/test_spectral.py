@@ -530,7 +530,7 @@ def _interval_bsep_oracle(p, etas):
                     ok = False
                     break
                 end, pos = b, b + D
-            if ok and end <= p.length - (D if right_b else 0.0) + 1e-12:
+            if ok and end <= p.length - (D if right_b else 0.0) + 1e-12 * p.length:
                 return True
         return False
 
@@ -578,7 +578,7 @@ def _hull_feasible(p, etas, D):
                 ok = False
                 break
             end, pos = b, b + D
-        if ok and end <= L - (D if right_b else 0.0) + 1e-12:
+        if ok and end <= L - (D if right_b else 0.0) + 1e-12 * L:
             return True
     return False
 
@@ -644,13 +644,28 @@ class TestIntervalBsepProperties:
     @settings(max_examples=30)
     @given(data=st.data(), c=st.floats(0.1, 10.0))
     def test_scaling_the_grid_scales_the_distance(self, bcs, data, c):
-        # the packing's end slack is 1e-12 in length, not relative, and the
-        # overshoot grows at least as fast as D: it moves D by 1e-12 |1 - c|
+        # the packing's end slack is relative to L, so only the rounding of
+        # c * grid moves D off c D
         p = data.draw(pl_problems(bcs))
         etas = data.draw(st.lists(st.floats(0.02, 0.45), min_size=1, max_size=3))
         q = RadialProblem(c * p.grid, p.theta, left_bc=p.left_bc, right_bc=p.right_bc)
         D, scaled = interval_bsep(p, etas), interval_bsep(q, etas)
-        assert abs(scaled - c * D) <= 1e-12 * (c * D + abs(1.0 - c)) + 1e-15 * q.length
+        assert abs(scaled - c * D) <= 1e-12 * c * D + 1e-15 * q.length
+
+    @pytest.mark.parametrize("bcs", [
+        (Endpoint.DIRICHLET, Endpoint.DIRICHLET),
+        (Endpoint.DIRICHLET, Endpoint.NEUMANN),
+        (Endpoint.NEUMANN, Endpoint.DIRICHLET),
+    ])
+    @pytest.mark.parametrize("c", [0.25, 4.0])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_power_of_two_scaling_is_exact(self, bcs, c, data):
+        # grid, knot table, masses, their inverse and every packing scale by c exactly
+        p = data.draw(pl_problems(bcs))
+        etas = data.draw(st.lists(st.floats(0.02, 0.45), min_size=1, max_size=3))
+        q = RadialProblem(c * p.grid, p.theta, left_bc=p.left_bc, right_bc=p.right_bc)
+        assert interval_bsep(q, etas) == c * interval_bsep(p, etas)
 
     @pytest.mark.parametrize("bcs", [
         (Endpoint.DIRICHLET, Endpoint.DIRICHLET),
@@ -722,7 +737,7 @@ def _numpy_scalar_bsep(p, etas):
                 fits = (fits and pos < L and target <= total * (1.0 + 1e-12)
                         and mass(end) - c >= eta * total * (1.0 - 1e-9))
                 pos = end + D
-            over = end - (L - D + 1e-12) if right_b else target - total * (1.0 + 1e-12)
+            over = end - (L - D + 1e-12 * L) if right_b else target - total * (1.0 + 1e-12)
             feasible, least = feasible or (fits and over <= 0.0), min(least, over)
         return feasible, least
 
