@@ -369,7 +369,11 @@ def generate_admissible_finite(
     else:
         raise DomainError(f"no admissible generator for regime {cc.regime.value}")
     t = np.linspace(0.0, T, points)
-    base = np.asarray(jacobi.s_profile_clamped(cc, t)) ** (N - 1.0)
+    try:
+        with np.errstate(over="raise"):  # a near-flat ball: inf * exp(-E) would be nan
+            base = np.asarray(jacobi.s_profile_clamped(cc, t)) ** (N - 1.0)
+    except FloatingPointError:
+        raise DomainError(f"s^(N-1) overflows on [0, {T:g}] for ({cc.kappa}, {cc.lam})") from None
     E = _random_log_slope_excess(rng, T, t)
     return RadialDensity(t, base * np.exp(-E))
 

@@ -23,7 +23,6 @@ import math
 from typing import Callable, NamedTuple
 
 from . import _text
-from ._integrate import cumulative_simpson as _cumulative_simpson
 from ._numpy import np
 from .errors import DomainError
 
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-12
-_TABLE_SIZE = 1 << 15  # intervals in the scan table of a DensityScreen
-_TAIL_CUTOFF = 1e-13  # tail mass a DensityScreen's scan table leaves out
+_TAIL_CUTOFF = 1e-13  # tail mass past a DensityScreen's scan end
 
 
 def _require_finite(what: str, x) -> None:
@@ -77,15 +75,12 @@ class Screen:
         raise NotImplementedError
 
     def cdf_fast(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized CDF for scans and ``to_csv``, not ``ks_distance``: exact on
-        grids and atoms.  A closed screen interpolates a 32,768-interval Simpson
-        table linearly, which errs by about h^2/8 max|pdf'| (1e-7 on the rate-1
-        exponential), and by order h^N on balls with N < 2, whose density has an
-        unbounded slope at the rim (6e-6 at N = 1.05)."""
-        raise NotImplementedError
+        """The exact CDF at each of ``ts``; grids and atoms vectorize it."""
+        return np.array([self.cdf(t) for t in np.ravel(ts).tolist()])
 
     def _breaks(self) -> np.ndarray:
-        """Abscissae where the CDF may jump or bend, up to ``scan_upper``."""
+        """Abscissae where the CDF may jump or bend, or the density peak, up to
+        ``scan_upper``."""
         return self.knots()
 
     def cdf_left(self, t: float) -> float:
@@ -314,14 +309,12 @@ class DensityScreen(Screen):
     """Closed catalog screen: the law of c*T, where T has the unit-scale
     screen of one catalog family and c is ``scale_factor``.
 
-    Point queries (``cdf``, the tails, ``quantile``, ``bsep``, ``pdf``) and KS
-    evaluate the family's exact kernels.  Scans (``cdf_fast``, ``knots``,
-    ``to_csv``) read a Simpson table of the density, built on first use: the
-    curved-ball tail is a scalar kernel, too slow for the thousands of
-    abscissae a scan probes.  Every parameter is checked
-    before the kernel that every query reads is built, once (a ball's is a
-    ``jacobi.BallKernel``, which holds its rim).  A ``kernel`` already built
-    from ``params`` is taken as it is, unchecked.
+    Every query (``cdf`` and ``cdf_fast``, the tails, ``quantile``, ``bsep``,
+    ``pdf``, ``to_csv``) and KS evaluates the family's exact kernels: there is
+    one CDF, the exact tail.  Every parameter is checked before the kernel
+    that every query reads is built, once (a ball's is a ``jacobi.BallKernel``,
+    which holds its rim).  A ``kernel`` already built from ``params`` is taken
+    as it is, unchecked.
     """
 
     def __init__(self, family: str, params: dict, scale_factor: float = 1.0,
@@ -343,7 +336,6 @@ class DensityScreen(Screen):
         self.full_support = full_support
         self._upper = self._family.upper(self.kernel)
         self.upper_support = self.scale_factor * self._upper
-        self._table = None
 
     def tail_closed(self, r):
         r = float(r) / self.scale_factor
@@ -372,33 +364,20 @@ class DensityScreen(Screen):
         return self._family.pdf(self.kernel, np.asarray(t, dtype=float) / c) / c
 
     def _sides(self, ts):
-        return (np.array([self.cdf(t) for t in ts.tolist()]),) * 2
+        return (self.cdf_fast(ts),) * 2
 
     def _density(self, ts):
         return (self.pdf(ts),) * 2
 
     def _breaks(self):
-        return np.array([0.0, self.scan_upper()])
+        return np.array([0.0, self.scale_factor * self._family.mode(self.kernel), self.scan_upper()])
 
     def scale(self, c):
         return DensityScreen(self._family.name, self.params, self.scale_factor * c,
                              self.full_support, self.kernel)
 
-    def _scan_table(self):
-        """Knots and CDF values of the density's Simpson table on [0, hi]:
-        hi is the support end, or the radius of tail mass _TAIL_CUTOFF."""
-        if self._table is None:
-            ts = np.linspace(0.0, self.scan_upper(), _TABLE_SIZE + 1)
-            table = _cumulative_simpson(self.pdf(ts), ts[1] - ts[0])
-            self._table = (ts, table / table[-1])
-        return self._table
-
-    def cdf_fast(self, ts):
-        t, F = self._scan_table()
-        return np.interp(ts, t, F, right=1.0)
-
     def knots(self):
-        return self._scan_table()[0][:: _TABLE_SIZE // 256]
+        return np.linspace(0.0, self.scan_upper(), 257)
 
     def scan_upper(self):
         return self.bsep(_TAIL_CUTOFF) if math.isinf(self._upper) else self.upper_support
@@ -416,8 +395,8 @@ class _Family(NamedTuple):
     """One catalog screen family on the unit scale.  ``kernel`` validates
     its parameters into the kernel data that the other fields take;
     ``upper`` is the support end, ``tail`` the mass P[T >= r] for
-    0 < r < upper, ``solve`` its inverse for eta in (0, 1] and ``pdf`` the
-    density, vectorized in t."""
+    0 < r < upper, ``solve`` its inverse for eta in (0, 1], ``pdf`` the
+    density, vectorized in t, and ``mode`` where that density peaks."""
 
     name: str
     kernel: Callable
@@ -425,6 +404,7 @@ class _Family(NamedTuple):
     tail: Callable
     solve: Callable
     pdf: Callable
+    mode: Callable = lambda kernel: 0.0
 
     def inverse(self, kernel, eta: float) -> float:
         """The r with P[T >= r] = eta; the support end at eta = 0.  Refuses
@@ -496,11 +476,13 @@ _FAMILIES = {f.name: f for f in (
         lambda rate, t: rate * np.exp(-rate * t)),
     _Family(
         "ball", _ball, lambda k: k.C, lambda k, r: _jacobi().ball_tail(k, r),
-        lambda k, eta: _jacobi().ball_inverse(k, eta), _ball_pdf),
+        lambda k, eta: _jacobi().ball_inverse(k, eta), _ball_pdf,
+        lambda k: max(0.0, (k.X - 0.5 * math.pi) / k.k) if k.cc.kappa > 0.0 else 0.0),
     _Family(
         "half_gaussian", _half_gaussian, lambda ic: math.inf,
         lambda ic, r: _jacobi().gaussian_tail(ic, r),
-        lambda ic, eta: _jacobi().gaussian_tail_inverse(ic, eta), _half_gaussian_pdf),
+        lambda ic, eta: _jacobi().gaussian_tail_inverse(ic, eta), _half_gaussian_pdf,
+        lambda ic: max(0.0, -ic.Lam / ic.K) if ic.K > 0.0 else 0.0),
 )}
 
 
@@ -597,13 +579,16 @@ def scale(s: Screen, c: float) -> Screen:
 
 def ks_distance(s1: Screen, s2: Screen) -> float:
     """sup_t |F1(t) - F2(t)|, exactly: F1 - F2 is smooth between the merged
-    knots of the two screens (atoms, grid knots, support ends, and scan ends
-    past which under 1e-13 of mass remains), so the supremum lies at a knot,
-    on either side, or where the densities (``_density``: 0 on atoms, a
-    grid's cell slope, ``pdf``) cross.  Crossings are bracketed on the knots
-    plus 256 cells, two in one cell going unseen, and root-found; ``_sides``
-    reads the exact one-sided CDFs there, a closed screen by its exact tail,
-    with no scan table (0.1-0.3 ms for ``distribution_law``'s pairs)."""
+    knots of the two screens (atoms, grid knots, support ends, a closed
+    density's mode, and scan ends past which under 1e-13 of mass remains), so
+    the supremum lies at a knot, on either side, or where the densities
+    (``_density``: 0 on atoms, a grid's cell slope, ``pdf``) cross.  Crossings
+    are bracketed on the knots plus 256 cells and root-found; ``_sides`` reads
+    the exact one-sided CDFs there, a closed screen by its exact tail
+    (0.1-0.3 ms for ``distribution_law``'s pairs).  A closed density is
+    monotone on each side of its mode, so against a grid or atom screen a cell
+    holds at most one crossing; two closed screens may cross twice in one
+    cell, and that pair goes unseen."""
     knots = np.concatenate([s1._breaks(), s2._breaks()])
     grid = np.unique(np.concatenate([knots, np.linspace(0.0, knots.max(), 257)]))
     (left1, right1), (left2, right2) = s1._density(grid), s2._density(grid)
@@ -617,9 +602,15 @@ def ks_distance(s1: Screen, s2: Screen) -> float:
 
 def _crossing(g, a: float, b: float, ga: float, gb: float) -> float:
     """A sign change of g in (a, b), g(a) = ga and g(b) = gb of opposite signs, to 1e-7
-    of b by Anderson-Bjorck regula falsi (BIT 13, 1973): F1 - F2 is flat to O(dx^2) there."""
+    of b by Anderson-Bjorck regula falsi (BIT 13, 1973), which bisects whenever two
+    steps fail to halve the bracket: F1 - F2 is flat to O(dx^2) there."""
+    older = old = math.inf  # the bracket widths two steps back and one step back
     for _ in range(100):
-        x = (a * gb - b * ga) / (gb - ga)
+        if b - a <= 0.5 * older:
+            x = (a * gb - b * ga) / (gb - ga)
+        else:
+            x = 0.5 * (a + b)
+        older, old = old, b - a
         if b - a <= 1e-7 * b or (gx := g(x)) == 0.0:
             break
         if (gx > 0.0) == (gb > 0.0):  # x replaces b, and the value kept at a shrinks

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,14 @@ class TestAdmissibleGenerators:
                 assert screens.obs_inradius(s, eta) <= comparison_bound(
                     Infinite(ic), eta
                 ) + 1e-9
+
+    def test_overflowing_near_flat_ball_is_refused_before_numpy_warns(self):
+        # the radius 1e151 overflows s^(N-1), and inf * exp(-E) = inf * 0 is nan
+        cc = jacobi.classify(6.176192060920335e-302, -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=r"s\^\(N-1\) overflows"):
+                generate_admissible_finite(8.0, cc, np.random.default_rng(0), points=1201)
 
     def test_volume_audit_passes_on_generated(self):
         rng = np.random.default_rng(57)

@@ -1,9 +1,11 @@
 """Screens answered from exact primitives.
 
 * ``ks_distance`` is exact: it equals analytic distances, a refined scan
-  of the exact CDFs on the law pairs of ``distribution_law``, and a
-  brute-force pass over the merged knots of two atom screens; it never
-  builds a closed screen's scan table.
+  of the exact CDFs on the law pairs of ``distribution_law``, a dense
+  exact scan where a peaked density crosses a grid's twice, and a
+  brute-force pass over the merged knots of two atom screens.
+* A closed screen has one CDF: its scans (``cdf_fast``, ``_sides``,
+  ``to_csv``) read the exact ``cdf`` bitwise.
 * ``AtomScreen`` answers every query from its cumulative tables; the
   references are exact rational sums of its masses (``fractions``).
 * A ball screen's density reads its normaliser off the kernel, and agrees
@@ -22,7 +24,7 @@ from scipy.optimize import minimize_scalar
 from boundarylab import jacobi
 from boundarylab.asymptotics import _canonical, distribution_law
 from boundarylab.models import boundary_screen
-from boundarylab.screens import AtomScreen, DensityScreen, GridScreen, closed_screen, ks_distance
+from boundarylab.screens import AtomScreen, GridScreen, closed_screen, ks_distance
 
 EPS = np.finfo(float).eps
 
@@ -96,18 +98,42 @@ class TestExactKS:
                    for t in np.concatenate([a.t, b.t]).tolist())
         assert ks_distance(a, b) == want
 
-    def test_closed_screens_build_no_scan_table(self, monkeypatch):
-        """KS reads exact kernels only: neither ``distribution_law`` nor
-        ``ks_distance`` of two closed screens builds the Simpson table."""
-        def refuse(self):
-            raise AssertionError("ks_distance built a scan table")
+    def test_a_peaked_density_crossing_a_grid_twice_in_one_cell(self):
+        # the crossings, 0.012 either side of the mode, share a 0.04-wide coarse
+        # cell unless the mode is a knot, and plain regula falsi stalls at
+        # x = 5.00119, where g = 0.09999
+        K = 1.0 / 0.003**2
+        grid = GridScreen([0.0, 10.0], [0.0, 1.0])
+        peak = closed_screen("half_gaussian", K=K, Lam=-K * 5.01953125)
+        ts = np.linspace(4.99, 5.03, 40_001)
+        dense = float(np.abs(grid.cdf_fast(ts) - peak.cdf_fast(ts)).max())
+        assert dense > 0.5007408
+        assert ks_distance(grid, peak) >= dense - 1e-12
+        assert ks_distance(peak, grid) >= dense - 1e-12
 
-        monkeypatch.setattr(DensityScreen, "_scan_table", refuse)
-        for family, param, n in LAW_PAIRS[:4] + [("warped", -1.0, 4)]:
-            finite, limit = law_screens(family, param, n)
-            ks_distance(finite, limit)
-            assert finite._table is None and limit._table is None
-            assert distribution_law(family, param, n)[0]._table is None
+
+CLOSED_SCREENS = [
+    ("uniform", {"width": 2.5}),
+    ("exponential", {"rate": 1.0}),
+    ("ball", {"N": 3.0, "kappa": 1.0, "lam": -0.5}),  # its density peaks inside
+    ("ball", {"N": 4.0, "kappa": 0.0, "lam": 0.5}),
+    ("ball", {"N": 4.0, "kappa": -1.0, "lam": 1.5}),
+    ("ball", {"N": 1.05, "kappa": 1.0, "lam": 0.2}),  # an unbounded slope at the rim
+    ("half_gaussian", {"K": 1.0, "Lam": -40.0}),
+]
+
+
+@pytest.mark.parametrize("family,params", CLOSED_SCREENS)
+def test_closed_screen_scans_read_the_exact_cdf(family, params):
+    s = closed_screen(family, **params)
+    ts = np.linspace(0.0, 1.2 * s.scan_upper(), 301)
+    exact = np.array([s.cdf(t) for t in ts.tolist()])
+    assert np.array_equal(s.cdf_fast(ts), exact)
+    left, right = s._sides(ts)
+    assert np.array_equal(left, exact) and np.array_equal(right, exact)
+    rows = [line.split(",") for line in s.to_csv(n=65).splitlines()[1:]]
+    t, F = np.array(rows, dtype=float).T
+    assert np.array_equal(F, [s.cdf(x) for x in t.tolist()])
 
 
 def exact_sum(p):

@@ -11,6 +11,11 @@ lower end may not pass its upper one.
 
 The comparison sandwich ObsInRad <= comparison_bound holds over generated
 admissible densities in each of the five regimes of criterion 08.
+
+Scaling a problem's grid by c scales every audit entry by a power of c: the
+isoperimetric constant and the Cheeger-type bounds by 1/c, eigenvalues by
+1/c^2, and the radii and separation distances by c.  Under c = 1/4 and
+c = 4 every float is scaled exactly, so each entry must be too.
 """
 
 import math
@@ -20,6 +25,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from test_screens import closed_screens
+from test_spectral import pl_problems
 
 from boundarylab import jacobi, models
 from boundarylab.errors import DomainError
@@ -31,6 +37,7 @@ from boundarylab.screens import (
     obs_inradius,
     part_inradius,
 )
+from boundarylab.spectral import Endpoint, RadialProblem, audit_inequalities
 
 
 @st.composite
@@ -122,3 +129,36 @@ def test_comparison_sandwich_over_generated_admissible_densities(regime, data, e
     except DomainError:
         reject()
     assert obs_inradius(density.screen(), eta) <= models.comparison_bound(kind, eta) + 1e-9
+
+
+# the power of c by which each audit entry's lhs, rhs and margin scale
+AUDIT_SCALING = {"cheeger": -1, "improved_cheeger": -1, "buser_ledoux": -1, "li_yau": -2,
+                 "universal_ratio": -2, "obs_inradius_eigen": 1, "bsep_eigen": 1}
+
+
+@pytest.mark.parametrize("bcs", [
+    (Endpoint.DIRICHLET, Endpoint.DIRICHLET),
+    (Endpoint.DIRICHLET, Endpoint.NEUMANN),
+    (Endpoint.NEUMANN, Endpoint.DIRICHLET),
+])
+@pytest.mark.parametrize("flags", [False, True])
+@settings(max_examples=12)
+@given(data=st.data())
+def test_every_audit_entry_scales_exactly_with_the_grid(bcs, flags, data):
+    p = data.draw(pl_problems(bcs))
+    k_max = data.draw(st.integers(1, 3))  # the resolution guard allows k <= m/4, m >= 14
+    etas = data.draw(st.lists(st.floats(0.02, 0.9), min_size=1, max_size=3))
+
+    def audit(c):
+        q = RadialProblem(c * p.grid, p.theta, left_bc=p.left_bc, right_bc=p.right_bc,
+                          nonneg_ricci_f=flags, nonneg_mean_curv=flags)
+        return audit_inequalities(q, k_max, etas).entries
+
+    parent = audit(1.0)
+    for c in (0.25, 4.0):
+        scaled = audit(c)
+        assert [(f.name, f.k, f.eta) for f in scaled] == [(e.name, e.k, e.eta) for e in parent]
+        for e, f in zip(parent, scaled):
+            factor = c ** AUDIT_SCALING[e.name]
+            assert (f.lhs, f.rhs, f.margin) == (factor * e.lhs, factor * e.rhs, factor * e.margin)
+            assert f.passed == e.passed
