@@ -7,35 +7,28 @@ from bisect import bisect_right
 from ._numpy import np
 from .errors import DomainError
 
+# a grid is uniform when every step is within this many eps * (t[-1] - t[0])
+# of the mean step: the rounding that a grid of equal steps carries
+_UNIFORM_ROUNDING = 8.0
 
-def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral of uniformly sampled y with O(h^4) accuracy.
 
-    Composite Simpson at even nodes; odd nodes add the integral of the
-    local quadratic through the surrounding three samples.
+def cumulative_simpson(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Cumulative integral of positive y on a uniform grid t.
+
+    Composite Simpson, O(h^4), at even nodes, each panel on its own width,
+    so that a constant integrates exactly.  Each odd node splits its panel
+    by the positive fraction (y0 + y1) / (y0 + 2 y1 + y2), the left cell's
+    share of the panel's trapezoid, so the table rises with y; a trailing
+    odd cell takes its trapezoid.
     """
     n = y.size
-    out = np.zeros(n)
-    if n < 3:
-        if n == 2:
-            out[1] = 0.5 * h * (y[0] + y[1])
-        return out
-    even_end = n - 1 if n % 2 == 1 else n - 2
-    panels = (h / 3.0) * (
-        y[0:even_end - 1:2] + 4.0 * y[1:even_end:2] + y[2:even_end + 1:2]
-    )
-    out[2:even_end + 1:2] = np.cumsum(panels)
-    odd = np.arange(1, n, 2)
-    odd = odd[odd <= even_end + 1]
-    base = odd - 1
-    valid = base + 2 <= n - 1
-    # left half-panel weights of the interpolating quadratic: (5, 8, -1)/12
-    out[odd[valid]] = out[base[valid]] + h * (
-        5.0 * y[base[valid]] + 8.0 * y[base[valid] + 1] - y[base[valid] + 2]
-    ) / 12.0
-    if not valid.all():
-        j = odd[~valid]
-        out[j] = out[j - 1] + 0.5 * h * (y[j - 1] + y[j])
+    out, e = np.zeros(n), n - 1 - (n - 1) % 2  # e: the last even node
+    y0, y1, y2 = y[0:e:2], y[1:e:2], y[2:e + 1:2]
+    panels = (t[2:e + 1:2] - t[0:e:2]) * ((y0 + 4.0 * y1 + y2) / 6.0)
+    out[2:e + 1:2] = np.cumsum(panels)
+    out[1:e:2] = out[0:e:2] + panels * ((y0 + y1) / (y0 + 2.0 * y1 + y2))
+    if e < n - 1:
+        out[-1] = out[-2] + 0.5 * (t[-1] - t[-2]) * (y[-2] + y[-1])
     return out
 
 
@@ -46,14 +39,14 @@ def cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def cumulative_auto(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Simpson on uniform grids, trapezoid otherwise."""
-    dt = np.diff(t)
-    if dt.size >= 2 and np.allclose(dt, dt[0], rtol=1e-12, atol=0.0):
-        return cumulative_simpson(y, float(dt[0]))
+    dt, span = np.diff(t), t[-1] - t[0]
+    if np.abs(dt - span / dt.size).max() <= _UNIFORM_ROUNDING * np.finfo(float).eps * span:
+        return cumulative_simpson(y, t)
     return cumulative_trapezoid(y, t)
 
 
 def pl_density(t, theta, min_points: int):
-    """Checked (t, theta, cumulative mass at t) of a gridded density on [0, T]."""
+    """Checked (t, theta, knot table of the mass) of a gridded density on [0, T]."""
     t, theta = np.asarray(t, dtype=float), np.asarray(theta, dtype=float)
     if t.ndim != 1 or t.shape != theta.shape:
         raise DomainError("grid and density must be matching 1-d arrays")
@@ -69,10 +62,10 @@ def pl_density(t, theta, min_points: int):
 
 
 def pl_cumulative(x, grid: np.ndarray, theta: np.ndarray, cum: np.ndarray):
-    """Mass of theta from grid[0] to x (clamped): ``cum`` at the knots plus
-    the exact trapezoid of the piecewise-linear interpolant over the partial
-    cell.  A float gives a float and an ndarray an ndarray, with the same
-    operations per element, so an array call equals the scalar calls bitwise.
+    """Mass of theta from grid[0] to x (clamped), read as :func:`pl_cell`
+    from the knot table ``cum``.  A float gives a float and an ndarray an
+    ndarray, with the same operations per element, so an array call equals
+    the scalar calls bitwise.
     """
     if not isinstance(x, np.ndarray):
         grid, theta, cum = memoryview(grid), memoryview(theta), memoryview(cum)
@@ -80,14 +73,20 @@ def pl_cumulative(x, grid: np.ndarray, theta: np.ndarray, cum: np.ndarray):
         return pl_cell(x, min(bisect_right(grid, x), len(grid) - 1) - 1, grid, theta, cum)
     x = np.clip(x.astype(float, copy=False), grid[0], grid[-1])
     i = np.minimum(grid.searchsorted(x, side="right"), grid.size - 1) - 1
-    t0, th0 = grid[i], theta[i]
-    dx = x - t0
-    thx = th0 + (theta[i + 1] - th0) * dx / (grid[i + 1] - t0)
-    return cum[i] + 0.5 * dx * (th0 + thx)
+    t0, th0, c0, c1 = grid[i], theta[i], cum[i], cum[i + 1]
+    u = (x - t0) / (grid[i + 1] - t0)
+    w = th0 / (th0 + theta[i + 1])
+    v = 1.0 - u
+    return np.minimum(c0 + (c1 - c0) * (w * (1.0 - v * v) + (1.0 - w) * (u * u)), c1)
 
 
 def pl_cell(x: float, i: int, grid, theta, cum) -> float:
-    """:func:`pl_cumulative` at a float x in cell i, on float memoryviews."""
-    t0, th0, th1 = grid[i], theta[i], theta[i + 1]
-    dx = x - t0
-    return cum[i] + 0.5 * dx * (th0 + (th0 + (th1 - th0) * dx / (grid[i + 1] - t0)))
+    """The mass at a float x in cell i, on float memoryviews: the cell's table
+    increment times the trapezoid share w (1 - (1 - u)^2) + (1 - w) u^2 below
+    u = (x - t_i) / h, w = theta_i / (theta_i + theta_{i+1}).  Each term rises
+    with u under rounding too, so the mass is nondecreasing in floating point."""
+    t0, th0, c0, c1 = grid[i], theta[i], cum[i], cum[i + 1]
+    u = (x - t0) / (grid[i + 1] - t0)
+    w = th0 / (th0 + theta[i + 1])
+    v = 1.0 - u
+    return min(c0 + (c1 - c0) * (w * (1.0 - v * v) + (1.0 - w) * (u * u)), c1)

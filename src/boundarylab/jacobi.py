@@ -286,7 +286,7 @@ def c_radius(cc: CurvatureClass) -> float:
     kappa, lam = cc.kappa, cc.lam
     if kappa > 0:
         rk = math.sqrt(kappa)
-        return (math.pi / 2.0 - math.atan(lam / rk)) / rk
+        return math.atan2(rk, lam) / rk
     if kappa == 0:
         return 1.0 / lam
     rk = math.sqrt(-kappa)

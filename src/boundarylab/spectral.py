@@ -20,10 +20,10 @@ keeps every eigenvalue, small or large, to about 1e-13 relative.
 
 The module also scans the Dirichlet isoperimetric constant, computes
 boundary separation distances of the interval by exact 1D packing, and
-audits every eigenvalue inequality of the theory.  The distance-to-boundary
-screen, the isoperimetric scan and its exact polish are array evaluations of
-one cumulative-mass primitive (``_integrate.pl_cumulative``); the packing's
-regula falsi reads it in plain floats, beside a closed-form mass inverse.
+audits every eigenvalue inequality of the theory.  All of them read one
+continuous, nondecreasing mass (``_integrate.pl_cumulative``): the screen,
+the isoperimetric scan and its exact polish as arrays, the packing's regula
+falsi in plain floats beside the mass's closed-form inverse.
 """
 
 from __future__ import annotations
@@ -127,8 +127,7 @@ class RadialProblem:
         return float(np.interp(x, self.grid, self.theta))
 
     def _mass_inverse(self, target: float) -> float:
-        """:func:`_invert_mass`, building its table for the call."""
-        return _invert_mass(_hull(self), target)
+        return _invert_mass(*map(memoryview, (self.grid, self.theta, self._cum)), target)
 
     # -- serialization: CSV body with a JSON comment header --------------
     def to_csv(self) -> str:
@@ -157,46 +156,25 @@ class RadialProblem:
         return cls(data[:, 0], data[:, 1], **options)
 
 
-def _reach(p: RadialProblem) -> np.ndarray:
-    """The most mass reached before each cell's right knot: the left limit
-    of the cell's trapezoid, as a running maximum, since the Simpson knot
-    table can dip.  Built per :func:`_hull`, not stored on the problem,
-    which would add 8 bytes a grid point to every problem held."""
-    reach = p._cum[:-1] + 0.5 * np.diff(p.grid) * (p.theta[:-1] + p.theta[1:])
-    # the running maximum costs twice the rest; most tables need none
-    return reach if np.all(reach[1:] >= reach[:-1]) else np.maximum.accumulate(reach)
+def _invert_mass(grid, theta, cum, target: float) -> float:
+    """Smallest x with M(x) >= target (:func:`interval_bsep`), on float
+    memoryviews of the grid, theta and the knot table.
 
-
-def _hull(p: RadialProblem) -> tuple:
-    """The packings' table: float memoryviews of grid, theta, knot masses, reach."""
-    return tuple(map(memoryview, (p.grid, p.theta, p._cum, _reach(p))))
-
-
-def _invert_mass(hull: tuple, target: float) -> float:
-    """Smallest x with M(x) >= target (:func:`interval_bsep`), given ``hull = _hull(p)``.
-
-    The cell is the first whose mass reaches the target before its right
-    knot, so a knot table that dips is never entered below the target.
-    Inside the cell theta is linear and the mass r past its left knot is
-    quadratic in dx; the root dx = 2r / (theta_i + sqrt(theta_i^2 + 2 s r)),
-    with s the slope, has no cancellation.  The densities are scaled to the
-    cell's larger one, so no square overflows.  Plain floats throughout.
+    M is continuous and nondecreasing, so x lies in the cell whose right knot
+    is the first to reach the target.  There M is the cell's table increment
+    times the share f(u) = 2 w u + (1 - 2 w) u^2 of :func:`_integrate.pl_cell`,
+    and the root u = F / (w + sqrt(w^2 + (1 - 2 w) F)) of f(u) = F, with F the
+    target's share of the increment, has no cancellation.  Plain floats.
     """
-    grid, theta, cum, reach = hull
     if target <= 0.0:
         return 0.0
-    i = bisect_left(reach, target)
-    if target >= cum[-1] or i == len(reach):
+    k = bisect_left(cum, target)
+    if k == len(cum):
         return grid[-1]
-    t0 = grid[i]
-    r = target - cum[i]
-    if r <= 0.0:
-        return t0
-    t1, th0, th1 = grid[i + 1], theta[i], theta[i + 1]
-    w = max(th0, th1)
-    a, u = th0 / w, r / w
-    dx = 2.0 * u / (a + math.sqrt(max(a * a + 2.0 * (th1 / w - a) * u / (t1 - t0), 0.0)))
-    return min(t0 + dx, t1)
+    t0, t1, c0 = grid[k - 1], grid[k], cum[k - 1]
+    F = (target - c0) / (cum[k] - c0)
+    w = theta[k - 1] / (theta[k - 1] + theta[k])
+    return min(t0 + (t1 - t0) * F / (w + math.sqrt(max(w * w + (1.0 - 2.0 * w) * F, 0.0))), t1)
 
 
 @dataclass(frozen=True)
@@ -682,34 +660,31 @@ def _dinkelbach(th: np.ndarray, cum: np.ndarray):
 def _polish(p: RadialProblem, x: float, lo: float, hi: float, th_o: float, c_o: float,
             sign: float):
     """Exact minimum over [lo, hi] of (theta(y) + th_o) / (sign (C(y) - c_o)),
-    with C the cumulative mass and (th_o, c_o) the other end: (ratio, y).
+    with C the one mass and (th_o, c_o) the other end: (ratio, y).
 
-    On a cell theta is linear with slope s and the mass is quadratic, so the
-    derivative vanishes where s^2/2 d^2 + s (theta_k + th_o) d
-    + s (c_o - C_k) + theta_k (theta_k + th_o) = 0, d past the cell's left
-    knot, whichever end y is.  Of its two roots only
-    d = -2 (s (c_o - C_k) + theta_k (theta_k + th_o))
-        / (s (theta_k + th_o + sqrt(th_o^2 - theta_k^2 - 2 s (c_o - C_k))))
+    On a cell theta is linear with slope s, and C is C_k plus r_k times the
+    trapezoid of theta over the d past the cell's left knot, r_k the ratio
+    of the cell's table increment to its trapezoid.  So the derivative
+    vanishes where s^2/2 d^2 + s (theta_k + th_o) d + s e_k
+    + theta_k (theta_k + th_o) = 0, e_k = (c_o - C_k) / r_k, whichever end y
+    is.  Of its two roots only
+    d = -2 (s e_k + theta_k (theta_k + th_o))
+        / (s (theta_k + th_o + sqrt(th_o^2 - theta_k^2 - 2 s e_k)))
     can lie in the cell: the other needs theta to fall to -th_o.  The
-    infimum is at one of these roots, a knot or a float below one, lo, hi
-    or the start x.
+    infimum is at one of these roots, a knot, lo, hi or the start x.
     """
     g, th, cum = p.grid, p.theta, p._cum
     k0 = max(int(g.searchsorted(lo, side="right")) - 1, 0)
     k1 = min(max(int(g.searchsorted(hi, side="left")), k0 + 1), g.size - 1)
     t0, h = g[k0:k1], np.diff(g[k0:k1 + 1])
     w = max(float(th[k0:k1 + 1].max()), th_o)  # scaled, so no square overflows
-    thk, tho = th[k0:k1] / w, th_o / w
-    s = (th[k0 + 1:k1 + 1] / w - thk) / h
-    dc = (c_o - cum[k0:k1]) / w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = -2.0 * (s * dc + thk * (thk + tho)) / (
-            s * (thk + tho + np.sqrt(tho * tho - thk * thk - 2.0 * s * dc)))
-    knots = g[k0 + 1:k1]
-    # the mass jumps at a knot where the knot table differs from the cell's
-    # trapezoid: a float below each knot stands for the left limit there
-    below = np.nextafter(np.append(knots, hi), -math.inf)
-    ys = np.concatenate(([x, lo, hi], knots, below, (t0 + d)[(d >= 0.0) & (d <= h)]))
+    thk, thk1, tho = th[k0:k1] / w, th[k0 + 1:k1 + 1] / w, th_o / w
+    s = (thk1 - thk) / h
+    with np.errstate(all="ignore"):
+        e = (c_o - cum[k0:k1]) / np.diff(cum[k0:k1 + 1]) * (0.5 * h * (thk + thk1))
+        d = -2.0 * (s * e + thk * (thk + tho)) / (
+            s * (thk + tho + np.sqrt(tho * tho - thk * thk - 2.0 * s * e)))
+    ys = np.concatenate(([x, lo, hi], g[k0 + 1:k1], (t0 + d)[(d >= 0.0) & (d <= h)]))
     ys = ys[(ys >= lo) & (ys <= hi)]
     mass = sign * (p._cum_at(ys) - c_o)
     with np.errstate(divide="ignore"):
@@ -770,21 +745,27 @@ def inradius(p: RadialProblem) -> float:
     return p.length
 
 
+_KNOT_MERGE = 1e-6  # two screen knots closer than this share of the least grid step are one
+
+
 def problem_screen(p: RadialProblem) -> screens.GridScreen:
-    """Pushforward of the normalized density under distance-to-boundary."""
+    """Pushforward of the normalized density under distance-to-boundary: the
+    one mass at each knot.  With both ends Dirichlet the knots are the two
+    half-grids merged, the later kept of two within ``_KNOT_MERGE`` of the
+    least grid step (a mirrored knot L - t and a grid knot differ by rounding)."""
     L, total = p.length, p.total_mass
     if p.left_bc is Endpoint.DIRICHLET and p.right_bc is Endpoint.DIRICHLET:
-        rs = np.unique(np.concatenate([
-            p.grid[p.grid <= L / 2], L - p.grid[p.grid >= L / 2], [L / 2],
-        ]))
+        g = p.grid
+        rs = np.concatenate((g[g < L / 2], L - g[g > L / 2][::-1], [L / 2]))
+        rs.sort(kind="stable")  # three sorted runs
+        rs = rs[np.diff(rs, append=math.inf) > _KNOT_MERGE * np.diff(g).min()]
         F = (p.mass(0.0, rs) + p.mass(L - rs, L)) / total
     elif p.right_bc is Endpoint.NEUMANN:
         rs, F = p.grid, p._cum / total
     else:  # boundary on the right: rho = L - t
         rs = L - p.grid[::-1]
         F = p.mass(L - rs, L) / total
-    # guard float jitter, and Simpson knot tables that dip for a rough theta
-    F = np.maximum.accumulate(np.minimum(F, 1.0, out=F), out=F)
+    F = np.minimum(F, 1.0, out=F)  # float jitter past the total
     F[-1] = 1.0
     return screens.GridScreen(rs, F, full_support=True)
 
@@ -795,34 +776,26 @@ def interval_bsep(p: RadialProblem, etas) -> float:
     In 1D the optimal family consists of intervals in some order (convex
     hulls preserve masses, gaps, and boundary distances), so a greedy
     left-packing per mass permutation decides feasibility of a candidate
-    separation D.  The packing reads the nondecreasing mass M(x) =
-    max(``_cum_at(x)``, the most mass reached before the cell of x), so the
-    supremum is a root, found to adjacent floats by Pegasus regula falsi
-    (Dowell & Jarratt, BIT 12, 1972) that bisects when a step stalls.
-    Packings run in plain floats on a table (:func:`_hull`) built per call.
-    The last set may end 1e-12 L past L - D, a slack relative to L, so D
-    scales with the grid.  Masses must be finite and positive; past 1 in
-    sum the distance is 0.
+    separation D.  The packing reads the problem's one mass (``_cum_at``),
+    continuous and nondecreasing, in plain floats on memoryviews, beside its
+    closed-form inverse :func:`_invert_mass`.  The supremum is a root, found
+    to adjacent floats by Pegasus regula falsi (Dowell & Jarratt, BIT 12,
+    1972) that bisects when a step stalls.  The last set may end 1e-12 L
+    past L - D, a slack relative to L, so D scales with the grid.  Masses
+    must be finite and positive; past 1 in sum the distance is 0.
     """
-    return _bsep(p, etas, None)
-
-
-def _bsep(p: RadialProblem, etas, hull: tuple | None) -> float:
-    """:func:`interval_bsep` on ``hull = _hull(p)``, built here if None."""
     etas = [float(e) for e in etas]
     screens._require_finite("all masses", np.array(etas))
     if any(e <= 0 for e in etas):
         raise DomainError("all masses must be positive")
     if any(e > 1 for e in etas) or sum(etas) > 1.0:
         return 0.0
-    grid, theta, cum, reach = hull = hull or _hull(p)
+    grid, theta, cum = map(memoryview, (p.grid, p.theta, p._cum))
     L, total, last, perms = grid[-1], cum[-1], len(grid) - 1, set(itertools.permutations(etas))
     left_b, right_b = (bc is Endpoint.DIRICHLET for bc in (p.left_bc, p.right_bc))
 
     def mass(x: float) -> float:
-        j = bisect_right(grid, x)
-        m = pl_cell(min(x, L), min(j, last) - 1, grid, theta, cum)
-        return max(m, reach[j - 2]) if j >= 2 else m
+        return pl_cell(min(x, L), min(bisect_right(grid, x), last) - 1, grid, theta, cum)
 
     # (feasible, least overshoot): finite, since targets past the total are clamped
     def overshoot(D: float) -> tuple[bool, float]:
@@ -833,7 +806,7 @@ def _bsep(p: RadialProblem, etas, hull: tuple | None) -> float:
             for eta in perm:
                 c = mass(pos)
                 target = c + eta * total
-                end = _invert_mass(hull, min(target, total))
+                end = _invert_mass(grid, theta, cum, min(target, total))
                 fits = (fits and pos < L and target <= total * (1.0 + 1e-12)
                         and mass(end) - c >= eta * total * (1.0 - 1e-9))
                 pos = end + D
@@ -943,7 +916,7 @@ def audit_inequalities(p: RadialProblem, k_max: int, etas) -> AuditReport:
     improvement, and the separation/observable bounds from the spectrum.
     Gated on both curvature flags: the Buser-Ledoux lower bound, the
     Li-Yau inradius bound, and the universal k^2 ratio bound.  Failures are
-    report entries, never exceptions; the packings share one :func:`_hull`.
+    report entries, never exceptions.
     """
     etas = [float(e) for e in etas]
     spec = _spectrum(p, k_max)
@@ -962,7 +935,7 @@ def audit_inequalities(p: RadialProblem, k_max: int, etas) -> AuditReport:
         "inradius": inradius(p),
         "note": p.note,
     })
-    add, hull = report.entries.append, _hull(p)
+    add = report.entries.append
     add(_entry("cheeger", None, None, iso, 2.0 * math.sqrt(nu[0]), "<="))
     for k in range(1, k_max + 1):
         add(_entry(
@@ -987,7 +960,7 @@ def audit_inequalities(p: RadialProblem, k_max: int, etas) -> AuditReport:
         for k in range(1, min(k_max, 3) + 1):
             add(_entry(
                 "bsep_eigen", k, eta,
-                _bsep(p, [eta] * k, hull), 2.0 / math.sqrt(nu[k - 1] * eta), "<=",
+                interval_bsep(p, [eta] * k), 2.0 / math.sqrt(nu[k - 1] * eta), "<=",
             ))
     return report
 

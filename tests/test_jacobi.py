@@ -142,6 +142,13 @@ class TestCRadius:
         assert v_inverse(2.0, cc, 0.5) == pytest.approx(1.0 - math.sqrt(0.5), rel=1e-12)
         assert v_ball(2.0, cc, 0.5) == pytest.approx(0.25, rel=1e-12)
 
+    @pytest.mark.parametrize("kappa", [1.28e-231, 1e-40, 1e-20])
+    def test_spherical_near_the_flat_ball(self, kappa):
+        # (pi/2 - atan(lam / k)) / k cancelled to 0 as lam / k grew: C = 0
+        # where the ball is the flat one, of radius 1 / lam
+        assert c_radius(classify(kappa, 1.0)) == pytest.approx(1.0, rel=1e-15)
+        assert c_radius(classify(kappa, 2.0)) == pytest.approx(0.5, rel=1e-15)
+
     def test_infinite_outside_ball_regime(self):
         assert c_radius(classify(-1.0, 1.0)) == math.inf
         assert c_radius(classify(0.0, -1.0)) == math.inf

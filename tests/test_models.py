@@ -158,6 +158,19 @@ class TestVolumeRatioAudit:
             assert audit.satisfied
             assert audit.lhs == pytest.approx(audit.rhs, abs=2e-6)
 
+    @pytest.mark.parametrize("points", [16001, 64001])
+    def test_ball_model_saturates_on_refined_grids(self, points):
+        # a 1e-12 relative test of the steps gave these grids trapezoid
+        # masses, and lhs / rhs - 1 reached 4.6e-10 and 7.6e-10 at 16,001
+        cc = jacobi.classify(1.0, 0.0)
+        c = jacobi.c_radius(cc)
+        t = np.linspace(0.0, c * (1 - 1e-9), points)
+        density = models.RadialDensity(t, np.cos(t) ** 2 + 1e-300)
+        for r, R in [(0.2, 0.9), (0.5, 1.2), (1.0, 1.5)]:
+            audit = volume_ratio_audit(density, FiniteN(3.0, cc), r, R)
+            assert audit.satisfied
+            assert audit.lhs == pytest.approx(audit.rhs, abs=2e-6)
+
     def test_gauss_example_matches_infinite_comparison(self):
         m = ModelSpace.weighted_warped_gauss(3, -1.0, 0.0)
         a = m.gauss_rate
@@ -237,6 +250,13 @@ class TestAdmissibleGenerators:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match=r"s\^\(N-1\) overflows"):
                 generate_admissible_finite(8.0, cc, np.random.default_rng(0), points=1201)
+
+    def test_twisted_near_flat_ball(self):
+        # its radius cancelled to 0 for kappa > 0, and the empty support raised
+        tp = jacobi.TwistParams(2, 1.28e-231, 1.0, 0.0)
+        d = models.generate_admissible_twisted(tp, np.random.default_rng(0))
+        assert 0.5 <= d.t[-1] <= 0.98 and np.all(d.theta > 0.0)
+        assert math.isfinite(d.total) and d.total > 0.0
 
     def test_volume_audit_passes_on_generated(self):
         rng = np.random.default_rng(57)

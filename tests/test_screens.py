@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -425,11 +426,20 @@ class TestClosedScreenParameters:
         with pytest.raises(DomainError, match="no finite quantile at eta=0.0"):
             part_inradius(closed_screen("exponential", rate=1.0), 1.0)
 
-    def test_scan_table_of_a_far_gaussian_mode(self):
-        # Lam^2 / 2K > 709: e^(-Lam t) and the erfcx normalizer both overflow
+    def test_far_gaussian_mode_against_mpmath(self):
+        # Lam^2 / 2K > 709: e^(-Lam t) and the erfcx normalizer both overflow;
+        # the law is N(40, 1) conditioned on t >= 0
         s = closed_screen("half_gaussian", K=1.0, Lam=-40.0)
-        ts = np.linspace(35.0, 45.0, 41)
-        np.testing.assert_allclose(s.cdf_fast(ts), [s.cdf(t) for t in ts], atol=1e-6)
+        with mpmath.workdps(30):
+            z = mpmath.erfc(-40 / mpmath.sqrt(2))
+            for t in np.linspace(35.0, 45.0, 41):
+                x = (mpmath.mpf(t) - 40) / mpmath.sqrt(2)
+                tail = mpmath.erfc(x) / z
+                assert s.tail_closed(t) == pytest.approx(float(tail), rel=1e-14)
+                assert s.cdf(t) == pytest.approx(float(1 - tail), rel=1e-14, abs=1e-16)
+                pdf = mpmath.sqrt(2 / mpmath.pi) * mpmath.exp(-x * x) / z
+                assert s.pdf(t) == pytest.approx(float(pdf), rel=1e-13)
+        assert s.quantile(0.5) == pytest.approx(40.0, rel=1e-15)
 
     def test_bounded_support_ends_quantiles(self):
         s = scale(closed_screen("ball", N=3.0, kappa=1.0, lam=0.2), 2.0)
@@ -501,7 +511,7 @@ def _density_screen_oracle(weight, upper):
     while math.isinf(upper) and quad(pdf, hi, np.inf, epsabs=1e-14, limit=200)[0] >= 1e-13:
         hi *= 2.0
     ts = np.linspace(0.0, hi, (1 << 15) + 1)
-    table = cumulative_simpson(pdf(ts), ts[1] - ts[0])
+    table = cumulative_simpson(pdf(ts), ts)
 
     def cdf(t):
         if t <= 0.0:

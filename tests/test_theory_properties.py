@@ -121,14 +121,15 @@ def _admissible(regime, draw):
 def test_comparison_sandwich_over_generated_admissible_densities(regime, data, eta):
     """obs_inradius(density.screen(), eta) <= comparison_bound(kind, eta).
 
-    Near-flat balls (a radius in the thousands, or one that rounds to 0)
-    are beyond the generators, which raise ``DomainError`` there; such
-    draws hold no density to test."""
+    Near-flat balls are beyond the generators (a radius in the thousands)
+    or the comparison kernels (a rim angle that rounds to 0), which raise
+    ``DomainError`` there; such draws hold no case to test."""
     try:
         density, kind = _admissible(regime, data.draw)
+        bound = models.comparison_bound(kind, eta)
     except DomainError:
         reject()
-    assert obs_inradius(density.screen(), eta) <= models.comparison_bound(kind, eta) + 1e-9
+    assert obs_inradius(density.screen(), eta) <= bound + 1e-9
 
 
 # the power of c by which each audit entry's lhs, rhs and margin scale
