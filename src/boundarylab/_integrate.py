@@ -10,6 +10,8 @@ from .errors import DomainError
 # a grid is uniform when every step is within this many eps * (t[-1] - t[0])
 # of the mean step: the rounding that a grid of equal steps carries
 _UNIFORM_ROUNDING = 8.0
+# arrays up to this size are read by scalar calls
+_SCALAR_CALLS = 16
 
 
 def cumulative_simpson(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -22,9 +24,10 @@ def cumulative_simpson(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     odd cell takes its trapezoid.
     """
     n = y.size
-    out, e = np.zeros(n), n - 1 - (n - 1) % 2  # e: the last even node
+    e = n - 1 - (n - 1) % 2  # the last even node
     y0, y1, y2 = y[0:e:2], y[1:e:2], y[2:e + 1:2]
     panels = (t[2:e + 1:2] - t[0:e:2]) * ((y0 + 4.0 * y1 + y2) / 6.0)
+    out = np.zeros(n)
     out[2:e + 1:2] = np.cumsum(panels)
     out[1:e:2] = out[0:e:2] + panels * ((y0 + y1) / (y0 + 2.0 * y1 + y2))
     if e < n - 1:
@@ -39,7 +42,8 @@ def cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def cumulative_auto(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Simpson on uniform grids, trapezoid otherwise."""
-    dt, span = np.diff(t), t[-1] - t[0]
+    dt = np.diff(t)
+    span = t[-1] - t[0]
     if np.abs(dt - span / dt.size).max() <= _UNIFORM_ROUNDING * np.finfo(float).eps * span:
         return cumulative_simpson(y, t)
     return cumulative_trapezoid(y, t)
@@ -71,22 +75,44 @@ def pl_cumulative(x, grid: np.ndarray, theta: np.ndarray, cum: np.ndarray):
         grid, theta, cum = memoryview(grid), memoryview(theta), memoryview(cum)
         x = min(max(float(x), grid[0]), grid[-1])
         return pl_cell(x, min(bisect_right(grid, x), len(grid) - 1) - 1, grid, theta, cum)
+    if x.size <= _SCALAR_CALLS:  # cheaper than the thirty-odd array operations below
+        return np.array([pl_cumulative(float(y), grid, theta, cum) for y in x.flat]).reshape(x.shape)
     x = np.clip(x.astype(float, copy=False), grid[0], grid[-1])
     i = np.minimum(grid.searchsorted(x, side="right"), grid.size - 1) - 1
-    t0, th0, c0, c1 = grid[i], theta[i], cum[i], cum[i + 1]
+    t0, c0, c1 = grid[i], cum[i], cum[i + 1]
     u = (x - t0) / (grid[i + 1] - t0)
-    w = th0 / (th0 + theta[i + 1])
+    w = theta[i] / (theta[i] + theta[i + 1])
+    a = 2.0 * w - 1.0
     v = 1.0 - u
-    return np.minimum(c0 + (c1 - c0) * (w * (1.0 - v * v) + (1.0 - w) * (u * u)), c1)
+    share = np.where(a <= 0.0, u * (2.0 * w - a * u), np.where(
+        u < 0.25,
+        np.minimum(u + a * (u - u * u), 1.0 - 0.75 * ((1.0 - a) + a * 0.75)),
+        1.0 - v * ((1.0 - a) + a * v)))
+    return np.minimum(c0 + (c1 - c0) * share, c1)
 
 
 def pl_cell(x: float, i: int, grid, theta, cum) -> float:
     """The mass at a float x in cell i, on float memoryviews: the cell's table
-    increment times the trapezoid share w (1 - (1 - u)^2) + (1 - w) u^2 below
-    u = (x - t_i) / h, w = theta_i / (theta_i + theta_{i+1}).  Each term rises
-    with u under rounding too, so the mass is nondecreasing in floating point."""
-    t0, th0, c0, c1 = grid[i], theta[i], cum[i], cum[i + 1]
+    increment times the share S(u) = 2 w u - a u^2 of the cell's trapezoid
+    below u = (x - t_i) / h, with w = theta_i / (theta_i + theta_{i+1}) and
+    a = 2 w - 1.
+
+    Every operation in S rises with u, or with 1 - u under a subtraction, so
+    the mass is nondecreasing in floating point; and S keeps its relative
+    precision as u -> 0.  Where theta rises (a <= 0) S is u (2 w - a u).
+    Where it falls, S is u + a (u - u^2) below u = 1/4, where u - u^2 still
+    rises in floats, capped at the upper form's value at 1/4; from u = 1/4 on
+    it is 1 - v (1 - a + a v), v = 1 - u.
+    """
+    t0, c0, c1 = grid[i], cum[i], cum[i + 1]
     u = (x - t0) / (grid[i + 1] - t0)
-    w = th0 / (th0 + theta[i + 1])
-    v = 1.0 - u
-    return min(c0 + (c1 - c0) * (w * (1.0 - v * v) + (1.0 - w) * (u * u)), c1)
+    w = theta[i] / (theta[i] + theta[i + 1])
+    a = 2.0 * w - 1.0
+    if a <= 0.0:
+        share = u * (2.0 * w - a * u)
+    elif u < 0.25:
+        share = min(u + a * (u - u * u), 1.0 - 0.75 * ((1.0 - a) + a * 0.75))
+    else:
+        v = 1.0 - u
+        share = 1.0 - v * ((1.0 - a) + a * v)
+    return min(c0 + (c1 - c0) * share, c1)

@@ -127,6 +127,7 @@ class RadialProblem:
         return float(np.interp(x, self.grid, self.theta))
 
     def _mass_inverse(self, target: float) -> float:
+        """:func:`_invert_mass` on this problem's grid, density and table."""
         return _invert_mass(*map(memoryview, (self.grid, self.theta, self._cum)), target)
 
     # -- serialization: CSV body with a JSON comment header --------------
@@ -162,7 +163,7 @@ def _invert_mass(grid, theta, cum, target: float) -> float:
 
     M is continuous and nondecreasing, so x lies in the cell whose right knot
     is the first to reach the target.  There M is the cell's table increment
-    times the share f(u) = 2 w u + (1 - 2 w) u^2 of :func:`_integrate.pl_cell`,
+    times the share f(u) = 2 w u - (2 w - 1) u^2 of :func:`_integrate.pl_cell`,
     and the root u = F / (w + sqrt(w^2 + (1 - 2 w) F)) of f(u) = F, with F the
     target's share of the increment, has no cancellation.  Plain floats.
     """
@@ -174,7 +175,8 @@ def _invert_mass(grid, theta, cum, target: float) -> float:
     t0, t1, c0 = grid[k - 1], grid[k], cum[k - 1]
     F = (target - c0) / (cum[k] - c0)
     w = theta[k - 1] / (theta[k - 1] + theta[k])
-    return min(t0 + (t1 - t0) * F / (w + math.sqrt(max(w * w + (1.0 - 2.0 * w) * F, 0.0))), t1)
+    d = w + math.sqrt(max(w * w + (1.0 - 2.0 * w) * F, 0.0))
+    return min(t0 + (t1 - t0) * F / d, t1)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,19 @@ the total mass; the isoperimetric constant, a coth(aL/2) with both ends
 Dirichlet and a / (1 - e^{-aL}) with a Neumann right end (2/L and 1/L at
 a = 0); the separation distances of ``interval_bsep``, from the packing
 chain of M and its inverse at 40 digits; and the distance-to-boundary CDF
-at the screen's knots.  On uniform grids each error must fall under
-refinement at the mass rule's order down to a rounding floor, with no
-cliff at 16,001 points, where a 1e-12 relative test of the steps once gave
-up Simpson for the trapezoid.  A graded grid takes trapezoid tables and
-must meet their second-order bound.
+at the screen's knots.
+
+On uniform grids each error must meet an a-priori bound of the mass rule,
+so it falls under refinement at the rule's order, with no cliff at 16,001
+points, where a 1e-12 relative test of the steps once gave up Simpson for
+the trapezoid.  A knot value errs by at most composite Simpson's
+L h^4 max|theta^(4)| / 180, plus n eps of the total for the rounding of the
+table's cumulative sum.  Inside a cell the mass adds the share error: the
+trapezoid share of the linear interpolant differs from the exponential's by
+(ah)^2 u (1 - u) (1 - 2u) / 12 + O((ah)^3), under (ah)^2 / 96 for ah <= 1/4,
+times the cell's mass, at most h.  The separation distances carry that mass
+error through the packing's conditioning, read off the exact chain.  A
+graded grid takes trapezoid tables and must meet their second-order bound.
 """
 
 import functools
@@ -35,23 +43,16 @@ ENDS = {"DD": (Endpoint.DIRICHLET, Endpoint.DIRICHLET),
         "DN": (Endpoint.DIRICHLET, Endpoint.NEUMANN)}
 SIZES = [4001, 16001, 64001]
 EPS = np.finfo(float).eps
-# least rate at which an error falls per fourfold refinement, as a power of 4:
-# Simpson's h^4 for the table's total, and for the separation distances the
-# envelope of an in-cell h^3 error whose constant swings with where a set
-# ends inside its cell (observed 1.4 to 6 between neighbouring grids)
-ORDER = {"mass": 3.5, "iso": 3.5, "bsep1": 1.0, "bsep2": 1.0, "bsep3": 1.0, "cdf": 2.5}
-# the rounding of a cumulative table over n points, n eps relative; the
-# separation's regula falsi meets a rounding-conditioned root at a = 8, eight times that
-FLOOR = {"mass": 1.0, "iso": 1.0, "bsep1": 8.0, "bsep2": 8.0, "bsep3": 8.0, "cdf": 1.0}
 
 
 def _mass(a, x):
     return x if a == 0 else -np.expm1(-a * x) / a
 
 
-def _exact_bsep(a, bcs, k):
+@functools.cache
+def _exact_bsep(a, bcs, k, eta=ETA):
     """Supremum of the separations D that the packer accepts, exactly: k sets
-    of mass ETA * M(L), each packed from its left end by the inverse of M,
+    of mass eta * M(L), each packed from its left end by the inverse of M,
     gaps D, and the packer's slack (the last set may end 1e-12 L past L - D,
     or reach 1e-12 of the total past it with a Neumann right end)."""
     with mp.workdps(40):
@@ -63,7 +64,7 @@ def _exact_bsep(a, bcs, k):
         def over(D):
             pos = D
             for _ in range(k):
-                target = m(pos) + ETA * total
+                target = m(pos) + eta * total
                 if a * target >= 1:
                     return 1
                 end = inv(target)
@@ -76,7 +77,7 @@ def _exact_bsep(a, bcs, k):
         for _ in range(130):
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if over(mid) <= 0 else (lo, mid)
-        return float(lo)
+        return lo
 
 
 def _graded(n):
@@ -102,28 +103,37 @@ def _errors(a, bcs, grid):
            "iso": (isoperimetric_constant(p) - iso) / iso,
            "cdf": float(np.abs(s.F - F).max())}
     for k in (1, 2, 3):
-        ref = _exact_bsep(a, bcs, k)
+        ref = float(_exact_bsep(a, bcs, k))
         out[f"bsep{k}"] = (interval_bsep(p, [ETA] * k) - ref) / ref
     return {key: abs(v) for key, v in out.items()}
 
 
-@pytest.mark.parametrize("bcs", list(ENDS))
-@pytest.mark.parametrize("a", RATES)
-def test_errors_fall_under_refinement(a, bcs):
-    errs = [_errors(a, bcs, n) for n in SIZES]
-    for key, order in ORDER.items():
-        for n, coarse, fine in zip(SIZES[1:], errs, errs[1:]):
-            floor = FLOOR[key] * n * EPS
-            assert fine[key] <= max(coarse[key] / 4.0 ** order, floor), (key, n, coarse, fine)
+def _bounds(a, bcs, n):
+    """A-priori bounds of the errors of :func:`_errors` on n uniform points."""
+    h = L / (n - 1)
+    assert a * h <= 0.25
+    total = _mass(a, L)
+    # a knot value: composite Simpson's bound and the cumulative sum's rounding
+    knot = L * h ** 4 * a ** 4 / 180.0 / total + n * EPS
+    # any point: the knot below it, and the share error times the cell's mass
+    inside = knot + (a * h) ** 2 / 96.0 * h / total
+    out = {"mass": knot, "iso": 2.0 * knot, "cdf": 4.0 * inside}
+    for k in (1, 2, 3):
+        # a set reads the mass at its start and inverts it at its end, and
+        # the last check reads the total: each shifts a share eta by inside
+        d = mp.mpf("1e-6")
+        slope = abs(_exact_bsep(a, bcs, k, ETA + d) - _exact_bsep(a, bcs, k, ETA - d)) / (2 * d)
+        out[f"bsep{k}"] = float(slope / _exact_bsep(a, bcs, k)) * 5.0 * inside + 4.0 * EPS
+    return out
 
 
+@pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("bcs", list(ENDS))
 @pytest.mark.parametrize("a", RATES)
-def test_the_finest_grid_is_exact_to_rounding(a, bcs):
-    errs = _errors(a, bcs, SIZES[-1])
-    assert errs["mass"] <= SIZES[-1] * EPS and errs["iso"] <= SIZES[-1] * EPS
-    assert errs["cdf"] <= SIZES[-1] * EPS
-    assert max(errs[f"bsep{k}"] for k in (1, 2, 3)) <= 8 * SIZES[-1] * EPS
+def test_errors_meet_the_rules_bounds(a, bcs, n):
+    errs, bounds = _errors(a, bcs, n), _bounds(a, bcs, n)
+    for key, bound in bounds.items():
+        assert errs[key] <= bound, (key, errs[key], bound)
 
 
 @pytest.mark.parametrize("bcs", list(ENDS))

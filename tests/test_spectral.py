@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boundarylab import screens, spectral
@@ -422,14 +422,21 @@ def _probe_points(p, draw):
 
 def _cum_at_oracle(p, x):
     """The one mass at a scalar x in numpy scalars: the cell's table increment
-    times the trapezoid share w (1 - (1 - u)^2) + (1 - w) u^2 below x."""
+    times the trapezoid share 2 w u - a u^2 below x, a = 2 w - 1, in the
+    form that pl_cell takes for its sign of a and its side of u = 1/4."""
     g, th, cum = p.grid, p.theta, p._cum
     x = min(max(float(x), 0.0), p.length)
     i = min(int(np.searchsorted(g, x, side="right")) - 1, g.size - 2)
     u = (x - g[i]) / (g[i + 1] - g[i])
     w = th[i] / (th[i] + th[i + 1])
+    a = 2.0 * w - 1.0
     v = 1.0 - u
-    share = w * (1.0 - v * v) + (1.0 - w) * (u * u)
+    if a <= 0.0:
+        share = u * (2.0 * w - a * u)
+    elif u < 0.25:
+        share = min(u + a * (u - u * u), 1.0 - 0.75 * ((1.0 - a) + a * 0.75))
+    else:
+        share = 1.0 - v * ((1.0 - a) + a * v)
     return float(min(cum[i] + (cum[i + 1] - cum[i]) * share, cum[i + 1]))
 
 
@@ -916,6 +923,18 @@ def _isoperimetric_oracle(p):
     return best
 
 
+class TestMassInverse:
+    @pytest.mark.parametrize("bcs", ALL_BCS)
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_inverts_the_mass_on_tables_that_do_not_dip(self, bcs, data):
+        p = data.draw(pl_problems(bcs))
+        assume(np.diff(p._cum).min() > 0.0)
+        tiny = np.finfo(float).tiny  # subnormal masses carry no relative precision
+        for m in p._cum_at(_probe_points(p, data.draw)):
+            assert p._cum_at(p._mass_inverse(float(m))) == pytest.approx(m, rel=1e-13, abs=tiny)
+
+
 def _assert_one_mass(p, xs):
     """The one mass of p: nondecreasing on the sorted probes xs, the knot
     table at every knot, the cell's table increment at its right knot
@@ -930,10 +949,10 @@ def _assert_one_mass(p, xs):
         k = int(np.searchsorted(p.grid, x, side="right"))
         gap = (p.grid[k] - x) * max(th[k - 1], th[k]) * 2.0  # the mass over it
         assert p._cum[k] - gap - 2 * np.spacing(p._cum[k]) <= p._cum_at(x) <= p._cum[k]
+    tiny = np.finfo(float).tiny  # subnormal masses carry no relative precision
     for target in m[::max(1, m.size // 200)]:
-        k = min(int(p._cum.searchsorted(target)), p._cum.size - 1)
         got = p._cum_at(p._mass_inverse(float(target)))
-        assert abs(got - target) <= 1e-13 * target + 8 * np.spacing(p._cum[k])
+        assert got == pytest.approx(target, rel=1e-13, abs=tiny)
 
 
 class TestOneMass:
@@ -962,6 +981,18 @@ class TestOneMass:
         p = RadialProblem(t, theta)
         assert _quadratic_weights_dip(p) and np.diff(p._cum).min() > 0.0
         _assert_one_mass(p, np.linspace(0.0, 1.0, 200_001))
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0, -1.0])
+    def test_relative_precision_near_the_first_knot(self, rate):
+        # the mass of a tiny first piece of a cell keeps its relative digits,
+        # whether theta is flat, falls or rises there
+        t = np.arange(16.0)
+        p = RadialProblem(t, np.exp(-rate * t))
+        w = 1.0 / (1.0 + math.exp(-rate))
+        for x in (1e-3, 1e-10, 3e-61):
+            exact = p._cum[1] * x * (2.0 * w - (2.0 * w - 1.0) * x)
+            assert p._cum_at(x) == pytest.approx(exact, rel=4e-16)
+            assert p._mass_inverse(exact) == pytest.approx(x, rel=4e-16)
 
     @pytest.mark.parametrize("n", [4001, 16001, 64001, 1_000_001])
     @pytest.mark.parametrize("L", [1.0, 2.0, 5.0, 40.0])
