@@ -312,6 +312,7 @@ def bsep_k(g: BoundaryGraph, etas, mode: str = "exact") -> float:
     etas = [float(e) for e in etas]
     if not etas:
         raise DomainError("need at least one mass threshold")
+    screens._require_finite("mass thresholds", np.array(etas))
     if any(e <= 0 for e in etas):
         raise DomainError("mass thresholds must be positive")
     if any(e > 1.0 for e in etas):

@@ -19,11 +19,12 @@ inertia of S - x M by cyclic reduction over the face conductances, which
 keeps every eigenvalue, small or large, to about 1e-13 relative.
 
 The module also scans the Dirichlet isoperimetric constant, computes
-boundary separation distances of the interval by exact 1D packing, and
-audits every eigenvalue inequality of the theory.  All of them read one
-continuous, nondecreasing mass (``_integrate.pl_cumulative``): the screen,
-the isoperimetric scan and its exact polish as arrays, the packing's regula
-falsi in plain floats beside the mass's closed-form inverse.
+boundary separation distances of the interval by exact 1D packing, builds
+the distance-to-boundary screen, and audits every eigenvalue inequality of
+the theory from the spectrum, the scan and the packings alone.  All of them
+read one continuous, nondecreasing mass (``_integrate.pl_cumulative``): the
+screen, the isoperimetric scan and its exact polish as arrays, the
+packing's regula falsi in plain floats beside the mass's closed-form inverse.
 """
 
 from __future__ import annotations
@@ -703,37 +704,33 @@ def isoperimetric_constant(p: RadialProblem) -> float:
     with no perimeter contribution there.  Two-interval unions never beat
     the best single interval (mediant inequality), so the family is exact.
     Dinkelbach's method finds the best pair of scan points in O(c) per
-    iteration; three rounds of exact coordinate minimization, each over
-    the stationary points of every cell within two scan spans, polish it.
+    iteration, a Neumann end among them as a scan end of zero perimeter.
+    Three rounds of exact coordinate minimization polish the pair, each
+    over the stationary points of every cell within two scan points either
+    side of the end it moves; a Neumann end the pair touches never moves.
     """
-    t, L = p.grid, p.length
+    t = p.grid
     stride = max(1, t.size // 600)
     cand = t[::stride]
     if cand[-1] != t[-1]:
         cand = np.append(cand, t[-1])
     th = np.interp(cand, t, p.theta)
-    cum = p._cum_at(cand)
-    best, i, j = _dinkelbach(th, cum)
-    a, b = float(cand[i]), float(cand[j])
-    span = float(cand[1] - cand[0])
+    dirichlet = (p.left_bc is Endpoint.DIRICHLET, p.right_bc is Endpoint.DIRICHLET)
+    th[0], th[-1] = th[0] * dirichlet[0], th[-1] * dirichlet[1]
+    best, i, j = _dinkelbach(th, p._cum_at(cand))
+    ends = [float(cand[i]), float(cand[j])]
+    free = (dirichlet[0] or i > 0, dirichlet[1] or j < cand.size - 1)
     for _ in range(3):
-        _, a = _polish(p, a, max(0.0, a - 2 * span), min(b, a + 2 * span),
-                       p.theta_at(b), p._cum_at(b), -1.0)
-        ratio, b = _polish(p, b, max(a, b - 2 * span), min(L, b + 2 * span),
-                           p.theta_at(a), p._cum_at(a), 1.0)
-    best = min(best, ratio)
-    # sets touching a Neumann end, with masses C(L) - C(x) and C(x) - C(0)
-    for bc, c_o, sign in ((p.right_bc, p._cum_at(L), -1.0), (p.left_bc, p._cum_at(0.0), 1.0)):
-        if bc is not Endpoint.NEUMANN:
-            continue
-        mass = sign * (cum - c_o)
-        with np.errstate(divide="ignore"):
-            vals = np.where(mass > 0, th / mass, math.inf)
-        k = int(np.argmin(vals))
-        x0 = float(cand[k])
-        ratio, _ = _polish(p, x0, max(0.0, x0 - 2 * span), min(L, x0 + 2 * span), 0.0, c_o, sign)
-        best = min(best, float(vals[k]), ratio)
-    return best
+        for e, sign in ((0, -1.0), (1, 1.0)):
+            if not free[e]:
+                continue
+            k = int(cand.searchsorted(ends[e]))
+            lo, hi = float(cand[max(k - 2, 0)]), float(cand[min(k + 2, cand.size - 1)])
+            lo, hi = (max(lo, ends[0]), hi) if e else (lo, min(hi, ends[1]))
+            o = ends[1 - e]
+            ratio, ends[e] = _polish(p, ends[e], lo, hi, p.theta_at(o) if free[1 - e] else 0.0,
+                                     p._cum_at(o), sign)
+    return min(best, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -784,13 +781,14 @@ def interval_bsep(p: RadialProblem, etas) -> float:
     to adjacent floats by Pegasus regula falsi (Dowell & Jarratt, BIT 12,
     1972) that bisects when a step stalls.  The last set may end 1e-12 L
     past L - D, a slack relative to L, so D scales with the grid.  Masses
-    must be finite and positive; past 1 in sum the distance is 0.
+    must be finite and positive; from 1 in sum on the distance is 0, since
+    the sets then leave no gap of positive mass.
     """
     etas = [float(e) for e in etas]
     screens._require_finite("all masses", np.array(etas))
     if any(e <= 0 for e in etas):
         raise DomainError("all masses must be positive")
-    if any(e > 1 for e in etas) or sum(etas) > 1.0:
+    if sum(etas) >= 1.0:
         return 0.0
     grid, theta, cum = map(memoryview, (p.grid, p.theta, p._cum))
     L, total, last, perms = grid[-1], cum[-1], len(grid) - 1, set(itertools.permutations(etas))
@@ -919,12 +917,16 @@ def audit_inequalities(p: RadialProblem, k_max: int, etas) -> AuditReport:
     Gated on both curvature flags: the Buser-Ledoux lower bound, the
     Li-Yau inradius bound, and the universal k^2 ratio bound.  Failures are
     report entries, never exceptions.
+
+    The separations are :func:`interval_bsep` packings of k sets of mass
+    eta.  A positive density's screen has full support, so the observable
+    inscribed radius is the k = 1 packing itself (0 from eta = 1 on); no
+    screen is built.
     """
     etas = [float(e) for e in etas]
     spec = _spectrum(p, k_max)
     nu = spec.eigenvalues
     iso = isoperimetric_constant(p)
-    scr = problem_screen(p)
     flags = p.nonneg_ricci_f and p.nonneg_mean_curv
     report = AuditReport(meta={
         "grid_size": p.grid.size,
@@ -955,15 +957,10 @@ def audit_inequalities(p: RadialProblem, k_max: int, etas) -> AuditReport:
         for k in range(1, k_max + 1):
             add(_entry("universal_ratio", k, None, nu[k - 1], C * k * k * nu[0], "<="))
     for eta in etas:
-        add(_entry(
-            "obs_inradius_eigen", None, eta,
-            screens.obs_inradius(scr, eta), 2.0 / math.sqrt(nu[0] * eta), "<=",
-        ))
-        for k in range(1, min(k_max, 3) + 1):
-            add(_entry(
-                "bsep_eigen", k, eta,
-                interval_bsep(p, [eta] * k), 2.0 / math.sqrt(nu[k - 1] * eta), "<=",
-            ))
+        seps = [interval_bsep(p, [eta] * k) for k in range(1, min(k_max, 3) + 1)]
+        add(_entry("obs_inradius_eigen", None, eta, seps[0], 2.0 / math.sqrt(nu[0] * eta), "<="))
+        for k, sep in enumerate(seps, 1):
+            add(_entry("bsep_eigen", k, eta, sep, 2.0 / math.sqrt(nu[k - 1] * eta), "<="))
     return report
 
 

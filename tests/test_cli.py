@@ -223,6 +223,13 @@ class TestGraph:
         assert blob["value"] == pytest.approx(2.0)
         _report_validator("graph_bsep_report").validate(blob)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_bsep_non_finite_eta_exits_2(self, capsys, graph_file, bad):
+        code, out, err = run(capsys, "graph", "bsep", "--file", graph_file,
+                             "--eta", "0.2", "--eta", bad)
+        assert (code, out) == (2, "")
+        assert "mass thresholds must be finite" in err
+
     def test_screen_schema(self, capsys, graph_file):
         code, out, _ = run(capsys, "graph", "screen", "--file", graph_file)
         assert code == 0

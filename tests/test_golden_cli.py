@@ -6,8 +6,9 @@ A case matches when its exit code, its standard error and the text between
 the numbers of its standard output are unchanged, every number agrees to
 1e-12 relative, JSON objects keep their key order and JSON reports still
 validate against their schemas.  Rerecord with
-``PYTHONPATH=src python tests/test_golden_cli.py`` only when an output is
-meant to change.
+``PYTHONPATH=src python tests/test_golden_cli.py [case ...]`` only when an
+output is meant to change: named cases alone are rerecorded, in every
+format, and each number that moved is printed; with no name, every case.
 """
 
 import contextlib
@@ -244,9 +245,23 @@ def test_golden_cli(name, fmt, golden, inputs):
 
 
 if __name__ == "__main__":
+    import sys
+
+    names = sys.argv[1:]
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(unknown)}")
+    old = json.loads(GOLDEN.read_text())
+    record = dict(old) if names else {}
+    pairs = [(name, fmt) for name in names or CASES for fmt in FORMATS]
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(Path(tmp))
-        record = {f"{name}.{fmt}": run_case(name, fmt, Path(tmp))
-                  for name in CASES for fmt in FORMATS}
+        for name, fmt in pairs:
+            key = f"{name}.{fmt}"
+            record[key] = run_case(name, fmt, Path(tmp))
+            was = old.get(key, {}).get("stdout", "")
+            for a, b in zip(_NUMBER.findall(was), _NUMBER.findall(record[key]["stdout"])):
+                if float(a) != float(b):
+                    print(f"{key}: {a} -> {b}")
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(record)} cases to {GOLDEN}")
+    print(f"recorded {len(pairs)} cases to {GOLDEN}")

@@ -172,6 +172,13 @@ class TestBsepK:
             greedy = bsep_k(g, etas, mode="greedy")
             assert greedy <= exact + 1e-12
 
+    @pytest.mark.parametrize("mode", ["exact", "greedy"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_masses_raise(self, mode, bad):
+        # NaN fails every comparison and inf exceeds 1: neither may pass for an overfull list
+        with pytest.raises(DomainError, match="mass thresholds must be finite"):
+            bsep_k(path_graph(4), [0.2, bad], mode=mode)
+
     def test_exact_guard(self):
         g = path_graph(25)
         with pytest.raises(DomainError):

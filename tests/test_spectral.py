@@ -258,6 +258,11 @@ class TestIntervalBsep:
         p = uniform_problem(64)
         assert interval_bsep(p, [0.7, 0.7]) == 0.0
         assert interval_bsep(p, [1.5]) == 0.0
+        # masses summing to exactly 1 leave no gap: 0, not the packing's slack
+        t = np.linspace(0.0, 1.0, 101)
+        q = RadialProblem(t, np.exp(-t))
+        assert interval_bsep(q, [1.0]) == 0.0
+        assert interval_bsep(q, [0.5, 0.5]) == 0.0
 
     @pytest.mark.parametrize("etas", [[math.nan], [math.inf], [0.2, math.nan], [-math.inf]])
     def test_non_finite_masses_raise(self, etas):
@@ -523,7 +528,7 @@ def _interval_bsep_oracle(p, etas):
     import itertools
 
     etas = [float(e) for e in etas]
-    if any(e > 1 for e in etas) or sum(etas) > 1.0:
+    if sum(etas) >= 1.0:
         return 0.0
     total = p.total_mass
     left_b = p.left_bc is Endpoint.DIRICHLET
@@ -708,7 +713,7 @@ def _numpy_scalar_bsep(p, etas):
     """interval_bsep with every mass read as a numpy scalar: the same Pegasus
     root finding, operation for operation."""
     etas = [float(e) for e in etas]
-    if any(e > 1 for e in etas) or sum(etas) > 1.0:
+    if sum(etas) >= 1.0:
         return 0.0
     L, total, perms = p.length, p.total_mass, set(itertools.permutations(etas))
     left_b, right_b = (bc is Endpoint.DIRICHLET for bc in (p.left_bc, p.right_bc))
@@ -1032,6 +1037,25 @@ class TestExactIsoperimetric:
     def test_never_above_the_brent_polish(self, bcs, data):
         p = data.draw(pl_problems(bcs))
         assert isoperimetric_constant(p) <= _isoperimetric_oracle(p) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("seed, ends", [
+        (10, "DN"), (10, "ND"), (22, "DN"), (45, "DN"), (52, "DD"), (52, "ND")])
+    def test_graded_grids_meet_the_dense_scan(self, seed, ends):
+        # log-normal steps: the scan spans differ widely, so a polish window
+        # sized by one span can fall short of the best set
+        rng = np.random.default_rng(seed)
+        t = np.concatenate(([0.0], np.cumsum(np.exp(rng.normal(0.0, 1.0, 2000)))))
+        t *= 3.0 / t[-1]
+        theta = np.exp(np.interp(t, np.linspace(0.0, 3.0, 6), rng.uniform(-4.0, 4.0, 6)))
+        bcs = ALL_BCS[["DD", "DN", "ND"].index(ends)]
+        p = RadialProblem(t, theta, left_bc=bcs[0], right_bc=bcs[1])
+        # every knot and 7 interior points per cell, a Neumann end at no perimeter
+        xs = np.append((t[:-1, None] + np.diff(t)[:, None] * np.arange(8) / 8).ravel(), t[-1])
+        th = np.interp(xs, p.grid, p.theta)
+        th[0] *= bcs[0] is Endpoint.DIRICHLET
+        th[-1] *= bcs[1] is Endpoint.DIRICHLET
+        dense, _, _ = spectral._dinkelbach(th, p._cum_at(xs))
+        assert isoperimetric_constant(p) <= dense * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

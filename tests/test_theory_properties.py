@@ -171,6 +171,9 @@ def test_every_audit_entry_scales_exactly_with_the_grid(bcs, flags, data):
         return audit_inequalities(q, k_max, etas).entries
 
     parent = audit(1.0)
+    # the observable inscribed radius is the one-set packing, bit for bit
+    assert ([e.lhs for e in parent if e.name == "obs_inradius_eigen"]
+            == [e.lhs for e in parent if e.name == "bsep_eigen" and e.k == 1])
     for c in (0.25, 4.0):
         scaled = audit(c)
         assert [(f.name, f.k, f.eta) for f in scaled] == [(e.name, e.k, e.eta) for e in parent]
