@@ -7,46 +7,38 @@ from bisect import bisect_right
 from ._numpy import np
 from .errors import DomainError
 
-# a grid is uniform when every step is within this many eps * (t[-1] - t[0])
-# of the mean step: the rounding that a grid of equal steps carries
-_UNIFORM_ROUNDING = 8.0
 # arrays up to this size are read by scalar calls
 _SCALAR_CALLS = 16
 
 
 def cumulative_simpson(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Cumulative integral of positive y on a uniform grid t.
+    """Cumulative integral of positive y on any strictly increasing grid t.
 
-    Composite Simpson, O(h^4), at even nodes, each panel on its own width,
-    so that a constant integrates exactly.  Each odd node splits its panel
-    by the positive fraction (y0 + y1) / (y0 + 2 y1 + y2), the left cell's
-    share of the panel's trapezoid, so the table rises with y; a trailing
-    odd cell takes its trapezoid.
+    Each two-cell panel, steps h0 and h1, takes the integral of the quadratic
+    through its nodes, O(h^4): its trapezoid T less the bend (h0^2 - h0 h1 +
+    h1^2) / 6 ((y2 - y1) / h1 - (y1 - y0) / h0), in step ratios h / (h0 + h1)
+    so that no square overflows.  The bend is limited to [-T/2, T/2], which
+    equal steps never reach, so the table rises on any grid.  Odd nodes split
+    panels by the left cell's share of T; a lone last cell takes its trapezoid.
     """
     n = y.size
     e = n - 1 - (n - 1) % 2  # the last even node
     y0, y1, y2 = y[0:e:2], y[1:e:2], y[2:e + 1:2]
-    panels = (t[2:e + 1:2] - t[0:e:2]) * ((y0 + 4.0 * y1 + y2) / 6.0)
-    out = np.zeros(n)
-    out[2:e + 1:2] = np.cumsum(panels)
-    out[1:e:2] = out[0:e:2] + panels * ((y0 + y1) / (y0 + 2.0 * y1 + y2))
+    out = np.zeros(n)  # its odd and even nodes are work space until they take the table
+    odd, span = out[1:e:2], np.subtract(t[2:e + 1:2], t[0:e:2], out=out[2:e + 1:2])
+    r0, r1 = (t[1:e:2] - t[0:e:2]) / span, (t[2:e + 1:2] - t[1:e:2]) / span
+    # per unit of span: the bend, the left cell's trapezoid (in odd) and T
+    bend = ((y2 - y1) / r1 - (y1 - y0) / r0) * ((1.0 - 3.0 * r0 * r1) / 6.0)
+    np.multiply(y0 + y1, 0.5 * r0, out=odd)
+    trap = np.multiply(y1 + y2, 0.5 * r1, out=r1) + odd
+    np.clip(bend, -np.multiply(trap, 0.5, out=r0), r0, out=bend)  # r0 takes T / 2
+    odd /= trap  # the left cell's share
+    odd *= np.multiply(span, trap - bend, out=span)  # span takes the panels
+    np.cumsum(span, out=span)
+    odd += out[0:e:2]
     if e < n - 1:
         out[-1] = out[-2] + 0.5 * (t[-1] - t[-2]) * (y[-2] + y[-1])
     return out
-
-
-def cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid on an arbitrary strictly increasing grid."""
-    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))])
-
-
-def cumulative_auto(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Simpson on uniform grids, trapezoid otherwise."""
-    dt = np.diff(t)
-    span = t[-1] - t[0]
-    if np.abs(dt - span / dt.size).max() <= _UNIFORM_ROUNDING * np.finfo(float).eps * span:
-        return cumulative_simpson(y, t)
-    return cumulative_trapezoid(y, t)
 
 
 def pl_density(t, theta, min_points: int):
@@ -62,7 +54,7 @@ def pl_density(t, theta, min_points: int):
         raise DomainError("grid must increase strictly from 0")
     if np.any(theta <= 0):
         raise DomainError("density must be positive on the grid")
-    return t, theta, cumulative_auto(theta, t)
+    return t, theta, cumulative_simpson(theta, t)
 
 
 def pl_cumulative(x, grid: np.ndarray, theta: np.ndarray, cum: np.ndarray):

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from . import _text, jacobi, screens
-from ._integrate import cumulative_trapezoid, pl_cumulative, pl_density
+from ._integrate import cumulative_simpson, pl_cumulative, pl_density
 from ._numpy import np
 from .errors import DomainError, RegimeError
 from .jacobi import CurvatureClass, InfiniteCurvature, TwistParams
@@ -345,12 +345,14 @@ def _random_log_slope_excess(rng, T: float, grid: np.ndarray) -> np.ndarray:
 
     The spline is the pointwise excess of -(log theta)' over the curvature
     surrogate; its integral tilts the model density while preserving the
-    comparison inequality.
+    comparison inequality.  On a long support it is scaled to 200 at T, so
+    that exp(-E) stays far above the float range's floor.
     """
     knots = np.linspace(0.0, T, rng.integers(4, 9))
     eps = rng.uniform(0.0, 1.5, size=knots.size)
     eps[rng.integers(0, knots.size)] = rng.uniform(0.3, 1.5)  # never identically 0
-    return cumulative_trapezoid(np.interp(grid, knots, eps), grid)
+    E = cumulative_simpson(np.interp(grid, knots, eps), grid)
+    return E * min(1.0, 200.0 / E[-1])
 
 
 def generate_admissible_finite(

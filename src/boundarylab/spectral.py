@@ -25,6 +25,10 @@ the theory from the spectrum, the scan and the packings alone.  All of them
 read one continuous, nondecreasing mass (``_integrate.pl_cumulative``): the
 screen, the isoperimetric scan and its exact polish as arrays, the
 packing's regula falsi in plain floats beside the mass's closed-form inverse.
+Its knot table has one rule on every grid, uniform or graded
+(``_integrate.cumulative_simpson``): the quadratic through each two-cell
+panel's nodes, its bend limited so that every cell takes 1/2 to 3/2 of its
+trapezoid.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from . import _text, screens
-from ._integrate import cumulative_auto, pl_cell, pl_cumulative, pl_density
+from ._integrate import cumulative_simpson, pl_cell, pl_cumulative, pl_density
 from ._numpy import np
 from .errors import DomainError
 
@@ -643,7 +647,9 @@ def _dinkelbach(th: np.ndarray, cum: np.ndarray):
     th[i] + lam cum[i] + th[j] - lam cum[j] is negative exactly when some
     pair has a smaller ratio, and a pair attaining it is the next one.  A
     running minimum over i finds it; lam falls strictly, so the iteration
-    ends on the exact minimum of the candidates.
+    ends on the minimum of the candidates up to the rounding of
+    th + lam * cum, about ulp(lam * cum[-1]): a pair whose objective is
+    negative by less than that is never taken.
     """
     i, j = 0, th.size - 1  # the whole interval: cum[0] = 0 < cum[-1]
     lam = (th[i] + th[j]) / (cum[j] - cum[i])
@@ -1007,7 +1013,7 @@ def generate_log_concave_problem(rng, points: int = 1601) -> RadialProblem:
     increments[0] = rng.uniform(0.1, 0.8)  # strictly positive slope at 0
     eps_knots = np.cumsum(increments)
     eps = np.interp(t, knots, eps_knots)
-    E = cumulative_auto(eps, t)
+    E = cumulative_simpson(eps, t)
     return RadialProblem(
         t, np.exp(-E),
         left_bc=Endpoint.DIRICHLET, right_bc=Endpoint.NEUMANN,

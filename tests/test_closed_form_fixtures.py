@@ -8,17 +8,19 @@ a = 0); the separation distances of ``interval_bsep``, from the packing
 chain of M and its inverse at 40 digits; and the distance-to-boundary CDF
 at the screen's knots.
 
-On uniform grids each error must meet an a-priori bound of the mass rule,
-so it falls under refinement at the rule's order, with no cliff at 16,001
-points, where a 1e-12 relative test of the steps once gave up Simpson for
-the trapezoid.  A knot value errs by at most composite Simpson's
-L h^4 max|theta^(4)| / 180, plus n eps of the total for the rounding of the
-table's cumulative sum.  Inside a cell the mass adds the share error: the
-trapezoid share of the linear interpolant differs from the exponential's by
-(ah)^2 u (1 - u) (1 - 2u) / 12 + O((ah)^3), under (ah)^2 / 96 for ah <= 1/4,
-times the cell's mass, at most h.  The separation distances carry that mass
-error through the packing's conditioning, read off the exact chain.  A
-graded grid takes trapezoid tables and must meet their second-order bound.
+On uniform grids and on a graded one each error must meet an a-priori bound
+of the mass rule, h the widest cell, so it falls under refinement at the
+rule's order.  It has no cliff at 16,001 points, where a 1e-12 relative
+test of the steps once gave up Simpson for the trapezoid, nor on the graded
+grid, which once took the trapezoid.  A knot value errs by at most
+composite Simpson's L h^4 max|theta^(4)| / 180, plus n eps of the total for
+the rounding of the table's cumulative sum.  Inside a cell the mass adds
+the share error: the trapezoid share of the linear interpolant differs
+from the exponential's by (ah)^2 u (1 - u) (1 - 2u) / 12 + O((ah)^3),
+under (ah)^2 / 96 for ah <= 1/4, times the cell's mass, at most h.  The
+separation distances carry that mass error through the packing's
+conditioning, read off the exact chain.  On grids of random log-normal
+steps the total mass is checked as well.
 """
 
 import functools
@@ -80,16 +82,19 @@ def _exact_bsep(a, bcs, k, eta=ETA):
         return lo
 
 
-def _graded(n):
-    s = np.linspace(0.0, 1.0, n)
-    return L * s * (1.0 + s) / 2.0
+def _grid(grid):
+    """n uniform points, or 4,001 graded ones whose cells widen threefold."""
+    if grid == "graded":
+        s = np.linspace(0.0, 1.0, 4001)
+        return L * s * (1.0 + s) / 2.0
+    return np.linspace(0.0, L, grid)
 
 
 @functools.cache
 def _errors(a, bcs, grid):
     """Relative errors of the total mass, the isoperimetric constant and the
     k = 1-3 separations, and the largest CDF error at the screen's knots."""
-    t = _graded(4001) if grid == "graded" else np.linspace(0.0, L, grid)
+    t = _grid(grid)
     p = RadialProblem(t, np.exp(-a * t), left_bc=ENDS[bcs][0], right_bc=ENDS[bcs][1])
     total = _mass(a, L)
     if a == 0:
@@ -108,9 +113,11 @@ def _errors(a, bcs, grid):
     return {key: abs(v) for key, v in out.items()}
 
 
-def _bounds(a, bcs, n):
-    """A-priori bounds of the errors of :func:`_errors` on n uniform points."""
-    h = L / (n - 1)
+def _bounds(a, bcs, grid):
+    """A-priori bounds of the errors of :func:`_errors` on a grid of n points
+    whose widest cell is h."""
+    t = _grid(grid)
+    h, n = float(np.diff(t).max()), t.size
     assert a * h <= 0.25
     total = _mass(a, L)
     # a knot value: composite Simpson's bound and the cumulative sum's rounding
@@ -127,22 +134,24 @@ def _bounds(a, bcs, n):
     return out
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("grid", [*SIZES, "graded"])
 @pytest.mark.parametrize("bcs", list(ENDS))
 @pytest.mark.parametrize("a", RATES)
-def test_errors_meet_the_rules_bounds(a, bcs, n):
-    errs, bounds = _errors(a, bcs, n), _bounds(a, bcs, n)
+def test_errors_meet_the_rules_bounds(a, bcs, grid):
+    errs, bounds = _errors(a, bcs, grid), _bounds(a, bcs, grid)
     for key, bound in bounds.items():
         assert errs[key] <= bound, (key, errs[key], bound)
 
 
-@pytest.mark.parametrize("bcs", list(ENDS))
-@pytest.mark.parametrize("a", RATES)
-def test_graded_grid_meets_the_trapezoid_bound(a, bcs):
-    # trapezoid tables err by about (a h)^2 / 12 of the mass, h the widest cell
-    h = float(np.diff(_graded(4001)).max())
-    errs = _errors(a, bcs, "graded")
-    assert max(errs.values()) <= (a * h) ** 2 / 4.0 + 4001 * EPS
+@pytest.mark.parametrize("seed", [10, 22, 45])
+@pytest.mark.parametrize("a", [0.5, 2.0])
+def test_log_normal_steps_keep_the_total_mass(a, seed):
+    # 2,001 points; one neighbouring cell in ten is over tenfold the other
+    rng = np.random.default_rng(seed)
+    t = np.concatenate(([0.0], np.cumsum(np.exp(rng.normal(0.0, 1.0, 2000)))))
+    t *= 3.0 / t[-1]
+    p = RadialProblem(t, np.exp(-a * t))
+    assert p.total_mass == pytest.approx(_mass(a, 3.0), rel=1e-7)
 
 
 @pytest.mark.parametrize("n", SIZES)

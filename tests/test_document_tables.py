@@ -22,7 +22,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from boundarylab import _text, asymptotics, graphs, models, screens, spectral
+from boundarylab import _text, asymptotics, graphs, jacobi, models, screens, spectral
 from boundarylab.cli import main
 from boundarylab.errors import DomainError
 
@@ -262,11 +262,14 @@ def test_screen_with_an_unknown_field_is_refused(blob, needle):
     ({"tag": "ball", "n": 10**30, "kappa": 1, "lam": 0.2}, "dimension N=1e+30"),
     ({"tag": "ball", "n": 10**300, "kappa": 1, "lam": 0.2}, "dimension N=1e+300"),
     ({"tag": "ball", "n": 10**20, "kappa": 1, "lam": -0.5}, "dimension N=1e+20"),
+    *(({"tag": "ball", "n": 10**e, "kappa": kappa, "lam": 1.5}, f"dimension N=1e+{e}")
+      for e in (13, 16, 18) for kappa in (1, -1)),
     ({"tag": "warped", "n": 10**400, "kappa": -1}, "must be an integer"),
 ])
 def test_model_descriptor_with_an_unknown_field_or_a_huge_dimension_exits_2(
         capsys, descriptor, needle):
-    """A dimension of 10^30 once ended in an OverflowError traceback."""
+    """A dimension of 10^30 once ended in an OverflowError traceback, and a
+    curved ball past 10^12 read a silently wrong radius."""
     text = json.dumps(descriptor)
     with pytest.raises(DomainError, match=re.escape(needle)):
         models.closed_form_obs_inradius(models.model_from_json(text), 0.5)
@@ -282,6 +285,23 @@ def test_model_descriptor_with_an_unknown_field_or_a_huge_dimension_exits_2(
 ])
 def test_comparison_at_a_huge_dimension_exits_2(capsys, argv):
     assert "dimension" in exits_2(capsys, "compare", *argv)
+
+
+@pytest.mark.parametrize("N", ["1e13", "1e16", "1e18"])
+@pytest.mark.parametrize("kappa", ["1", "-1"])
+def test_curved_comparison_ball_past_1e12_exits_2(capsys, kappa, N):
+    # N * bound once read 0.00143 at N = 1e18 for kappa = -1, 300 times low
+    argv = ["--regime", "finite", "--N", N, "--kappa", kappa, "--lambda", "1.5", "--eta", "0.5"]
+    assert f"dimension N={float(N):g}" in exits_2(capsys, "compare", *argv)
+
+
+def test_curved_balls_at_1e12_keep_their_values():
+    # n times the radius runs to its O(1/n) limit, log(2) / lam for the model
+    model = models.ModelSpace.ball(10**12, 1.0, 0.2)
+    assert 1e12 * models.closed_form_obs_inradius(model, 0.5) == pytest.approx(
+        3.465735902683702, rel=1e-14)
+    kind = models.FiniteN(1e12, jacobi.classify(-1.0, 1.5))
+    assert 1e12 * models.comparison_bound(kind, 0.5) == pytest.approx(0.4620981203739348, rel=1e-14)
 
 
 @pytest.mark.parametrize("config, needle", [

@@ -75,8 +75,10 @@ class TestClassify:
 
 
 class TestProfile:
-    def test_flat_case(self):
-        assert s_profile(0.0, 1.0, 0.5) == pytest.approx(0.5, abs=1e-15)
+    @pytest.mark.parametrize("kappa", [0.0, 5e-324, -5e-324, 1e-300, -1.1e-308])
+    def test_flat_case(self, kappa):
+        # a near-flat profile once read 0 (kappa < 0) or 1e133 to inf (kappa > 0)
+        assert s_profile(kappa, 1.0, 0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_horospherical_exponential(self):
         assert s_profile(-1.0, 1.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)

@@ -243,6 +243,15 @@ class TestAdmissibleGenerators:
                     Infinite(ic), eta
                 ) + 1e-9
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_near_flat_ball_with_a_radius_in_the_thousands(self, seed):
+        # the random excess grew with the radius and exp(-E) underflowed to 0
+        cc = jacobi.classify(3.4e-7, 0.0)
+        d = generate_admissible_finite(2.0, cc, np.random.default_rng(seed))
+        assert d.t[-1] > 1000.0 and np.all(d.theta > 0.0)
+        for eta in (0.1, 0.5, 0.9):
+            assert screens.obs_inradius(d.screen(), eta) <= comparison_bound(FiniteN(2.0, cc), eta)
+
     def test_overflowing_near_flat_ball_is_refused_before_numpy_warns(self):
         # the radius 1e151 overflows s^(N-1), and inf * exp(-E) = inf * 0 is nan
         cc = jacobi.classify(6.176192060920335e-302, -1.0)

@@ -11,9 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boundarylab import screens, spectral
-from boundarylab._integrate import (
-    cumulative_auto, cumulative_simpson, cumulative_trapezoid, pl_cell,
-)
+from boundarylab._integrate import cumulative_simpson, pl_cell
 from boundarylab.errors import DomainError
 from boundarylab.models import ModelSpace, RadialDensity
 from boundarylab.spectral import (
@@ -1002,12 +1000,44 @@ class TestOneMass:
     @pytest.mark.parametrize("n", [4001, 16001, 64001, 1_000_001])
     @pytest.mark.parametrize("L", [1.0, 2.0, 5.0, 40.0])
     def test_linspace_grids_take_simpson(self, n, L):
-        # a 1e-12 relative test of the steps failed these from 16,001 points on
+        # a 1e-12 relative test of the steps once gave these the trapezoid
         t = np.linspace(0.0, L, n)
         y = np.exp(-t / L)
-        assert np.array_equal(cumulative_auto(y, t), cumulative_simpson(y, t))
-        graded = t * (1.0 + t / L)
-        assert np.array_equal(cumulative_auto(y, graded), cumulative_trapezoid(y, graded))
+        y0, y1, y2 = y[0:-1:2], y[1::2], y[2::2]
+        panels = (t[2::2] - t[0:-1:2]) * ((y0 + 4.0 * y1 + y2) / 6.0)
+        simpson = np.zeros(n)
+        simpson[2::2] = np.cumsum(panels)
+        simpson[1::2] = simpson[0:-1:2] + panels * ((y0 + y1) / (y0 + 2.0 * y1 + y2))
+        assert np.all(np.abs(cumulative_simpson(y, t) - simpson) <= 4.0 * np.spacing(simpson))
+        # a graded grid takes the same rule, exact on a quadratic
+        g = t * (1.0 + t / L)
+        exact = g + g * g / (2.0 * L) + g ** 3 / L ** 2
+        table = cumulative_simpson(1.0 + g / L + 3.0 * (g / L) ** 2, g)
+        assert np.all(np.abs(table[2::2] - exact[2::2]) <= 1e-13 * exact[2::2])
+
+    def test_panels_lie_within_half_and_three_halves_of_their_trapezoid(self):
+        # each panel is its trapezoid T less the quadratic's bend, limited to
+        # [-T/2, T/2]; equal steps never reach the limit, log-normal ones do
+        rng = np.random.default_rng(601)
+        limited = {"uniform": 0, "log-normal": 0}
+        for p in _rough_problems(ALL_BCS[0]):
+            steps = np.exp(rng.normal(0.0, 1.5, p.grid.size - 1))
+            for kind, t in (("uniform", p.grid), ("log-normal", np.append(0.0, np.cumsum(steps)))):
+                y, h = p.theta, np.diff(t)
+                cell = 0.5 * h * (y[1:] + y[:-1])
+                table = cumulative_simpson(y, t)
+                # a difference of two entries carries the rounding of both
+                rise, ulps = np.diff(table), 4.0 * np.spacing(table[1:])
+                assert np.all((0.5 * cell - ulps <= rise) & (rise <= 1.5 * cell + ulps))
+                e = y.size - 1 - (y.size - 1) % 2
+                h0, h1, y0, y1, y2 = h[0:e:2], h[1:e:2], y[0:e:2], y[1:e:2], y[2:e + 1:2]
+                T = cell[0:e:2] + cell[1:e:2]
+                bend = (h0 * h0 - h0 * h1 + h1 * h1) / 6.0 * ((y2 - y1) / h1 - (y1 - y0) / h0)
+                limited[kind] += int(np.sum(np.abs(bend) > 0.5 * T))
+                panel = T - np.clip(bend, -0.5 * T, 0.5 * T)
+                error = np.abs(table[2:e + 1:2] - table[0:e:2] - panel)
+                assert np.all(error <= ulps[1:e:2] + 1e-14 * panel)
+        assert limited["uniform"] == 0 and limited["log-normal"] >= 1
 
     def test_two_dirichlet_screen_merges_mirrored_knots(self):
         # L - t and the grid knot near it differ by rounding: one knot each

@@ -129,14 +129,17 @@ def _near_flat_sphere(kind):
 def test_comparison_sandwich_over_generated_admissible_densities(regime, data, eta):
     """obs_inradius(density.screen(), eta) <= comparison_bound(kind, eta).
 
-    Near-flat balls whose radius runs to the thousands are beyond the
+    Near-flat balls whose radius runs to the thousands are generated too.
+    Only a radius so long that s^(N-1) overflows on it is beyond the
     generators, which raise ``DomainError`` there; such draws hold no
     density to test.  A near-flat kappa > 0 ball whose rim angle rounds to
     0 has a density but no comparison kernel, which refuses it by that
     message; any other refusal of the bound fails."""
     try:
         density, kind = _admissible(regime, data.draw)
-    except DomainError:
+    except DomainError as exc:
+        if "s^(N-1) overflows" not in str(exc):
+            raise
         reject()
     try:
         bound = models.comparison_bound(kind, eta)
