@@ -7,9 +7,6 @@ from bisect import bisect_right
 from ._numpy import np
 from .errors import DomainError
 
-# arrays up to this size are read by scalar calls
-_SCALAR_CALLS = 16
-
 
 def cumulative_simpson(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Cumulative integral of positive y on any strictly increasing grid t.
@@ -54,7 +51,11 @@ def pl_density(t, theta, min_points: int):
         raise DomainError("grid must increase strictly from 0")
     if np.any(theta <= 0):
         raise DomainError("density must be positive on the grid")
-    return t, theta, cumulative_simpson(theta, t)
+    with np.errstate(all="ignore"):  # a table past the float range is refused below
+        cum = cumulative_simpson(theta, t)
+    if not (np.isfinite(cum).all() and cum[-1] > 0.0):
+        raise DomainError("the density's mass leaves the floating-point range")
+    return t, theta, cum
 
 
 def pl_cumulative(x, grid: np.ndarray, theta: np.ndarray, cum: np.ndarray):
@@ -67,8 +68,6 @@ def pl_cumulative(x, grid: np.ndarray, theta: np.ndarray, cum: np.ndarray):
         grid, theta, cum = memoryview(grid), memoryview(theta), memoryview(cum)
         x = min(max(float(x), grid[0]), grid[-1])
         return pl_cell(x, min(bisect_right(grid, x), len(grid) - 1) - 1, grid, theta, cum)
-    if x.size <= _SCALAR_CALLS:  # cheaper than the thirty-odd array operations below
-        return np.array([pl_cumulative(float(y), grid, theta, cum) for y in x.flat]).reshape(x.shape)
     x = np.clip(x.astype(float, copy=False), grid[0], grid[-1])
     i = np.minimum(grid.searchsorted(x, side="right"), grid.size - 1) - 1
     t0, c0, c1 = grid[i], cum[i], cum[i + 1]

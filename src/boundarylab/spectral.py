@@ -18,13 +18,18 @@ larger k, the k smallest are root-found on those counts.  A count is the
 inertia of S - x M by cyclic reduction over the face conductances, which
 keeps every eigenvalue, small or large, to about 1e-13 relative.
 
-The module also scans the Dirichlet isoperimetric constant, computes
-boundary separation distances of the interval by exact 1D packing, builds
-the distance-to-boundary screen, and audits every eigenvalue inequality of
-the theory from the spectrum, the scan and the packings alone.  All of them
-read one continuous, nondecreasing mass (``_integrate.pl_cumulative``): the
-screen, the isoperimetric scan and its exact polish as arrays, the
-packing's regula falsi in plain floats beside the mass's closed-form inverse.
+The module also computes the Dirichlet isoperimetric constant by
+Dinkelbach's method over every pair of knots, boundary separation
+distances by exact 1D packing and the distance-to-boundary screen, and
+audits every eigenvalue inequality of the theory from these and the
+spectrum.  Knots suffice: on a cell theta is linear with slope s and the
+mass M rises at r theta (r > 0), so theta +- lam M has second derivative
++- lam r s; wherever it is convex its slope s +- lam r theta has the sign
+of s, so on every cell it is monotone or concave and least at an end.
+All of them read one continuous, nondecreasing mass
+(``_integrate.pl_cumulative``): the screen as an array, the isoperimetric
+constant at its knots, the packing's regula falsi in plain floats beside
+the mass's closed-form inverse.
 Its knot table has one rule on every grid, uniform or graded
 (``_integrate.cumulative_simpson``): the quadratic through each two-cell
 panel's nodes, its bend limited so that every cell takes 1/2 to 3/2 of its
@@ -351,18 +356,20 @@ def _roots(p: RadialProblem, chain, k: int) -> np.ndarray:
     c, ground, mass = chain
     # bounds: Gershgorin above, nu_1 >= 1 / trace(K) below, where the diagonal
     # of S^-1 is the parallel resistance to the two ends
-    root_m = np.sqrt(mass)
-    off = c / (root_m[:-1] * root_m[1:])
-    row = ground / mass
-    row[:-1] += c / mass[:-1] + off
-    row[1:] += c / mass[1:] + off
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
+        root_m = np.sqrt(mass)
+        off = c / (root_m[:-1] * root_m[1:])
+        row = ground / mass
+        row[:-1] += c / mass[:-1] + off
+        row[1:] += c / mass[1:] + off
         end = 1.0 / ground[[0, -1]]
-    r = _cumsum(1.0 / c)
-    left = end[0] + np.concatenate(([0.0], r))
-    right = end[1] + (r[-1] - np.concatenate(([0.0], r)))
-    low = 0.5 / float(np.sum(mass / (1.0 / left + 1.0 / right)))
+        r = _cumsum(1.0 / c)
+        left = end[0] + np.concatenate(([0.0], r))
+        right = end[1] + (r[-1] - np.concatenate(([0.0], r)))
+        low = float(0.5 / np.sum(mass / (1.0 / left + 1.0 / right)))
     top = float(row.max())
+    if not 0.0 < low <= top < math.inf:
+        raise DomainError("theta spans more than the solver's floating-point range")
     j = np.arange(1, k + 1)
     h = p.length / (p.grid.size - 1)
     half = 0.0 if len(ground) == p.grid.size - 2 else 0.5
@@ -391,7 +398,7 @@ def _roots(p: RadialProblem, chain, k: int) -> np.ndarray:
         if live.size == 0:
             return 0.5 * (a + b)
         lo, hi = a[live], b[live]
-        x = np.sqrt(lo * hi)
+        x = np.sqrt(lo) * np.sqrt(hi)
         single = (na[live] == live) & (nb[live] == live + 1)
         with np.errstate(over="ignore"):
             falsi = lo + (hi - lo) / (1.0 + np.exp(lb[live] - la[live]))
@@ -666,42 +673,6 @@ def _dinkelbach(th: np.ndarray, cum: np.ndarray):
         lam, i, j = r, ii, jj
 
 
-def _polish(p: RadialProblem, x: float, lo: float, hi: float, th_o: float, c_o: float,
-            sign: float):
-    """Exact minimum over [lo, hi] of (theta(y) + th_o) / (sign (C(y) - c_o)),
-    with C the one mass and (th_o, c_o) the other end: (ratio, y).
-
-    On a cell theta is linear with slope s, and C is C_k plus r_k times the
-    trapezoid of theta over the d past the cell's left knot, r_k the ratio
-    of the cell's table increment to its trapezoid.  So the derivative
-    vanishes where s^2/2 d^2 + s (theta_k + th_o) d + s e_k
-    + theta_k (theta_k + th_o) = 0, e_k = (c_o - C_k) / r_k, whichever end y
-    is.  Of its two roots only
-    d = -2 (s e_k + theta_k (theta_k + th_o))
-        / (s (theta_k + th_o + sqrt(th_o^2 - theta_k^2 - 2 s e_k)))
-    can lie in the cell: the other needs theta to fall to -th_o.  The
-    infimum is at one of these roots, a knot, lo, hi or the start x.
-    """
-    g, th, cum = p.grid, p.theta, p._cum
-    k0 = max(int(g.searchsorted(lo, side="right")) - 1, 0)
-    k1 = min(max(int(g.searchsorted(hi, side="left")), k0 + 1), g.size - 1)
-    t0, h = g[k0:k1], np.diff(g[k0:k1 + 1])
-    w = max(float(th[k0:k1 + 1].max()), th_o)  # scaled, so no square overflows
-    thk, thk1, tho = th[k0:k1] / w, th[k0 + 1:k1 + 1] / w, th_o / w
-    s = (thk1 - thk) / h
-    with np.errstate(all="ignore"):
-        e = (c_o - cum[k0:k1]) / np.diff(cum[k0:k1 + 1]) * (0.5 * h * (thk + thk1))
-        d = -2.0 * (s * e + thk * (thk + tho)) / (
-            s * (thk + tho + np.sqrt(tho * tho - thk * thk - 2.0 * s * e)))
-    ys = np.concatenate(([x, lo, hi], g[k0 + 1:k1], (t0 + d)[(d >= 0.0) & (d <= h)]))
-    ys = ys[(ys >= lo) & (ys <= hi)]
-    mass = sign * (p._cum_at(ys) - c_o)
-    with np.errstate(divide="ignore"):
-        vals = np.where(mass > 0.0, (np.interp(ys, g, th) + th_o) / mass, math.inf)
-    best = int(np.argmin(vals))
-    return float(vals[best]), float(ys[best])
-
-
 def isoperimetric_constant(p: RadialProblem) -> float:
     """Infimum of relative perimeter over mass for interior candidate sets.
 
@@ -709,34 +680,18 @@ def isoperimetric_constant(p: RadialProblem) -> float:
     tag is a symmetry center rather than boundary, so sets may touch it
     with no perimeter contribution there.  Two-interval unions never beat
     the best single interval (mediant inequality), so the family is exact.
-    Dinkelbach's method finds the best pair of scan points in O(c) per
-    iteration, a Neumann end among them as a scan end of zero perimeter.
-    Three rounds of exact coordinate minimization polish the pair, each
-    over the stationary points of every cell within two scan points either
-    side of the end it moves; a Neumann end the pair touches never moves.
+    Dinkelbach's method runs over every pair of knots, a Neumann end at zero
+    perimeter, and knots suffice: on a cell theta is linear with slope s and
+    the mass M rises at r theta (r > 0, the cell's table increment over its
+    trapezoid), so theta +- lam M has second derivative +- lam r s.  Where
+    it is convex its slope s +- lam r theta has the sign of s, so on every
+    cell it is monotone or concave and least at an end.  The value is exact
+    up to the rounding that :func:`_dinkelbach` states.
     """
-    t = p.grid
-    stride = max(1, t.size // 600)
-    cand = t[::stride]
-    if cand[-1] != t[-1]:
-        cand = np.append(cand, t[-1])
-    th = np.interp(cand, t, p.theta)
-    dirichlet = (p.left_bc is Endpoint.DIRICHLET, p.right_bc is Endpoint.DIRICHLET)
-    th[0], th[-1] = th[0] * dirichlet[0], th[-1] * dirichlet[1]
-    best, i, j = _dinkelbach(th, p._cum_at(cand))
-    ends = [float(cand[i]), float(cand[j])]
-    free = (dirichlet[0] or i > 0, dirichlet[1] or j < cand.size - 1)
-    for _ in range(3):
-        for e, sign in ((0, -1.0), (1, 1.0)):
-            if not free[e]:
-                continue
-            k = int(cand.searchsorted(ends[e]))
-            lo, hi = float(cand[max(k - 2, 0)]), float(cand[min(k + 2, cand.size - 1)])
-            lo, hi = (max(lo, ends[0]), hi) if e else (lo, min(hi, ends[1]))
-            o = ends[1 - e]
-            ratio, ends[e] = _polish(p, ends[e], lo, hi, p.theta_at(o) if free[1 - e] else 0.0,
-                                     p._cum_at(o), sign)
-    return min(best, ratio)
+    th = p.theta.copy()
+    th[0] *= p.left_bc is Endpoint.DIRICHLET
+    th[-1] *= p.right_bc is Endpoint.DIRICHLET
+    return _dinkelbach(th, p._cum)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -964,9 +919,10 @@ def audit_inequalities(p: RadialProblem, k_max: int, etas) -> AuditReport:
             add(_entry("universal_ratio", k, None, nu[k - 1], C * k * k * nu[0], "<="))
     for eta in etas:
         seps = [interval_bsep(p, [eta] * k) for k in range(1, min(k_max, 3) + 1)]
-        add(_entry("obs_inradius_eigen", None, eta, seps[0], 2.0 / math.sqrt(nu[0] * eta), "<="))
+        root = math.sqrt(eta)  # apart from sqrt(nu), since nu eta can underflow to 0
+        add(_entry("obs_inradius_eigen", None, eta, seps[0], 2.0 / (math.sqrt(nu[0]) * root), "<="))
         for k, sep in enumerate(seps, 1):
-            add(_entry("bsep_eigen", k, eta, sep, 2.0 / math.sqrt(nu[k - 1] * eta), "<="))
+            add(_entry("bsep_eigen", k, eta, sep, 2.0 / (math.sqrt(nu[k - 1]) * root), "<="))
     return report
 
 

@@ -7,6 +7,8 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from boundarylab.cli import main
 from boundarylab.spectral import Endpoint, RadialProblem
@@ -396,3 +398,50 @@ class TestUnresolvedSpectrumExits2:
         assert code == 2
         assert out == ""
         assert "did not resolve" in err
+
+
+# ---------------------------------------------------------------------------
+# derandomized fuzz of the problem-file commands
+# ---------------------------------------------------------------------------
+
+_SCALES = [5e-324, 1e-322, 1e-320, 1e-300, 1e-150, 1.0, 1e150, 1e300, 1e307, 1e308]
+_LENGTHS = [1e-300, 1e-200, 1e-160, 1e-155, 1e-150, 1e-3, 1.0, 1e150, 1e300]
+_ETAS = [0.0, 1.0, 2.0, math.nan, math.inf, 1e-300, 0.1, 0.5, 0.9]
+
+
+def _not_strict(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(["spectrum", "audit"]),
+       n=st.integers(16, 64), scale=st.sampled_from(_SCALES), length=st.sampled_from(_LENGTHS),
+       grading=st.sampled_from([1.0, 3.0]),
+       ends=st.tuples(*[st.sampled_from(["dirichlet", "neumann"])] * 2), flags=st.booleans(),
+       k=st.integers(0, 20), etas=st.lists(st.sampled_from(_ETAS), max_size=3))
+def test_problem_file_fuzz(capsys, tmp_path, data, command, n, scale, length, grading, ends,
+                           flags, k, etas):
+    """Every run of spectrum and audit on a problem file, flat or rough, at
+    the ends of the float range, exits 0 with strict JSON or 2 with a
+    message; pytest turns any RuntimeWarning into an error."""
+    rough = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n) | st.just([0.0] * n))
+    t = length * np.linspace(0.0, 1.0, n) ** grading
+    with np.errstate(over="ignore"):
+        theta = scale * np.exp(rough)
+    rows = "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in zip(t, theta))
+    path = tmp_path / "fuzz.csv"
+    header = json.dumps({"left_bc": ends[0], "right_bc": ends[1],
+                         "nonneg_ricci_f": flags, "nonneg_mean_curv": flags})
+    path.write_text(f"# {header}\nt,theta\n{rows}")
+    argv = [command, "--file", str(path), "--k", str(k)]
+    if command == "audit":
+        argv += [arg for eta in etas for arg in ("--eta", repr(eta))]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out, parse_constant=_not_strict)
+    else:
+        assert out == "" and err.startswith("error: ")
+

@@ -1068,8 +1068,25 @@ class TestExactIsoperimetric:
         p = data.draw(pl_problems(bcs))
         assert isoperimetric_constant(p) <= _isoperimetric_oracle(p) * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize("bcs", ALL_BCS)
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_interior_points_never_beat_the_knots(self, bcs, data):
+        # on a cell theta is linear and the mass rises at r theta, so
+        # theta +- lam M is monotone or concave there and least at an end
+        p = data.draw(pl_problems(bcs))
+        u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)))
+        g = p.grid
+        xs = np.unique(np.append((g[:-1, None] + np.diff(g)[:, None] * u).ravel(), g))
+        th = np.interp(xs, g, p.theta)
+        th[0] *= bcs[0] is Endpoint.DIRICHLET
+        th[-1] *= bcs[1] is Endpoint.DIRICHLET
+        dense, _, _ = spectral._dinkelbach(th, p._cum_at(xs))
+        assert dense >= isoperimetric_constant(p) * (1.0 - 1e-12)
+
     @pytest.mark.parametrize("seed, ends", [
-        (10, "DN"), (10, "ND"), (22, "DN"), (45, "DN"), (52, "DD"), (52, "ND")])
+        (10, "DN"), (10, "ND"), (22, "DN"), (45, "DN"), (52, "DD"), (52, "ND"),
+        (31, "DN"), (249, "DD")])
     def test_graded_grids_meet_the_dense_scan(self, seed, ends):
         # log-normal steps: the scan spans differ widely, so a polish window
         # sized by one span can fall short of the best set
@@ -1107,6 +1124,16 @@ class TestNonFiniteInput:
         t[-1] = bad
         with pytest.raises(DomainError):
             RadialProblem(t, np.ones_like(t))
+
+    @pytest.mark.parametrize("scale", [5e-324, 1e-322, 1e308])
+    def test_mass_beyond_the_float_range_rejected(self, scale):
+        # 5e-324 left NaN knots, 1e-322 a total of 0 and 1e308 an infinite table
+        t = np.linspace(0.0, 1.0, 2001)
+        theta = np.full(t.size, scale)
+        with pytest.raises(DomainError, match="floating-point range"):
+            RadialProblem(t, theta, right_bc=Endpoint.NEUMANN)
+        with pytest.raises(DomainError, match="floating-point range"):
+            RadialDensity(t, theta)
 
     def test_csv_with_nan_theta_rejected(self):
         p = uniform_problem(33)
@@ -1360,6 +1387,22 @@ def _assert_within_1e9(p, nu):
 
 
 class TestNoUnconvergedEigenvalues:
+    @pytest.mark.parametrize("length, points", [(1e-160, 2001), (1e-300, 40)])
+    def test_lower_bound_past_the_float_range_raises(self, length, points):
+        # the root finder's lower bound 1 / trace(K) underflowed to a division by zero
+        p = RadialProblem(np.linspace(0.0, length, points), np.ones(points))
+        with pytest.raises(DomainError, match="floating-point range"):
+            dirichlet_spectrum(p, 2)
+        with pytest.raises(DomainError, match="floating-point range"):
+            audit_inequalities(p, 2, [0.5])
+
+    def test_eigenvalues_near_the_top_of_the_float_range(self):
+        # nu scales as 1 / L^2; root finding's geometric mean overflowed here
+        p = RadialProblem(np.linspace(0.0, 1e-150, 2001), np.ones(2001))
+        np.testing.assert_allclose(spectral._roots(p, spectral._chain(p), 2),
+                                   dirichlet_spectrum(uniform_problem(2001), 2).eigenvalues * 1e300,
+                                   rtol=1e-12, atol=0.0)
+
     def test_lanczos_cap_hands_over_to_root_finding(self, monkeypatch):
         monkeypatch.setattr(spectral, "_MAX_ITER", 4)
         j = np.arange(1, 6)
