@@ -1,8 +1,9 @@
-"""Internal cumulative-integration helpers."""
+"""The one mass of a gridded density: its knot table, its value and its closed-form inverse."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
+from bisect import bisect_left, bisect_right
 
 from ._numpy import np
 from .errors import DomainError
@@ -107,3 +108,25 @@ def pl_cell(x: float, i: int, grid, theta, cum) -> float:
         v = 1.0 - u
         share = 1.0 - v * ((1.0 - a) + a * v)
     return min(c0 + (c1 - c0) * share, c1)
+
+
+def _invert_mass(grid, theta, cum, target: float) -> float:
+    """Smallest x with M(x) >= target, on float memoryviews of the grid,
+    theta and the knot table: the inverse of :func:`pl_cell`.
+
+    M is continuous and nondecreasing, so x lies in the cell whose right knot
+    is the first to reach the target.  There M is the cell's table increment
+    times the share f(u) = 2 w u - (2 w - 1) u^2, and the root
+    u = F / (w + sqrt(w^2 + (1 - 2 w) F)) of f(u) = F, with F the target's
+    share of the increment, has no cancellation.  Plain floats.
+    """
+    if target <= 0.0:
+        return 0.0
+    k = bisect_left(cum, target)
+    if k == len(cum):
+        return grid[-1]
+    t0, t1, c0 = grid[k - 1], grid[k], cum[k - 1]
+    F = (target - c0) / (cum[k] - c0)
+    w = theta[k - 1] / (theta[k - 1] + theta[k])
+    d = w + math.sqrt(max(w * w + (1.0 - 2.0 * w) * F, 0.0))
+    return min(t0 + (t1 - t0) * F / d, t1)

@@ -190,51 +190,42 @@ def _candidate_values(g: BoundaryGraph) -> np.ndarray:
     return np.array(sorted(v for v in vals if math.isfinite(v)))
 
 
-def _mass_table(weights: np.ndarray) -> np.ndarray:
-    """mass[mask] for every subset mask of the vertex index set."""
-    nbits = weights.size
-    masks = np.arange(1 << nbits, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(nbits)) & 1
-    return bits.astype(float) @ weights
-
-
-def _near_table(near_masks: np.ndarray) -> np.ndarray:
-    """Bitwise OR of per-vertex "too close" masks over every subset."""
-    nbits = near_masks.size
-    out = np.zeros(1 << nbits, dtype=np.int64)
-    masks = np.arange(1 << nbits, dtype=np.int64)
-    for b in range(nbits):
-        sel = (masks >> b) & 1 == 1
-        out[sel] |= near_masks[b]
+def _subset_fold(op, values: np.ndarray) -> np.ndarray:
+    """op folded over the members of every subset mask of the index set: each
+    bit b extends the table of the masks below it by values[b]."""
+    out = np.zeros(1 << values.size, dtype=values.dtype)
+    for b, value in enumerate(values):
+        op(out[:1 << b], value, out=out[1 << b:2 << b])
     return out
 
 
 def _exact_feasible(g: BoundaryGraph, etas, D: float) -> bool:
     """Can k sets of the given masses sit pairwise >= D apart and >= D
     from the boundary?  Exact subset enumeration with conflict masks."""
-    ok = np.nonzero(g.rho >= D - 1e-12)[0]
+    below = D * (1.0 - 1e-12)  # D less a rounding slack relative to D
+    ok = np.nonzero(g.rho >= below)[0]
     if ok.size == 0:
         return False
     w = g.measure[ok]
     sub = g.dist[np.ix_(ok, ok)]
-    close = sub < D - 1e-12
+    close = sub < below
     np.fill_diagonal(close, False)
     m = ok.size
     weights = (np.int64(1) << np.arange(m, dtype=np.int64))
     near = close.astype(np.int64).T @ weights  # per-vertex conflict bitmask
-    mass = _mass_table(w)
-    near_of = _near_table(near)
+    mass = _subset_fold(np.add, w)
+    near_of = _subset_fold(np.bitwise_or, near)
     full = (1 << m) - 1
-    etas = sorted(etas, reverse=True)
+    etas = sorted((eta * (1.0 - 1e-12) for eta in etas), reverse=True)  # the masses needed
 
     def rec(avail: int, needs) -> bool:
         eta = needs[0]
         if len(needs) == 1:
-            return mass[avail] >= eta - 1e-12
+            return mass[avail] >= eta
         # enumerate submasks of avail as the next set
         sub_mask = avail
         while sub_mask:
-            if mass[sub_mask] >= eta - 1e-12:
+            if mass[sub_mask] >= eta:
                 rest = avail & ~(sub_mask | near_of[sub_mask])
                 if rec(rest, needs[1:]):
                     return True
@@ -244,12 +235,12 @@ def _exact_feasible(g: BoundaryGraph, etas, D: float) -> bool:
     if len(etas) == 2:
         # vectorized: for every first-set mask, take all remaining allowed mass
         masks = np.arange(1, full + 1, dtype=np.int64)
-        good = mass[masks] >= etas[0] - 1e-12
+        good = mass[masks] >= etas[0]
         if not np.any(good):
             return False
         cand = masks[good]
         avail = full & ~(cand | near_of[cand])
-        return bool(np.any(mass[avail] >= etas[1] - 1e-12))
+        return bool(np.any(mass[avail] >= etas[1]))
     return rec(full, etas)
 
 
@@ -265,12 +256,13 @@ def _greedy_family(g: BoundaryGraph, etas, D: float):
     groups: list[list[int]] = [[] for _ in range(k)]
     masses = np.zeros(k)
     d = g.dist
+    below = D * (1.0 - 1e-12)  # D less a rounding slack relative to D
     for v in order:
-        if g.rho[v] < D - 1e-12:
+        if g.rho[v] < below:
             continue
         conflicts = [
             gi for gi in range(k)
-            if groups[gi] and d[v, groups[gi]].min() < D - 1e-12
+            if groups[gi] and d[v, groups[gi]].min() < below
         ]
         if len(conflicts) > 1:
             continue
@@ -284,7 +276,7 @@ def _greedy_family(g: BoundaryGraph, etas, D: float):
     # match achieved masses to requested ones (sorted greedily)
     achieved = sorted(masses, reverse=True)
     needed = sorted(etas, reverse=True)
-    if all(a >= b - 1e-12 for a, b in zip(achieved, needed)) and all(groups):
+    if all(a >= b * (1.0 - 1e-12) for a, b in zip(achieved, needed)) and all(groups):
         return groups
     return None
 
@@ -394,13 +386,9 @@ def concentration_equivalence_check(seq, r: float, eta: float) -> TrendReport:
     report = TrendReport(r=float(r), eta=float(eta))
     for i, g in enumerate(seq):
         s = graph_screen(g)
-        out = screens.obs_inradius(s, eta)
-        if isinstance(out, screens.ObsBounds):
-            lower, upper = out.lower, out.upper
-        else:  # pragma: no cover - atom screens are never full support
-            lower = upper = out
-        bmass = float(g.measure[g.rho <= r + 1e-12].sum())
+        out = screens.obs_inradius(s, eta)  # bounds: an atom screen never has full support
+        bmass = float(g.measure[g.rho <= r * (1.0 + 1e-12)].sum())
         report.rows.append(
-            TrendRow(i, lower, upper, screens.bsep_single(s, eta), bmass)
+            TrendRow(i, out.lower, out.upper, screens.bsep_single(s, eta), bmass)
         )
     return report

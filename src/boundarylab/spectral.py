@@ -10,9 +10,9 @@ formed, so no eigenvalue loses the eps/h^2 that Sturm bisection on the
 formed tridiagonal pays.  Small k: Lanczos without a stored basis, with
 the Cullum-Willoughby filter, on the exact inverse of the pencil (the
 Green's operator M^{1/2} S^{-1} M^{1/2}, applied by cumulative sums over
-the face resistances) in O(n) memory.  On large grids it starts from the
-prolonged Ritz vectors of a coarse grid (a two-grid start), which about
-halves its steps at 200k points.  Its values are kept only when an
+the face resistances) in O(n) memory and no more steps than kept nodes.
+On large grids it starts from the prolonged Ritz vectors of a coarse grid
+(a two-grid start), which about halves its steps at 200k points.  Its values are kept only when an
 exact count of the eigenvalues below the k-th agrees; otherwise, and for
 larger k, the k smallest are root-found on those counts.  A count is the
 inertia of S - x M by cyclic reduction over the face conductances, which
@@ -28,8 +28,8 @@ mass M rises at r theta (r > 0), so theta +- lam M has second derivative
 of s, so on every cell it is monotone or concave and least at an end.
 All of them read one continuous, nondecreasing mass
 (``_integrate.pl_cumulative``): the screen as an array, the isoperimetric
-constant at its knots, the packing's regula falsi in plain floats beside
-the mass's closed-form inverse.
+constant at its knots, the packing once per set in plain floats beside
+the mass's closed-form inverse (``_integrate._invert_mass``).
 Its knot table has one rule on every grid, uniform or graded
 (``_integrate.cumulative_simpson``): the quadratic through each two-cell
 panel's nodes, its bend limited so that every cell takes 1/2 to 3/2 of its
@@ -42,12 +42,12 @@ import csv
 import enum
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from . import _text, screens
-from ._integrate import cumulative_simpson, pl_cell, pl_cumulative, pl_density
+from ._integrate import _invert_mass, cumulative_simpson, pl_cell, pl_cumulative, pl_density
 from ._numpy import np
 from .errors import DomainError
 
@@ -165,28 +165,6 @@ class RadialProblem:
         if data.shape != (len(body), 2):  # loadtxt skips blank lines
             raise DomainError("bad CSV row: every row needs exactly t,theta")
         return cls(data[:, 0], data[:, 1], **options)
-
-
-def _invert_mass(grid, theta, cum, target: float) -> float:
-    """Smallest x with M(x) >= target (:func:`interval_bsep`), on float
-    memoryviews of the grid, theta and the knot table.
-
-    M is continuous and nondecreasing, so x lies in the cell whose right knot
-    is the first to reach the target.  There M is the cell's table increment
-    times the share f(u) = 2 w u - (2 w - 1) u^2 of :func:`_integrate.pl_cell`,
-    and the root u = F / (w + sqrt(w^2 + (1 - 2 w) F)) of f(u) = F, with F the
-    target's share of the increment, has no cancellation.  Plain floats.
-    """
-    if target <= 0.0:
-        return 0.0
-    k = bisect_left(cum, target)
-    if k == len(cum):
-        return grid[-1]
-    t0, t1, c0 = grid[k - 1], grid[k], cum[k - 1]
-    F = (target - c0) / (cum[k] - c0)
-    w = theta[k - 1] / (theta[k - 1] + theta[k])
-    d = w + math.sqrt(max(w * w + (1.0 - 2.0 * w) * F, 0.0))
-    return min(t0 + (t1 - t0) * F / d, t1)
 
 
 @dataclass(frozen=True)
@@ -539,7 +517,7 @@ def _lanczos(p: RadialProblem, k: int, ritz: bool = False) -> np.ndarray | None:
         # a check costs a dense eigensolve of T: every third step, and by m / 16
         # on long runs; after a two-grid start, which converges in few, every step
         check = k + 2 if two_grid else 2 * k + 2
-        for m in range(1, _MAX_ITER + 1):
+        for m in range(1, min(_MAX_ITER, sm.size) + 1):  # no more steps than nodes
             if ritz:
                 basis.append(v)
             w = apply(v)
@@ -736,14 +714,15 @@ def interval_bsep(p: RadialProblem, etas) -> float:
     In 1D the optimal family consists of intervals in some order (convex
     hulls preserve masses, gaps, and boundary distances), so a greedy
     left-packing per mass permutation decides feasibility of a candidate
-    separation D.  The packing reads the problem's one mass (``_cum_at``),
-    continuous and nondecreasing, in plain floats on memoryviews, beside its
-    closed-form inverse :func:`_invert_mass`.  The supremum is a root, found
-    to adjacent floats by Pegasus regula falsi (Dowell & Jarratt, BIT 12,
-    1972) that bisects when a step stalls.  The last set may end 1e-12 L
-    past L - D, a slack relative to L, so D scales with the grid.  Masses
-    must be finite and positive; from 1 in sum on the distance is 0, since
-    the sets then leave no gap of positive mass.
+    separation D.  Each set reads the one mass (``_cum_at``) once, at its
+    start, in plain floats, and ends where the mass's closed-form inverse
+    puts its target; it fits if it starts before L and its target is at
+    most the total plus 1e-12 of it.  The supremum is a root, found to
+    adjacent floats by Pegasus regula falsi (Dowell & Jarratt, BIT 12, 1972)
+    that bisects when a step stalls.  The last set may end 1e-12 L past
+    L - D, so D scales with the grid.  Masses must be finite and positive;
+    from 1 in sum on the distance is 0, since the sets then leave no gap of
+    positive mass.
     """
     etas = [float(e) for e in etas]
     screens._require_finite("all masses", np.array(etas))
@@ -765,11 +744,9 @@ def interval_bsep(p: RadialProblem, etas) -> float:
             pos = end = D if left_b else 0.0
             fits, target = True, 0.0
             for eta in perm:
-                c = mass(pos)
-                target = c + eta * total
+                target = mass(pos) + eta * total
                 end = _invert_mass(grid, theta, cum, min(target, total))
-                fits = (fits and pos < L and target <= total * (1.0 + 1e-12)
-                        and mass(end) - c >= eta * total * (1.0 - 1e-9))
+                fits = fits and pos < L and target <= total * (1.0 + 1e-12)
                 pos = end + D
             over = end - (L - D + 1e-12 * L) if right_b else target - total * (1.0 + 1e-12)
             feasible, least = feasible or (fits and over <= 0.0), min(least, over)

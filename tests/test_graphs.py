@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boundarylab import screens
 from boundarylab.errors import DomainError
@@ -178,6 +180,25 @@ class TestBsepK:
         # NaN fails every comparison and inf exceeds 1: neither may pass for an overfull list
         with pytest.raises(DomainError, match="mass thresholds must be finite"):
             bsep_k(path_graph(4), [0.2, bad], mode=mode)
+
+    def test_no_set_is_empty(self):
+        # path 0-1-2-3, boundary {0}, uniform: two single vertices reach 1; an
+        # empty set is within an absolute 1e-12 of the mass 1e-13, not a relative one
+        g = path_graph(4)
+        for mode in ("exact", "greedy"):
+            assert bsep_k(g, [1e-13, 1e-13], mode=mode) == 1.0
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), log_c=st.floats(-13.0, 13.0),
+           etas=st.lists(st.floats(0.05, 0.4), min_size=2, max_size=3))
+    def test_scaling_the_lengths_scales_the_distance(self, seed, log_c, etas):
+        # every slack is relative to D, eta or r, so only rounding moves c D
+        g = random_graph(np.random.default_rng(seed), n=int(seed % 6) + 4)
+        c = 10.0 ** log_c
+        scaled = BoundaryGraph(g.n, [(u, v, c * w) for u, v, w in g.edges], g.boundary, g.measure)
+        for mode in ("exact", "greedy"):
+            D = bsep_k(g, etas, mode=mode)
+            assert abs(bsep_k(scaled, etas, mode=mode) - c * D) <= 1e-12 * c * D
 
     def test_exact_guard(self):
         g = path_graph(25)
