@@ -95,8 +95,8 @@ class BoundaryGraph:
             raise DomainError("graph must be connected")
 
     # -- distances -------------------------------------------------------
-    def _dijkstra(self, sources) -> np.ndarray:
-        dist = np.full(self.n, math.inf)
+    def _dijkstra(self, sources) -> list[float]:
+        dist = [math.inf] * self.n  # Python floats: numpy scalars one at a time are slow
         heap = []
         for s in sources:
             dist[s] = 0.0
@@ -117,14 +117,16 @@ class BoundaryGraph:
     def rho(self) -> np.ndarray:
         """Distance to the boundary vertex set, per vertex."""
         if self._rho is None:
-            self._rho = self._dijkstra(self.boundary)
+            self._rho = np.array(self._dijkstra(self.boundary))
         return self._rho
 
     @property
     def dist(self) -> np.ndarray:
         """All-pairs shortest-path matrix (built on demand)."""
         if self._dist is None:
-            self._dist = np.vstack([self._dijkstra([u]) for u in range(self.n)])
+            self._dist = np.empty((self.n, self.n))
+            for u in range(self.n):
+                self._dist[u] = self._dijkstra([u])
         return self._dist
 
     # -- serialization -----------------------------------------------------
@@ -233,14 +235,14 @@ def _exact_feasible(g: BoundaryGraph, etas, D: float) -> bool:
         return False
 
     if len(etas) == 2:
-        # vectorized: for every first-set mask, take all remaining allowed mass
-        masks = np.arange(1, full + 1, dtype=np.int64)
-        good = mass[masks] >= etas[0]
-        if not np.any(good):
-            return False
-        cand = masks[good]
-        avail = full & ~(cand | near_of[cand])
-        return bool(np.any(mass[avail] >= etas[1]))
+        # vectorized: for every first-set mask, take all remaining allowed mass,
+        # 2^16 masks at a time so the temporaries stay small
+        for lo in range(0, full + 1, 1 << 16):
+            cand = np.flatnonzero(mass[lo:lo + (1 << 16)] >= etas[0]) + lo
+            avail = full & ~(cand | near_of[cand])
+            if np.any(mass[avail] >= etas[1]):
+                return True
+        return False
     return rec(full, etas)
 
 

@@ -12,9 +12,11 @@ the Cullum-Willoughby filter, on the exact inverse of the pencil (the
 Green's operator M^{1/2} S^{-1} M^{1/2}, applied by cumulative sums over
 the face resistances) in O(n) memory and no more steps than kept nodes.
 On large grids it starts from the prolonged Ritz vectors of a coarse grid
-(a two-grid start), which about halves its steps at 200k points.  Its values are kept only when an
-exact count of the eigenvalues below the k-th agrees; otherwise, and for
-larger k, the k smallest are root-found on those counts.  A count is the
+(a two-grid start), which about halves its steps at 200k points.  Its values
+are kept once their residual intervals are disjoint, each one's Kato-Temple
+error is at most 2^-44 of it, and an exact count in the gap above the k-th
+puts k eigenvalues below; otherwise, and for larger k, the k smallest are
+root-found on those counts, bracketed to the same 2^-44.  A count is the
 inertia of S - x M by cyclic reduction over the face conductances, which
 keeps every eigenvalue, small or large, to about 1e-13 relative.
 
@@ -194,13 +196,14 @@ def _cells(grid, theta):
 
 # Lanczos on the Green's operator; constants, not options
 _SEED = 20170605        # fixed start vector, so outputs are deterministic
-_RESIDUAL_TOL = 1e-9    # converged: residual bound <= _RESIDUAL_TOL * Ritz value
-# two converged copies of one eigenvalue lie within twice the residual tolerance
-_CLUSTER_TOL = 2 * _RESIDUAL_TOL
+_RESOLVED = 1e-9        # a Ritz value below 1 / _RESOLVED rounding floors is noise
+_CLUSTER_TOL = 2e-9     # Ritz values this close, relative, are copies of one eigenvalue
 # a simple value this close to an eigenvalue of T-hat is spurious; far below
 # _CLUSTER_TOL / 2, so of two unmerged copies the one T-hat does not hug survives
 _MATCH_TOL = 1e-12
 _ROUNDING = 8.0         # residual floor in units of eps * mu_1: the matvec rounding
+_SEED_TOL = 1e-6        # the coarse run stops at this residual: it only seeds the fine run
+_SHIFT = 0.2            # the count's shift: this share of the way to the next Ritz value
 _MAX_ITER = 1000
 _BLOCK = 1024
 _STRIDE = 16            # the two-grid start's coarse grid keeps every _STRIDE-th node,
@@ -427,18 +430,24 @@ def _green(p: RadialProblem):
     return (lambda x: apply(x[::-1])[::-1]), sm
 
 
-def _genuine(alpha, beta, k):
-    """The k largest genuine Ritz values of the Lanczos tridiagonal T and
-    their eigenvectors in T, or None while any of them lacks convergence or
-    lies below what the matvec rounding resolves.
+def _genuine(alpha, beta, k, tol=None):
+    """The k largest genuine Ritz values of the Lanczos tridiagonal T, their
+    eigenvectors in T and the shift mu_s of the count that checks them, or
+    None while they are not accepted.
 
     The filter of Cullum and Willoughby (1985): Ritz values closer than
     _CLUSTER_TOL are copies of one eigenvalue (ghosts left by lost
     orthogonality) and count once; a simple Ritz value that is also an
     eigenvalue of T-hat (T without its first row and column) is spurious.
     Both tolerances scale with the Ritz value, never below the rounding
-    floor of the matvec.  A value converges once its residual bound, plus
-    that floor, is below _RESIDUAL_TOL of it.
+    floor of the matvec.  An eigenvalue of K lies within r_i of each kept
+    theta_i: its residual bound plus that floor.  With ``tol``, the values
+    are accepted once every r_i <= tol theta_i.  Otherwise they are certified:
+    the intervals theta_i +- r_i are disjoint and above mu_s, a fifth of the
+    way from theta_k toward the next Ritz value, so a count of k eigenvalues
+    above mu_s puts one in each; and the Kato-Temple bound r_i^2 / gap_i
+    (Kato 1949; Parlett 1998, 10.3), with gap_i the distance from theta_i to
+    the neighbouring intervals or mu_s, is at most _ROOT_TOL theta_i.
     """
     m = len(alpha)
     T = np.diag(alpha)
@@ -448,10 +457,10 @@ def _genuine(alpha, beta, k):
     that = np.linalg.eigvalsh(T[1:, 1:])
     floor = _ROUNDING * np.finfo(float).eps * theta[-1]
     res = abs(beta[m - 1]) * np.abs(s[-1])
-    kept = []
+    kept, r = [], []
     i = m - 1
     while i >= 0 and len(kept) < k:
-        if floor > _RESIDUAL_TOL * theta[i]:  # the rest is rounding noise
+        if floor > _RESOLVED * theta[i]:  # the rest is rounding noise
             return None
         j = best = i
         while j > 0 and theta[j] - theta[j - 1] <= _CLUSTER_TOL * theta[j]:
@@ -463,11 +472,18 @@ def _genuine(alpha, beta, k):
         elif np.any(np.abs(that - theta[i]) <= max(_MATCH_TOL * theta[i], floor)):
             i -= 1  # spurious
             continue
-        if bound + floor > _RESIDUAL_TOL * theta[best]:
-            return None
         kept.append(best)
+        r.append(bound + floor)
         i = j - 1
-    return (theta[kept], s[:, kept]) if len(kept) == k else None
+    if len(kept) < k:
+        return None
+    mu, r = theta[kept], np.array(r)
+    shift = mu[-1] - _SHIFT * (mu[-1] - (theta[i] if i >= 0 else 0.0))
+    below = np.append(mu[1:] + r[1:], shift)  # bounds on the neighbouring eigenvalues
+    gap = np.minimum(mu - below, np.append(math.inf, mu[:-1] - r[:-1]) - mu)
+    certified = np.all(mu - r > below) and np.all(r * r <= _ROOT_TOL * mu * gap)
+    ok = np.all(r <= tol * mu) if tol else certified
+    return (mu, s[:, kept], shift) if ok else None
 
 
 def _start(p: RadialProblem, k: int, sm: np.ndarray):
@@ -482,7 +498,7 @@ def _start(p: RadialProblem, k: int, sm: np.ndarray):
     nodes = np.append(np.arange(0, n - 1, _STRIDE), n - 1)
     if nodes.size >= _COARSE_MIN and 8 * k <= nodes.size - 1:
         coarse = replace(p, grid=p.grid[nodes], theta=p.theta[nodes])
-        u = _lanczos(coarse, k, ritz=True)
+        u = _krylov(coarse, k, ritz=True)
         if u is not None:
             lo = int(p.left_bc is Endpoint.DIRICHLET)
             full = np.zeros(nodes.size)
@@ -495,17 +511,28 @@ def _start(p: RadialProblem, k: int, sm: np.ndarray):
     return v / np.linalg.norm(v), False
 
 
-def _lanczos(p: RadialProblem, k: int, ritz: bool = False) -> np.ndarray | None:
+def _lanczos(p: RadialProblem, k: int) -> np.ndarray | None:
     """The k smallest eigenvalues nu = 1/mu from the k largest mu of K, or
-    None where Lanczos cannot vouch for them.
+    None where Lanczos cannot vouch for them: :func:`_krylov`'s certified
+    values, once a count puts exactly k eigenvalues below the shift 1 / mu_s.
+    Two eigenvalues closer than _CLUSTER_TOL read as one, and one the start
+    vector barely meets can lag; the count catches both."""
+    found = _krylov(p, k)
+    if found is None:
+        return None
+    mu, shift = found
+    return 1.0 / mu if _counts(_chain(p), np.array([1.0 / shift]))[0][0] == k else None
 
-    Three-term Lanczos without a stored basis: O(n) working memory.  Its
-    values need not be the k smallest: two eigenvalues closer than
-    _CLUSTER_TOL read as one, and one the start vector barely meets can
-    lag; the caller checks them against a count.  Large grids start from
-    :func:`_start`'s two-grid vector and check from step k + 2.  With
-    ``ritz`` the basis is kept, and the sum of the k Ritz vectors as nodal
-    values M^{-1/2} y is returned instead.
+
+def _krylov(p: RadialProblem, k: int, ritz: bool = False):
+    """Lanczos on K: the k largest genuine Ritz values of :func:`_genuine`
+    and their count's shift mu_s, or None.
+
+    Three-term Lanczos without a stored basis: O(n) working memory.  Large
+    grids start from :func:`_start`'s two-grid vector and check from step
+    k + 2.  With ``ritz`` the basis is kept, the values stop at a residual
+    of _SEED_TOL, and the sum of the k Ritz vectors as nodal values
+    M^{-1/2} y is returned instead.
     """
     # a theta spanning more than the floating-point range overflows here
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
@@ -530,10 +557,10 @@ def _lanczos(p: RadialProblem, k: int, ritz: bool = False) -> np.ndarray | None:
             alpha.append(a)
             beta.append(b)
             if m >= check or b == 0.0:
-                found = _genuine(alpha, beta, k)
+                found = _genuine(alpha, beta, k, _SEED_TOL if ritz else None)
                 if found is not None:
-                    mu, s = found
-                    return s.sum(axis=1) @ np.array(basis) / sm if ritz else 1.0 / mu
+                    mu, s, shift = found
+                    return s.sum(axis=1) @ np.array(basis) / sm if ritz else (mu, shift)
                 if b == 0.0:  # an invariant subspace without k eigenvalues
                     return None
                 check = m + (1 if two_grid else max(3, m // 16))
@@ -544,16 +571,11 @@ def _lanczos(p: RadialProblem, k: int, ritz: bool = False) -> np.ndarray | None:
 def _eigenvalues(p: RadialProblem, k: int) -> np.ndarray:
     """The k smallest eigenvalues of the pencil, each to about 1e-13 relative.
 
-    Small k: Lanczos on the Green's operator, accepted when a count puts
-    exactly k eigenvalues below its k-th value; anything else: root finding
-    on the counts.
+    Small k: Lanczos on the Green's operator, certified by a count in the
+    gap above its k-th value; anything else: root finding on the counts.
     """
-    chain = _chain(p)
-    if k <= _LANCZOS_K:
-        nu = _lanczos(p, k)
-        if nu is not None and _counts(chain, nu[-1:] * (1.0 + _CLUSTER_TOL))[0][0] == k:
-            return nu
-    return _roots(p, chain, k)
+    nu = _lanczos(p, k) if k <= _LANCZOS_K else None
+    return _roots(p, _chain(p), k) if nu is None else nu
 
 
 def _spectrum(p: RadialProblem, k: int) -> SpectrumResult:
@@ -571,9 +593,10 @@ def dirichlet_spectrum(p: RadialProblem, k: int) -> SpectrumResult:
 
     The eigenvalues of the pencil that :func:`rayleigh` evaluates (both
     read ``_cells``, so min-max holds), for any k up to the resolution
-    guard m/4, to 1e-9 relative or better: Lanczos values carry a residual
-    bound of 1e-9 and typically sit near 1e-14, and root-found ones are
-    bracketed to 6e-14 (see the module docstring).  Lanczos on a grid of
+    guard m/4, to a certified 2^-44 (5.7e-14) relative plus rounding:
+    Lanczos values carry a Kato-Temple bound of 2^-44 and the rounding of the
+    Green's applies, up to about 2 sqrt(n) eps nu_j / nu_1; root-found ones are
+    bracketed to 2^-44 and counted to about 1e-13 (see the module docstring).  Lanczos on a grid of
     12,770 points or more starts from a coarse grid's Ritz vectors, which
     changes its cost, not its accuracy or the count that checks it.  Never
     returned unconverged: a theta beyond the floating-point range, or root
@@ -752,8 +775,9 @@ def interval_bsep(p: RadialProblem, etas) -> float:
             feasible, least = feasible or (fits and over <= 0.0), min(least, over)
         return feasible, least
 
-    # the sets take room, so D * (number of gaps) < L on every feasible packing
-    lo, hi = 0.0, L / max(len(etas) - 1 + left_b + right_b, 1)
+    # the sets take room, so D * (number of gaps) is below L, plus the end slack
+    # at a Dirichlet right end, on every feasible packing
+    lo, hi = 0.0, (L + 1e-12 * L * right_b) / max(len(etas) - 1 + left_b + right_b, 1)
     (ok_lo, f_lo), (ok_hi, f_hi) = overshoot(lo), overshoot(hi)
     if not ok_lo or ok_hi:
         return hi if ok_lo else 0.0

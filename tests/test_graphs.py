@@ -1,15 +1,17 @@
 """Tests for boundary graphs: distances, screens, separation, trends."""
 
+import heapq
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundarylab import screens
+from boundarylab import graphs, screens
 from boundarylab.errors import DomainError
 from boundarylab.graphs import (
     BoundaryGraph,
@@ -78,6 +80,37 @@ def brute_force_bsep2(g, eta1, eta2):
     return best
 
 
+def _numpy_scalar_dijkstra(g, sources):
+    """Dijkstra on an ndarray of distances, one numpy scalar at a time."""
+    dist = np.full(g.n, math.inf)
+    heap = [(0.0, s) for s in sources]
+    dist[list(sources)] = 0.0
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in g.adj[u]:
+            if d + w < dist[v]:
+                dist[v] = d + w
+                heapq.heappush(heap, (d + w, v))
+    return dist
+
+
+def _two_set_whole_table(g, etas, D):
+    """The two-set search of the exact mode over every first-set mask at once."""
+    below = D * (1.0 - 1e-12)
+    ok = np.nonzero(g.rho >= below)[0]
+    close = g.dist[np.ix_(ok, ok)] < below
+    np.fill_diagonal(close, False)
+    near = close.astype(np.int64).T @ (np.int64(1) << np.arange(ok.size, dtype=np.int64))
+    mass = graphs._subset_fold(np.add, g.measure[ok])
+    near_of = graphs._subset_fold(np.bitwise_or, near)
+    first_eta, second_eta = sorted((eta * (1.0 - 1e-12) for eta in etas), reverse=True)
+    first = np.flatnonzero(mass >= first_eta)
+    return bool(np.any(mass[(1 << ok.size) - 1 & ~(first | near_of[first])] >= second_eta))
+
+
 class TestRho:
     def test_path_single_boundary(self):
         g = path_graph(3)
@@ -95,6 +128,17 @@ class TestRho:
                 [g._dijkstra([b]) for b in g.boundary], axis=0
             )
             np.testing.assert_allclose(g.rho, per_source, atol=1e-12)
+
+    def test_distances_equal_a_numpy_scalar_dijkstra(self):
+        # the same additions and comparisons on numpy scalars: bitwise equal
+        rng = np.random.default_rng(79)
+        for _ in range(20):
+            g = random_graph(rng, n=int(rng.integers(4, 40)))
+            assert isinstance(g.rho, np.ndarray) and g.rho.dtype == np.float64
+            assert isinstance(g.dist, np.ndarray) and g.dist.shape == (g.n, g.n)
+            assert np.array_equal(g.rho, _numpy_scalar_dijkstra(g, g.boundary))
+            for u in range(g.n):
+                assert np.array_equal(g.dist[u], _numpy_scalar_dijkstra(g, [u]))
 
     def test_one_lipschitz_along_edges(self):
         rng = np.random.default_rng(78)
@@ -158,6 +202,33 @@ class TestBsepK:
             want = brute_force_bsep2(g, float(e1), float(e2))
             got = bsep_k(g, [float(e1), float(e2)], mode="exact")
             assert got == pytest.approx(want, abs=1e-12)
+
+    def test_two_set_blocks_equal_the_whole_table(self):
+        # from 17 vertices the first-set masks span several blocks; at D = 0
+        # masses summing past 1 scan every block and fail
+        rng = np.random.default_rng(21)
+        for n in (17, 18, 20):
+            g = random_graph(rng, n=n)
+            for etas in ([0.45, 0.5], [0.5, 0.55], [0.3, 0.69]):
+                assert graphs._exact_feasible(g, etas, 0.0) is _two_set_whole_table(g, etas, 0.0)
+            cand = graphs._candidate_values(g)
+            for D in cand[:: max(1, cand.size // 6)]:
+                etas = [float(e) for e in rng.uniform(0.05, 0.4, size=2)]
+                want = _two_set_whole_table(g, etas, float(D))
+                assert graphs._exact_feasible(g, etas, float(D)) is want
+
+    def test_two_set_search_peak_memory(self):
+        # 20 vertices at D = 0: the scan adds at most half of the mass and
+        # conflict tables it reads, 8 MB each
+        g = random_graph(np.random.default_rng(99), n=20)
+        g.rho, g.dist  # built before the trace
+        tracemalloc.start()
+        try:
+            graphs._exact_feasible(g, [0.2, 0.2], 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2 * 8 * 2**20
 
     def test_exact_k3_small(self):
         g = path_graph(7)

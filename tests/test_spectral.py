@@ -276,14 +276,15 @@ class TestIntervalBsep:
     ])
     def test_tiny_masses_on_uniform_theta(self, left, right, k, eta):
         # k sets of length eta L and k + 1 gaps (k with a Neumann end) fill L
-        # plus the end slack 1e-12 L, capped by the root's bracket L / gaps; a
-        # Dirichlet-Neumann packing's last set also starts before L, (k - 1)
-        # eta L / k under the cap, within 4 ulps here.  No set's mass is read
-        # back, which would fall short once eta L nears the table's rounding
+        # plus the end slack 1e-12 L; a Dirichlet-Neumann packing's last set
+        # also starts before L, k gaps and k - 1 sets in.  No set's mass is
+        # read back, which would fall short once eta L nears the table's rounding
         t = np.linspace(0.0, 1.0, 2001)
         p = RadialProblem(t, np.ones_like(t), left_bc=left, right_bc=right)
         gaps = k + 1 if left is Endpoint.DIRICHLET and right is Endpoint.DIRICHLET else k
-        want = min((1.0 + 1e-12 - k * eta) / gaps, 1.0 / gaps)
+        want = (1.0 + 1e-12 - k * eta) / gaps
+        if right is Endpoint.NEUMANN:
+            want = min(want, (1.0 - (k - 1) * eta) / gaps)
         assert abs(interval_bsep(p, [eta] * k) - want) <= 4.0 * math.ulp(1.0)
 
 
@@ -735,17 +736,15 @@ def _numpy_scalar_bsep(p, etas):
             pos = end = D if left_b else 0.0
             fits, target = True, 0.0
             for eta in perm:
-                c = mass(pos)
-                target = c + eta * total
+                target = mass(pos) + eta * total
                 end = _invert_mass_oracle(p, min(target, total))
-                fits = (fits and pos < L and target <= total * (1.0 + 1e-12)
-                        and mass(end) - c >= eta * total * (1.0 - 1e-9))
+                fits = fits and pos < L and target <= total * (1.0 + 1e-12)
                 pos = end + D
             over = end - (L - D + 1e-12 * L) if right_b else target - total * (1.0 + 1e-12)
             feasible, least = feasible or (fits and over <= 0.0), min(least, over)
         return feasible, least
 
-    lo, hi = 0.0, L / max(len(etas) - 1 + left_b + right_b, 1)
+    lo, hi = 0.0, (L + 1e-12 * L * right_b) / max(len(etas) - 1 + left_b + right_b, 1)
     (ok_lo, f_lo), (ok_hi, f_hi) = overshoot(lo), overshoot(hi)
     if not ok_lo or ok_hi:
         return hi if ok_lo else 0.0
@@ -1387,15 +1386,20 @@ class TestExactDiscreteSpectrum:
 
 
 def _assert_within_1e9(p, nu):
-    """nu_j is within 1e-9 of the j-th eigenvalue iff a 50-digit Sturm count
-    puts j - 1 eigenvalues below nu_j (1 - 1e-9) and j below nu_j (1 + 1e-9)."""
+    """nu_j is within 1e-9 of the j-th eigenvalue."""
+    _assert_within(p, nu, np.full(len(nu), 1e-9))
+
+
+def _assert_within(p, nu, rel):
+    """nu_j is within rel_j of the j-th eigenvalue iff a 50-digit Sturm count
+    puts j - 1 eigenvalues below nu_j (1 - rel_j) and j below nu_j (1 + rel_j)."""
     import mpmath
 
     with mpmath.workdps(50):
         pencil = _mp_pencil(p)
-        for j, v in enumerate(nu, 1):
-            assert _mp_count_below(pencil, mpmath.mpf(v) * (1 - mpmath.mpf("1e-9"))) <= j - 1
-            assert _mp_count_below(pencil, mpmath.mpf(v) * (1 + mpmath.mpf("1e-9"))) >= j
+        for j, (v, e) in enumerate(zip(nu, rel), 1):
+            assert _mp_count_below(pencil, mpmath.mpf(v) * (1 - mpmath.mpf(e))) <= j - 1
+            assert _mp_count_below(pencil, mpmath.mpf(v) * (1 + mpmath.mpf(e))) >= j
 
 
 class TestNoUnconvergedEigenvalues:
@@ -1525,6 +1529,56 @@ class TestTwoGridStart:
         counts = _count_green_applies(monkeypatch)
         spectral._lanczos(uniform_problem(2001), 5)
         assert set(counts) == {2001}
+
+
+class TestCertifiedLanczos:
+    """Lanczos values are returned once their residual intervals are disjoint,
+    their Kato-Temple bound is at most 2^-44 of each and a count in the gap
+    above the k-th agrees."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=st.one_of(st.integers(33, 401), st.sampled_from([2001, 4001, 20001])),
+        grading=st.sampled_from([1.0, 2.0, 3.0]),
+        sd=st.floats(0.0, 2.0),
+        z=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+        pair=st.sampled_from(sorted(BC_PAIRS)),
+        k=st.integers(1, 8),
+    )
+    def test_property_within_the_certified_bound(self, points, grading, sd, z, pair, k):
+        left, right = BC_PAIRS[pair]
+        t = 2.0 * np.linspace(0.0, 1.0, points) ** grading
+        log_theta = np.interp(t, np.linspace(0.0, 2.0, 6), sd * np.asarray(z))
+        p = RadialProblem(t, np.exp(log_theta), left_bc=left, right_bc=right)
+        nu = spectral._lanczos(p, k)
+        assume(nu is not None)
+        # the truncation bound, the rounding of the Green's applies (a prefix
+        # sum carries about 2 sqrt(n) additions, each eps of mu_1) and that
+        # of the pencil's own entries
+        eps = np.finfo(float).eps
+        rel = spectral._ROOT_TOL + 2.0 * math.sqrt(points) * eps * nu / nu[0] + 16 * eps
+        if points <= 401:
+            _assert_within(p, nu, rel)
+        else:  # and root finding's own 1e-13
+            want = spectral._roots(p, spectral._chain(p), k)
+            assert np.all(np.abs(nu - want) <= (rel + 1e-13) * want)
+
+    def test_count_in_the_gap_hands_over_to_root_finding(self, monkeypatch):
+        # a start vector even about the middle of a symmetric problem never
+        # meets the odd modes: Lanczos certifies nu_1, nu_3 and nu_5 as three
+        # disjoint values, and the count at the shift above them finds five
+        p = uniform_problem(2001)
+        monkeypatch.setattr(spectral, "_start", lambda p, k, sm: (sm / np.linalg.norm(sm), False))
+        j = np.arange(1, 6)
+        want = 4.0 * 2000.0**2 * np.sin(j * math.pi / 4000.0) ** 2
+        mu, shift = spectral._krylov(p, 3)
+        np.testing.assert_allclose(1.0 / mu, want[::2], rtol=1e-12, atol=0.0)
+        assert spectral._counts(spectral._chain(p), np.array([1.0 / shift]))[0][0] == 5
+        assert spectral._lanczos(p, 3) is None
+        roots, root_find = [], spectral._roots
+        monkeypatch.setattr(spectral, "_roots", lambda *a: roots.append(a) or root_find(*a))
+        np.testing.assert_allclose(spectral._eigenvalues(p, 3), want[:3], rtol=1e-12, atol=0.0)
+        assert len(roots) == 1
 
 
 @functools.cache
