@@ -14,11 +14,13 @@ the face resistances) in O(n) memory and no more steps than kept nodes.
 On large grids it starts from the prolonged Ritz vectors of a coarse grid
 (a two-grid start), which about halves its steps at 200k points.  Its values
 are kept once their residual intervals are disjoint, each one's Kato-Temple
-error is at most 2^-44 of it, and an exact count in the gap above the k-th
-puts k eigenvalues below; otherwise, and for larger k, the k smallest are
-root-found on those counts, bracketed to the same 2^-44.  A count is the
-inertia of S - x M by cyclic reduction over the face conductances, which
-keeps every eigenvalue, small or large, to about 1e-13 relative.
+term is at most 2^-44 of it, and an exact count just below the k-th puts k
+eigenvalues below; they carry that 2^-44 plus the applies' rounding, about
+2 sqrt(n) eps nu_j / nu_1 (5e-12 for nu_5 = 25 nu_1 at 200k points).
+Otherwise, and for larger k, the k smallest are root-found on those counts,
+bracketed to the same 2^-44.  A count is the inertia of S - x M by cyclic
+reduction over the face conductances, which keeps every eigenvalue, small
+or large, to about 1e-13 relative.
 
 The module also computes the Dirichlet isoperimetric constant by
 Dinkelbach's method over every pair of knots, boundary separation
@@ -201,9 +203,9 @@ _CLUSTER_TOL = 2e-9     # Ritz values this close, relative, are copies of one ei
 # a simple value this close to an eigenvalue of T-hat is spurious; far below
 # _CLUSTER_TOL / 2, so of two unmerged copies the one T-hat does not hug survives
 _MATCH_TOL = 1e-12
-_ROUNDING = 8.0         # residual floor in units of eps * mu_1: the matvec rounding
-_SEED_TOL = 1e-6        # the coarse run stops at this residual: it only seeds the fine run
-_SHIFT = 0.2            # the count's shift: this share of the way to the next Ritz value
+_ROUNDING = 8.0         # the filter's floor in units of eps * mu_1: the matvec rounding
+_SPREAD = 2.0           # each r_i's rounding term in units of sqrt(n) eps mu_1
+_SHIFT = 0.2            # mu_s lies at most this share of the way to the next Ritz value
 _MAX_ITER = 1000
 _BLOCK = 1024
 _STRIDE = 16            # the two-grid start's coarse grid keeps every _STRIDE-th node,
@@ -430,10 +432,10 @@ def _green(p: RadialProblem):
     return (lambda x: apply(x[::-1])[::-1]), sm
 
 
-def _genuine(alpha, beta, k, tol=None):
-    """The k largest genuine Ritz values of the Lanczos tridiagonal T, their
-    eigenvectors in T and the shift mu_s of the count that checks them, or
-    None while they are not accepted.
+def _genuine(alpha, beta, k, n):
+    """The k largest genuine Ritz values of the Lanczos tridiagonal T of K on
+    n nodes, their eigenvectors in T and the shift mu_s of the count that
+    checks them; None while not accepted, False once steps cannot help.
 
     The filter of Cullum and Willoughby (1985): Ritz values closer than
     _CLUSTER_TOL are copies of one eigenvalue (ghosts left by lost
@@ -441,13 +443,14 @@ def _genuine(alpha, beta, k, tol=None):
     eigenvalue of T-hat (T without its first row and column) is spurious.
     Both tolerances scale with the Ritz value, never below the rounding
     floor of the matvec.  An eigenvalue of K lies within r_i of each kept
-    theta_i: its residual bound plus that floor.  With ``tol``, the values
-    are accepted once every r_i <= tol theta_i.  Otherwise they are certified:
-    the intervals theta_i +- r_i are disjoint and above mu_s, a fifth of the
-    way from theta_k toward the next Ritz value, so a count of k eigenvalues
-    above mu_s puts one in each; and the Kato-Temple bound r_i^2 / gap_i
-    (Kato 1949; Parlett 1998, 10.3), with gap_i the distance from theta_i to
-    the neighbouring intervals or mu_s, is at most _ROOT_TOL theta_i.
+    theta_i: its residual bound plus the applies' rounding 2 sqrt(n) eps mu_1
+    (a blocked prefix sum's additions; fitted, not a bound).  The values are
+    accepted when the intervals theta_i +- r_i are disjoint and above mu_s,
+    so a count of k eigenvalues above mu_s puts one in each, and each
+    Kato-Temple bound r_i^2 / gap_i (Kato 1949; Parlett 1998, 10.3), gap_i
+    from theta_i to the neighbouring intervals or mu_s, is at most
+    _ROOT_TOL theta_i.  Once every residual bound is below the rounding,
+    more steps cannot shrink them.
     """
     m = len(alpha)
     T = np.diag(alpha)
@@ -455,7 +458,8 @@ def _genuine(alpha, beta, k, tol=None):
     T[off, off + 1] = T[off + 1, off] = beta[:m - 1]
     theta, s = np.linalg.eigh(T)
     that = np.linalg.eigvalsh(T[1:, 1:])
-    floor = _ROUNDING * np.finfo(float).eps * theta[-1]
+    floor = _ROUNDING * _EPS * theta[-1]
+    rounding = _SPREAD * math.sqrt(n) * _EPS * theta[-1]
     res = abs(beta[m - 1]) * np.abs(s[-1])
     kept, r = [], []
     i = m - 1
@@ -473,17 +477,19 @@ def _genuine(alpha, beta, k, tol=None):
             i -= 1  # spurious
             continue
         kept.append(best)
-        r.append(bound + floor)
+        r.append(bound + rounding)
         i = j - 1
     if len(kept) < k:
         return None
     mu, r = theta[kept], np.array(r)
-    shift = mu[-1] - _SHIFT * (mu[-1] - (theta[i] if i >= 0 else 0.0))
+    # mu_s: twice the k-th's Kato-Temple need below it, at most _SHIFT of the way down
+    shift = mu[-1] - 2.0 * max(r[-1], r[-1] * r[-1] / (_ROOT_TOL * mu[-1]))
+    far = mu[-1] - _SHIFT * (mu[-1] - (theta[i] if i >= 0 else 0.0))
     below = np.append(mu[1:] + r[1:], shift)  # bounds on the neighbouring eigenvalues
     gap = np.minimum(mu - below, np.append(math.inf, mu[:-1] - r[:-1]) - mu)
-    certified = np.all(mu - r > below) and np.all(r * r <= _ROOT_TOL * mu * gap)
-    ok = np.all(r <= tol * mu) if tol else certified
-    return (mu, s[:, kept], shift) if ok else None
+    if shift >= far and np.all(mu - r > below) and np.all(r * r <= _ROOT_TOL * mu * gap):
+        return mu, s[:, kept], shift
+    return False if np.all(r <= 2.0 * rounding) else None
 
 
 def _start(p: RadialProblem, k: int, sm: np.ndarray):
@@ -513,7 +519,7 @@ def _start(p: RadialProblem, k: int, sm: np.ndarray):
 
 def _lanczos(p: RadialProblem, k: int) -> np.ndarray | None:
     """The k smallest eigenvalues nu = 1/mu from the k largest mu of K, or
-    None where Lanczos cannot vouch for them: :func:`_krylov`'s certified
+    None where Lanczos cannot vouch for them: :func:`_krylov`'s accepted
     values, once a count puts exactly k eigenvalues below the shift 1 / mu_s.
     Two eigenvalues closer than _CLUSTER_TOL read as one, and one the start
     vector barely meets can lag; the count catches both."""
@@ -530,9 +536,8 @@ def _krylov(p: RadialProblem, k: int, ritz: bool = False):
 
     Three-term Lanczos without a stored basis: O(n) working memory.  Large
     grids start from :func:`_start`'s two-grid vector and check from step
-    k + 2.  With ``ritz`` the basis is kept, the values stop at a residual
-    of _SEED_TOL, and the sum of the k Ritz vectors as nodal values
-    M^{-1/2} y is returned instead.
+    k + 2.  With ``ritz`` the basis is kept, and the sum of the k Ritz
+    vectors as nodal values M^{-1/2} y is returned instead.
     """
     # a theta spanning more than the floating-point range overflows here
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
@@ -557,11 +562,11 @@ def _krylov(p: RadialProblem, k: int, ritz: bool = False):
             alpha.append(a)
             beta.append(b)
             if m >= check or b == 0.0:
-                found = _genuine(alpha, beta, k, _SEED_TOL if ritz else None)
-                if found is not None:
+                found = _genuine(alpha, beta, k, sm.size)
+                if found:
                     mu, s, shift = found
                     return s.sum(axis=1) @ np.array(basis) / sm if ritz else (mu, shift)
-                if b == 0.0:  # an invariant subspace without k eigenvalues
+                if found is False or b == 0.0:  # or an invariant subspace short of k
                     return None
                 check = m + (1 if two_grid else max(3, m // 16))
             v_prev, v = v, w / b
@@ -569,9 +574,9 @@ def _krylov(p: RadialProblem, k: int, ritz: bool = False):
 
 
 def _eigenvalues(p: RadialProblem, k: int) -> np.ndarray:
-    """The k smallest eigenvalues of the pencil, each to about 1e-13 relative.
+    """The k smallest eigenvalues of the pencil, each to 2^-44 plus rounding.
 
-    Small k: Lanczos on the Green's operator, certified by a count in the
+    Small k: Lanczos on the Green's operator, checked by a count in the
     gap above its k-th value; anything else: root finding on the counts.
     """
     nu = _lanczos(p, k) if k <= _LANCZOS_K else None
@@ -591,19 +596,18 @@ def _spectrum(p: RadialProblem, k: int) -> SpectrumResult:
 def dirichlet_spectrum(p: RadialProblem, k: int) -> SpectrumResult:
     """First k eigenvalues of the weighted operator with the declared BCs.
 
-    The eigenvalues of the pencil that :func:`rayleigh` evaluates (both
-    read ``_cells``, so min-max holds), for any k up to the resolution
-    guard m/4, to a certified 2^-44 (5.7e-14) relative plus rounding:
-    Lanczos values carry a Kato-Temple bound of 2^-44 and the rounding of the
-    Green's applies, up to about 2 sqrt(n) eps nu_j / nu_1; root-found ones are
-    bracketed to 2^-44 and counted to about 1e-13 (see the module docstring).  Lanczos on a grid of
-    12,770 points or more starts from a coarse grid's Ritz vectors, which
-    changes its cost, not its accuracy or the count that checks it.  Never
-    returned unconverged: a theta beyond the floating-point range, or root
-    finding that outruns its sweep cap, raise DomainError.  The scheme is
-    second-order accurate: halving the grid spacing cuts the
-    discretization error about fourfold.  The reported error estimate
-    Richardson-extrapolates a coarsened solve when the grid size allows it.
+    The eigenvalues of the pencil that :func:`rayleigh` evaluates (both read
+    ``_cells``, so min-max holds), for any k up to the resolution guard m/4,
+    to 2^-44 (5.7e-14) relative plus rounding, 2 sqrt(n) eps nu_j / nu_1 for
+    Lanczos values and 1e-13 for root-found ones (module docstring).
+    Lanczos on a grid of 12,770 points or more starts from a coarse grid's
+    Ritz vectors, which changes its cost, not its accuracy or the count that
+    checks it.  Never returned unconverged: a theta beyond the
+    floating-point range, or root finding that outruns its sweep cap, raise
+    DomainError.  The scheme is second-order accurate: halving the grid
+    spacing cuts the discretization error about fourfold.  The reported
+    error estimate Richardson-extrapolates a coarsened solve when the grid
+    size allows it.
     """
     res = _spectrum(p, k)
     m = p.grid.size - 1

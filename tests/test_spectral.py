@@ -1543,15 +1543,21 @@ class TestCertifiedLanczos:
         sd=st.floats(0.0, 2.0),
         z=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
         pair=st.sampled_from(sorted(BC_PAIRS)),
-        k=st.integers(1, 8),
+        k=st.integers(1, spectral._LANCZOS_K),
     )
     def test_property_within_the_certified_bound(self, points, grading, sd, z, pair, k):
         left, right = BC_PAIRS[pair]
+        k = min(k, (points - 1) // 4)
         t = 2.0 * np.linspace(0.0, 1.0, points) ** grading
         log_theta = np.interp(t, np.linspace(0.0, 2.0, 6), sd * np.asarray(z))
         p = RadialProblem(t, np.exp(log_theta), left_bc=left, right_bc=right)
         nu = spectral._lanczos(p, k)
-        assume(nu is not None)
+        if nu is None:
+            # a handover to root finding is allowed only where the count's
+            # shift, at most a fifth of the way down, can meet nu_{k+1}
+            ref = spectral._roots(p, spectral._chain(p), k + 1)
+            assert ref[k] < 1.25 * ref[k - 1]
+            return
         # the truncation bound, the rounding of the Green's applies (a prefix
         # sum carries about 2 sqrt(n) additions, each eps of mu_1) and that
         # of the pencil's own entries
@@ -1578,6 +1584,31 @@ class TestCertifiedLanczos:
         roots, root_find = [], spectral._roots
         monkeypatch.setattr(spectral, "_roots", lambda *a: roots.append(a) or root_find(*a))
         np.testing.assert_allclose(spectral._eigenvalues(p, 3), want[:3], rtol=1e-12, atol=0.0)
+        assert len(roots) == 1
+
+    def test_lagging_next_ritz_value_keeps_lanczos(self):
+        # the two-grid start carries only k vectors, so the 17th Ritz value
+        # lags far below mu_17 = mu_16 / 1.129; a count a fifth of the way
+        # down to it finds 17 eigenvalues and would hand the solve over
+        p = uniform_problem(20001)
+        j = np.arange(1, 17)
+        want = 4.0 * 20000.0**2 * np.sin(j * math.pi / 40000.0) ** 2
+        np.testing.assert_allclose(spectral._lanczos(p, 16), want, rtol=1e-12, atol=0.0)
+
+    def test_rounding_that_bars_the_bound_hands_over_at_once(self, monkeypatch):
+        # a rounding term of 2e-8 mu_1 squared exceeds 2^-44 mu_5 gap_5 on
+        # the uniform grid, so no number of steps certifies nu_5: Lanczos
+        # gives up once its residuals reach that term, not at the step cap
+        monkeypatch.setattr(spectral, "_SPREAD", 1e6)
+        p = uniform_problem(2001)
+        counts = _count_green_applies(monkeypatch)
+        assert spectral._krylov(p, 5) is None
+        assert counts[2001] <= 40
+        roots, root_find = [], spectral._roots
+        monkeypatch.setattr(spectral, "_roots", lambda *a: roots.append(a) or root_find(*a))
+        j = np.arange(1, 6)
+        want = 4.0 * 2000.0**2 * np.sin(j * math.pi / 4000.0) ** 2
+        np.testing.assert_allclose(spectral._eigenvalues(p, 5), want, rtol=1e-12, atol=0.0)
         assert len(roots) == 1
 
 
