@@ -15,12 +15,13 @@ On large grids it starts from the prolonged Ritz vectors of a coarse grid
 (a two-grid start), which about halves its steps at 200k points.  Its values
 are kept once their residual intervals are disjoint, each one's Kato-Temple
 term is at most 2^-44 of it, and an exact count just below the k-th puts k
-eigenvalues below; they carry that 2^-44 plus the applies' rounding, about
-2 sqrt(n) eps nu_j / nu_1 (5e-12 for nu_5 = 25 nu_1 at 200k points).
-Otherwise, and for larger k, the k smallest are root-found on those counts,
-bracketed to the same 2^-44.  A count is the inertia of S - x M by cyclic
-reduction over the face conductances, which keeps every eigenvalue, small
-or large, to about 1e-13 relative.
+eigenvalues below; they carry that 2^-44 plus the applies' rounding, a term
+fitted on random problems, 2 sqrt(n) eps nu_j / nu_1 (5e-12 for nu_5 = 25
+nu_1 at 200k points).  Otherwise, and for larger k, the k smallest are
+root-found on those counts, bracketed to the same 2^-44.  A count is the
+inertia of S - x M by cyclic reduction over the face conductances
+(:func:`_pivots`), about 1e-13 relative for every eigenvalue, small or
+large, and up to 1.8e-12 on 900 random problems of 17-401 points.
 
 The module also computes the Dirichlet isoperimetric constant by
 Dinkelbach's method over every pair of knots, boundary separation
@@ -204,7 +205,7 @@ _CLUSTER_TOL = 2e-9     # Ritz values this close, relative, are copies of one ei
 # _CLUSTER_TOL / 2, so of two unmerged copies the one T-hat does not hug survives
 _MATCH_TOL = 1e-12
 _ROUNDING = 8.0         # the filter's floor in units of eps * mu_1: the matvec rounding
-_SPREAD = 2.0           # each r_i's rounding term in units of sqrt(n) eps mu_1
+_SPREAD = 2.0           # each r_i's rounding term in units of sqrt(n) eps mu_1: fitted, not a bound
 _SHIFT = 0.2            # mu_s lies at most this share of the way to the next Ritz value
 _MAX_ITER = 1000
 _BLOCK = 1024
@@ -220,8 +221,9 @@ _EPS = 2.0 ** -52       # machine epsilon of a double
 
 
 def _cumsum(z: np.ndarray) -> np.ndarray:
-    """Prefix sums, blocked on long arrays: each sum carries the rounding
-    of one block plus the block totals, about 2 sqrt(n) additions, not n."""
+    """Prefix sums.  Up to 2 _BLOCK (2,048) entries one sequential sum, so
+    each carries up to n additions; beyond, blocked, so each carries up to
+    _BLOCK within its block plus n / _BLOCK block totals (1,219 at 200,001)."""
     n = z.size
     if n <= 2 * _BLOCK:
         return np.cumsum(z)
@@ -236,64 +238,58 @@ def _cumsum(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chain(p: RadialProblem):
-    """The pencil as a chain of the kept nodes: the conductances theta_face / h
-    between neighbours, the conductance from a node to a Dirichlet end (its
-    ground term), and the masses.  theta is scaled to its maximum, which
-    leaves nu unchanged."""
+def _pencil(p: RadialProblem):
+    """Cell widths, face densities and kept nodes' masses, theta scaled to its
+    maximum (nu is unchanged): the one build :func:`_chain` and :func:`_green` read."""
     theta = p.theta / p.theta.max()
     h, th_face, dual = _cells(p.grid, theta)
-    w = th_face / h
     lo = int(p.left_bc is Endpoint.DIRICHLET)
-    hi = p.grid.size - int(p.right_bc is Endpoint.DIRICHLET)
-    mass = (theta * dual)[lo:hi]
+    return h, th_face, (theta * dual)[lo:p.grid.size - int(p.right_bc is Endpoint.DIRICHLET)]
+
+
+def _chain(p: RadialProblem, pencil=None):
+    """The pencil as a chain of the kept nodes: the conductances theta_face / h
+    between neighbours, the conductance from a node to a Dirichlet end (its
+    ground term), and the masses."""
+    h, th_face, mass = pencil or _pencil(p)
+    w = th_face / h
     if not (np.all(np.isfinite(w)) and w.min() > 0.0 and mass.min() > 0.0):
         raise DomainError("theta spans more than the solver's floating-point range")
-    ground = np.zeros(hi - lo)
-    if lo:
-        ground[0] = w[0]
-    if hi < p.grid.size:
-        ground[-1] += w[-1]
-    return w[lo:hi - 1], ground, mass
+    lo = int(p.left_bc is Endpoint.DIRICHLET)
+    ground = np.zeros(mass.size)
+    ground[0] += lo * w[0]
+    ground[-1] += (lo + mass.size < p.grid.size) * w[-1]
+    return w[lo:lo + mass.size - 1], ground, mass
 
 
-def _reduce(chain, x: np.ndarray):
-    """Negative pivots and log|det| of S - x M for each shift x, by cyclic
-    reduction, and the shifts where a pivot nearly cancelled.
-
-    Eliminating every other node leaves a chain of the same form: the new
-    conductance is the series c_l c_r / d and each neighbour's ground term
-    gains c gamma / d, so no stiffness sum is ever differenced and the
-    counts keep the relative accuracy of the conductances and masses.
-    """
+def _pivots(chain, x):
+    """Each level's pivots d of S - x M under cyclic reduction and the ratios
+    odd / d, last the one node left (ratio 0), for one shift x or a column of
+    shifts (a row each); the caller may overwrite d.  Eliminating every
+    other node leaves a chain of the same form: the new conductance is the
+    series c_l c_r / d and each neighbour's ground term gains c gamma / d, so
+    no stiffness sum is ever differenced and the counts keep the relative
+    accuracy of the conductances and masses."""
     c, ground, mass = chain
-    g = ground - x[:, None] * mass
-    c = c[None, :]
-    neg = np.zeros(x.size, dtype=int)
-    logdet = np.zeros(x.size)
-    big = np.zeros(x.size)
-    while g.shape[1] > 1:
-        cl, cr, odd = c[:, 0::2], c[:, 1::2], g[:, 1::2]
-        nr = cr.shape[1]
+    g = ground - x * mass
+    while g.shape[-1] > 1:
+        cl, cr, odd = c[..., 0::2], c[..., 1::2], g[..., 1::2]
+        nr = cr.shape[-1]
         d = odd + cl
-        d[:, :nr] += cr
+        d[..., :nr] += cr
         q = odd / d
-        t = np.abs(q)
-        big = np.maximum(big, t.max(axis=1))
-        neg += np.count_nonzero(d < 0.0, axis=1)
-        logdet += np.log(np.abs(d, out=t), out=t).sum(axis=1)
-        even = g[:, 0::2]
-        even[:, :odd.shape[1]] += np.multiply(cl, q, out=t)
-        even[:, 1:nr + 1] += np.multiply(cr, q[:, :nr], out=t[:, :nr])
-        c = cr / d[:, :nr]
-        c *= cl[:, :nr]
+        c = cr / d[..., :nr]
+        c *= cl[..., :nr]
+        yield d, q
+        even = g[..., 0::2].copy()  # contiguous: strided levels cost more at 200k nodes
+        even[..., :odd.shape[-1]] += np.multiply(cl, q, out=d)
+        even[..., 1:nr + 1] += np.multiply(cr, q[..., :nr], out=d[..., :nr])
         g = even
-    g = g[:, 0]
-    return neg + (g < 0.0), logdet + np.log(np.abs(g)), ~(big <= 1.0 / _SUSPECT)
+    yield g, np.zeros_like(g)
 
 
 def _in_order(chain, x: float):
-    """The count and log|det| of :func:`_reduce` at one shift, by elimination
+    """The count and log|det| of :func:`_counts` at one shift, by elimination
     in node order in plain floats: a pivot that nearly cancels makes the
     next one large, and the series ratio c a / q stays accurate through it."""
     c, ground, mass = (v.tolist() for v in chain)
@@ -309,18 +305,33 @@ def _in_order(chain, x: float):
     return neg + (a < 0.0), logdet + (math.log(abs(a)) if a else -math.inf)
 
 
+def _count(chain, x: float) -> int:
+    """Eigenvalues of the pencil below one shift x: :func:`_counts` without log|det|."""
+    neg, big = 0, 0.0
+    with np.errstate(all="ignore"):
+        for d, q in _pivots(chain, x):
+            neg += np.count_nonzero(d < 0.0)
+            big = max(big, np.abs(q).max())
+    return neg if big <= 1.0 / _SUSPECT else _in_order(chain, x)[0]
+
+
 def _counts(chain, x: np.ndarray):
-    """Eigenvalues of the pencil below each shift x, and log|det(S - x M)|."""
+    """Eigenvalues of the pencil below each shift x, and log|det(S - x M)|; a
+    shift where a pivot nearly cancelled is recounted in order."""
     neg = np.empty(x.size, dtype=int)
     logdet = np.empty(x.size)
     step = max(1, _CHUNK // len(chain[1]))
     with np.errstate(all="ignore"):
         for s in range(0, x.size, step):
             part = slice(s, s + step)
-            neg[part], logdet[part], suspect = _reduce(chain, x[part])
-            if suspect.any():
-                for i in s + np.flatnonzero(suspect):
-                    neg[i], logdet[i] = _in_order(chain, float(x[i]))
+            n = ld = big = 0
+            for d, q in _pivots(chain, x[part, None]):
+                n = n + np.count_nonzero(d < 0.0, axis=1)
+                big = np.maximum(big, np.abs(q).max(axis=1))
+                ld = ld + np.log(np.abs(d, out=d), out=d).sum(axis=1)
+            neg[part], logdet[part] = n, ld
+            for i in s + np.flatnonzero(~(big <= 1.0 / _SUSPECT)):
+                neg[i], logdet[i] = _in_order(chain, float(x[i]))
     if np.isnan(logdet).any():
         raise DomainError("theta spans more than the solver's floating-point range")
     return neg, logdet
@@ -390,7 +401,7 @@ def _roots(p: RadialProblem, chain, k: int) -> np.ndarray:
     raise DomainError(f"root finding did not resolve k={k} eigenvalues in {_MAX_SWEEPS} sweeps")
 
 
-def _green(p: RadialProblem):
+def _green(p: RadialProblem, pencil=None):
     """Apply K = M^{1/2} S^{-1} M^{1/2}, the exact inverse of the scaled pencil.
 
     S^{-1} is the discrete Green's function of the finite-volume scheme,
@@ -398,13 +409,11 @@ def _green(p: RadialProblem):
     sums; S itself is never formed.  Returns apply and the mass roots
     M^{1/2} of the kept nodes.
     """
-    theta = p.theta / p.theta.max()  # nu does not change when theta is scaled
-    h, th_face, dual = _cells(p.grid, theta)
+    h, th_face, mass = pencil or _pencil(p)
     r = h / th_face
+    sm = np.sqrt(mass)
     left_d = p.left_bc is Endpoint.DIRICHLET
-    right_d = p.right_bc is Endpoint.DIRICHLET
-    sm = np.sqrt((theta * dual)[int(left_d):p.grid.size - int(right_d)])
-    if left_d and right_d:
+    if left_d and p.right_bc is Endpoint.DIRICHLET:
         # G_ij = R_i Rbar_j / R for i <= j, with R_i = sum_{f<i} r_f and
         # Rbar_j = sum_{f>=j} r_f: a prefix sum plus a strict suffix sum
         R = _cumsum(r)
@@ -444,12 +453,12 @@ def _genuine(alpha, beta, k, n):
     Both tolerances scale with the Ritz value, never below the rounding
     floor of the matvec.  An eigenvalue of K lies within r_i of each kept
     theta_i: its residual bound plus the applies' rounding 2 sqrt(n) eps mu_1
-    (a blocked prefix sum's additions; fitted, not a bound).  The values are
-    accepted when the intervals theta_i +- r_i are disjoint and above mu_s,
-    so a count of k eigenvalues above mu_s puts one in each, and each
-    Kato-Temple bound r_i^2 / gap_i (Kato 1949; Parlett 1998, 10.3), gap_i
-    from theta_i to the neighbouring intervals or mu_s, is at most
-    _ROOT_TOL theta_i.  Once every residual bound is below the rounding,
+    (fitted on random problems, not a bound on :func:`_cumsum`'s additions).
+    The values are accepted when the intervals theta_i +- r_i are disjoint
+    and above mu_s, so a count of k eigenvalues above mu_s puts one in each,
+    and each Kato-Temple bound r_i^2 / gap_i (Kato 1949; Parlett 1998,
+    10.3), gap_i from theta_i to the neighbouring intervals or mu_s, is at
+    most _ROOT_TOL theta_i.  Once every residual bound is below the rounding,
     more steps cannot shrink them.
     """
     m = len(alpha)
@@ -523,33 +532,36 @@ def _lanczos(p: RadialProblem, k: int) -> np.ndarray | None:
     values, once a count puts exactly k eigenvalues below the shift 1 / mu_s.
     Two eigenvalues closer than _CLUSTER_TOL read as one, and one the start
     vector barely meets can lag; the count catches both."""
-    found = _krylov(p, k)
+    pencil = _pencil(p)
+    found = _krylov(p, k, pencil=pencil)
     if found is None:
         return None
     mu, shift = found
-    return 1.0 / mu if _counts(_chain(p), np.array([1.0 / shift]))[0][0] == k else None
+    return 1.0 / mu if _count(_chain(p, pencil), 1.0 / shift) == k else None
 
 
-def _krylov(p: RadialProblem, k: int, ritz: bool = False):
+def _krylov(p: RadialProblem, k: int, ritz: bool = False, pencil=None):
     """Lanczos on K: the k largest genuine Ritz values of :func:`_genuine`
     and their count's shift mu_s, or None.
 
     Three-term Lanczos without a stored basis: O(n) working memory.  Large
     grids start from :func:`_start`'s two-grid vector and check from step
-    k + 2.  With ``ritz`` the basis is kept, and the sum of the k Ritz
-    vectors as nodal values M^{-1/2} y is returned instead.
+    k + 2 at every step; from a random start, which took at least 10k / 3
+    steps in 5,051 measured runs (``BENCH_27.json``), from step 3k + 3 + k // 4
+    every 2 + m // 32 steps.  With ``ritz`` the basis is kept, and the sum of
+    the k Ritz vectors as nodal values M^{-1/2} y is returned instead.
     """
     # a theta spanning more than the floating-point range overflows here
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        apply, sm = _green(p)
+        apply, sm = _green(p, pencil)
         v, two_grid = _start(p, k, sm)
         v_prev = np.zeros(sm.size)
         alpha, beta, basis = [], [], []
         b = 0.0
-        # a check costs a dense eigensolve of T: every third step, and by m / 16
-        # on long runs; after a two-grid start, which converges in few, every step
-        check = k + 2 if two_grid else 2 * k + 2
-        for m in range(1, min(_MAX_ITER, sm.size) + 1):  # no more steps than nodes
+        # a check costs a dense eigensolve of T, about 3-4 Green's applies at 2k points
+        check = k + 2 if two_grid else 3 * k + 3 + k // 4
+        last = min(_MAX_ITER, sm.size)  # no more steps than nodes, and the last is checked
+        for m in range(1, last + 1):
             if ritz:
                 basis.append(v)
             w = apply(v)
@@ -561,14 +573,14 @@ def _krylov(p: RadialProblem, k: int, ritz: bool = False):
                 return None
             alpha.append(a)
             beta.append(b)
-            if m >= check or b == 0.0:
+            if m >= check or m == last or b == 0.0:
                 found = _genuine(alpha, beta, k, sm.size)
                 if found:
                     mu, s, shift = found
                     return s.sum(axis=1) @ np.array(basis) / sm if ritz else (mu, shift)
                 if found is False or b == 0.0:  # or an invariant subspace short of k
                     return None
-                check = m + (1 if two_grid else max(3, m // 16))
+                check = m + (1 if two_grid else 2 + m // 32)
             v_prev, v = v, w / b
     return None
 
@@ -598,11 +610,13 @@ def dirichlet_spectrum(p: RadialProblem, k: int) -> SpectrumResult:
 
     The eigenvalues of the pencil that :func:`rayleigh` evaluates (both read
     ``_cells``, so min-max holds), for any k up to the resolution guard m/4,
-    to 2^-44 (5.7e-14) relative plus rounding, 2 sqrt(n) eps nu_j / nu_1 for
-    Lanczos values and 1e-13 for root-found ones (module docstring).
-    Lanczos on a grid of 12,770 points or more starts from a coarse grid's
-    Ritz vectors, which changes its cost, not its accuracy or the count that
-    checks it.  Never returned unconverged: a theta beyond the
+    to 2^-44 (5.7e-14) relative plus rounding: for Lanczos values a fitted
+    2 sqrt(n) eps nu_j / nu_1, for root-found ones the counts' rounding, about
+    1e-13 and measured up to 1.8e-12 (module docstring).  Lanczos on a grid
+    of 12,770 points or more starts from a coarse grid's Ritz vectors, and
+    from a random start it first checks near step 3.3k; both change its
+    cost, not its accuracy or the count that checks it.  Never returned
+    unconverged: a theta beyond the
     floating-point range, or root finding that outruns its sweep cap, raise
     DomainError.  The scheme is second-order accurate: halving the grid
     spacing cuts the discretization error about fourfold.  The reported

@@ -1372,6 +1372,18 @@ class TestExactDiscreteSpectrum:
         np.testing.assert_allclose(dirichlet_spectrum(p, 3).eigenvalues,
                                    _mp_eigenvalues(p, 3, dps=30), rtol=1e-12, atol=0.0)
 
+    def test_root_finding_within_its_measured_bound(self):
+        # cyclic-reduction counts err within 3e-12 of nu_5 here (a pivot
+        # cancels by 7e4, below the in-order recount's 1e6), so root finding
+        # returns nu_5 9.4e-13 off a 50-digit Sturm count, Lanczos 9e-16 off
+        t = 2.0 * np.linspace(0.0, 1.0, 97) ** 2
+        z = [-0.5967, 1.2499, -3.2689, 0.1951, 2.0306, -0.2473]
+        p = RadialProblem(t, np.exp(np.interp(t, np.linspace(0.0, 2.0, 6), z)))
+        nu = dirichlet_spectrum(p, 6).eigenvalues
+        eps = np.finfo(float).eps
+        _assert_within(p, nu, spectral._ROOT_TOL + 2.0 * math.sqrt(97) * eps * nu / nu[0] + 16 * eps)
+        _assert_within(p, spectral._roots(p, spectral._chain(p), 6), np.full(6, 1e-12))
+
     def test_cyclic_reduction_counts_match_the_in_order_ones(self):
         rng = np.random.default_rng(5)
         t = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 300)]))
@@ -1383,6 +1395,43 @@ class TestExactDiscreteSpectrum:
             n_ref, ld_ref = spectral._in_order(chain, float(xi))
             assert n == n_ref
             assert ld == pytest.approx(ld_ref, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        points=st.one_of(st.integers(17, 200), st.sampled_from([2001, 4001])),
+        grading=st.sampled_from([1.0, 2.0, 3.0]),
+        sd=st.floats(0.0, 3.0),
+        z=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+        pair=st.sampled_from(sorted(BC_PAIRS)),
+        rel=st.sampled_from([1e-3, 1e-9, 1e-12]),
+    )
+    def test_one_shift_count_equals_the_batch_count(self, points, grading, sd, z, pair, rel):
+        # the certificate's count-only elimination and the root finder's batch
+        # read the same pivots: equal counts on both sides of each eigenvalue
+        left, right = BC_PAIRS[pair]
+        t = 2.0 * np.linspace(0.0, 1.0, points) ** grading
+        log_theta = np.interp(t, np.linspace(0.0, 2.0, 6), sd * np.asarray(z))
+        p = RadialProblem(t, np.exp(log_theta), left_bc=left, right_bc=right)
+        chain = spectral._chain(p)
+        nu = spectral._eigenvalues(p, min(6, (points - 1) // 4))
+        x = np.concatenate([nu * (1.0 - rel), nu * (1.0 + rel)])
+        batch = spectral._counts(chain, x)[0]
+        assert [spectral._count(chain, float(xi)) for xi in x] == batch.tolist()
+
+    def test_one_shift_count_falls_back_to_the_in_order_count(self, monkeypatch):
+        # every nonzero ratio is suspect, so both counts come from _in_order
+        rng = np.random.default_rng(5)
+        t = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 300)]))
+        p = RadialProblem(t, np.exp(rng.normal(0.0, 2.0, t.size)), right_bc=Endpoint.NEUMANN)
+        chain = spectral._chain(p)
+        nu = spectral._eigenvalues(p, 4)
+        x = np.concatenate([nu * (1.0 - 1e-9), nu * (1.0 + 1e-9)])
+        monkeypatch.setattr(spectral, "_SUSPECT", 1e300)
+        recounts, in_order = [], spectral._in_order
+        monkeypatch.setattr(spectral, "_in_order", lambda *a: recounts.append(a) or in_order(*a))
+        counts = [spectral._count(chain, float(xi)) for xi in x]
+        assert counts == [0, 1, 2, 3, 1, 2, 3, 4] and len(recounts) == x.size
+        assert counts == spectral._counts(chain, x)[0].tolist() and len(recounts) == 2 * x.size
 
 
 def _assert_within_1e9(p, nu):
@@ -1460,8 +1509,8 @@ def _count_green_applies(monkeypatch) -> dict:
     counts = {}
     green = spectral._green
 
-    def counting(p):
-        apply, sm = green(p)
+    def counting(p, *pencil):
+        apply, sm = green(p, *pencil)
 
         def counted(x):
             counts[p.grid.size] = counts.get(p.grid.size, 0) + 1
@@ -1568,6 +1617,27 @@ class TestCertifiedLanczos:
         else:  # and root finding's own 1e-13
             want = spectral._roots(p, spectral._chain(p), k)
             assert np.all(np.abs(nu - want) <= (rel + 1e-13) * want)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_start_checks_where_it_can_pass(self, monkeypatch, seed):
+        # from a random start no k = 5 solve is accepted before step 17: the
+        # checks at steps 12 and 15 were dense eigensolves that could not pass
+        p = generate_log_concave_problem(np.random.default_rng(seed), points=2001)
+        calls, genuine = [], spectral._genuine
+        monkeypatch.setattr(spectral, "_genuine", lambda *a: calls.append(a) or genuine(*a))
+        assert spectral._lanczos(p, 5) is not None
+        assert len(calls) <= 2
+
+    def test_the_last_step_is_checked(self):
+        # on 40 kept nodes k = 10 is accepted only at step 40, which the
+        # random start's spacing (checks at 35 and 38) would step over
+        t = 2.0 * np.linspace(0.0, 1.0, 42) ** 2
+        z = [-0.0855, -0.3381, -0.3788, 0.7586, 1.0579, -0.8425]
+        p = RadialProblem(t, np.exp(np.interp(t, np.linspace(0.0, 2.0, 6), z)))
+        nu = spectral._lanczos(p, 10)
+        assert nu is not None
+        eps = np.finfo(float).eps
+        _assert_within(p, nu, spectral._ROOT_TOL + 2.0 * math.sqrt(40) * eps * nu / nu[0] + 16 * eps)
 
     def test_count_in_the_gap_hands_over_to_root_finding(self, monkeypatch):
         # a start vector even about the middle of a symmetric problem never
