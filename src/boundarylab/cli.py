@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Commands: model | compare | spectrum | audit | graph | sweep, with
-global flags --format {json,csv,svg}, --out PATH, --seed N.  Outputs are
-deterministic (byte-identical across runs); exit codes are 0 on success,
-2 on input errors, 3 when the curvature data has no comparison regime.
+Commands: model | compare | spectrum | audit | graph | sweep, with global
+flags --format {json,csv,svg}, --out PATH, --seed N (accepted, read by no
+command).  Outputs are deterministic (byte-identical across runs); exit
+codes are 0 on success, 2 on input errors, 3 when the curvature data has no
+comparison regime.
 """
 
 from __future__ import annotations
@@ -97,12 +98,17 @@ def _read_file(path: str) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def _need(args, owner: str, *names):
-    """Raise ``DomainError("<owner> needs --flag")`` for the first missing flag."""
+def _flags(args, owner: str, names) -> list:
+    """The values of the flags for ``names``, each read from its dest (``Lam``,
+    ``lambda`` and ``Lambda`` all arrive as ``--lambda``, whose dest is ``lam``);
+    ``DomainError("<owner> needs --flag")`` for the first missing one."""
+    values = []
     for name in names:
-        if getattr(args, name) is None:
-            flag = {"lam": "--lambda"}.get(name, f"--{name}")
-            raise DomainError(f"{owner} needs {flag}")
+        dest = "lam" if name in ("Lam", "lambda", "Lambda") else name
+        if getattr(args, dest) is None:
+            raise DomainError(f"{owner} needs --{'lambda' if dest == 'lam' else dest}")
+        values.append(getattr(args, dest))
+    return values
 
 
 def _write_table(args, blob, names, columns, chart=None) -> int:
@@ -121,10 +127,8 @@ def _model_from_args(args):
         raise DomainError("need --tag or --descriptor")
     if args.tag not in models._FIELDS:
         raise DomainError(f"unknown tag {args.tag!r}")
-    # the model field Lam arrives as --lambda, whose dest is lam
-    names = [{"Lam": "lam"}.get(f, f) for f in models._FIELDS[args.tag]]
-    _need(args, f"model tag {args.tag!r}", *names)
-    return getattr(models.ModelSpace, args.tag)(*(getattr(args, name) for name in names))
+    return getattr(models.ModelSpace, args.tag)(
+        *_flags(args, f"model tag {args.tag!r}", models._FIELDS[args.tag]))
 
 
 def cmd_model(args) -> int:
@@ -147,24 +151,13 @@ def cmd_model(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from . import jacobi, models
+    from . import models
 
     etas = args.eta or [0.5]
-    owner = f"regime {args.regime!r}"
-    if args.regime == "finite":
-        _need(args, owner, "N", "kappa", "lam")
-        kind = models.FiniteN(args.N, jacobi.classify(args.kappa, args.lam))
-        params = {"N": args.N, "kappa": args.kappa, "lambda": args.lam}
-    elif args.regime == "twisted":
-        _need(args, owner, "n", "kappa", "lam", "delta")
-        kind = models.Twisted(jacobi.TwistParams(args.n, args.kappa, args.lam, args.delta))
-        params = {"n": args.n, "kappa": args.kappa, "lambda": args.lam, "delta": args.delta}
-    elif args.regime == "infinite":
-        _need(args, owner, "K", "lam")
-        kind = models.Infinite(jacobi.classify_infinite(args.K, args.lam))
-        params = {"K": args.K, "Lambda": args.lam}
-    else:
-        raise DomainError(f"unknown regime {args.regime!r}")
+    fields, build = models.REGIMES[args.regime]
+    values = _flags(args, f"regime {args.regime!r}", fields)
+    kind = build(*values)
+    params = dict(zip(fields, values))
     names, columns = ("eta", "bound"), (etas, [models.comparison_bound(kind, eta) for eta in etas])
     rows = [dict(zip(names, row)) for row in zip(*columns)]
     return _write_table(args, lambda: {"regime": args.regime, "params": params, "rows": rows},
@@ -241,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("json", "csv", "svg"), default="json")
     ap.add_argument("--out", default=None, help="write output to this path")
     ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized subroutines (outputs stay deterministic)")
+                    help="accepted; no command reads it, so it changes no output")
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
     # subcommand-level omission from clobbering a value parsed at the root
     common = argparse.ArgumentParser(add_help=False)

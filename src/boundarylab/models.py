@@ -39,6 +39,7 @@ __all__ = [
     "boundary_screen",
     "closed_form_obs_inradius",
     "comparison_bound",
+    "REGIMES",
     "volume_ratio_audit",
     "normalization_audit",
     "generate_admissible_finite",
@@ -249,7 +250,7 @@ class Twisted:
     def _kernel(self):
         tp, raw = self.tp, jacobi.classify(self.tp.kappa, self.tp.lam)
         if raw.is_convex_ball:
-            return "ball", jacobi.ball_kernel(float(tp.n), tp.effective())
+            return FiniteN(float(tp.n), tp.effective())._kernel
         if raw.is_horospherical and tp.kappa < 0:
             return "exponential", (tp.n - 1) * tp.lam * math.exp(-2.0 * tp.delta)
         raise RegimeError("twisted comparison needs the convex-ball regime or the "
@@ -281,6 +282,16 @@ def comparison_bound(kind, eta: float) -> float:
         raise DomainError(f"unknown comparison kind {kind!r}")
     family, kernel = kind._kernel
     return screens._FAMILIES[family].inverse(kernel, eta)
+
+
+# regime -> (the compare report's parameter names, the comparison kind built from them)
+REGIMES = {
+    "finite": (("N", "kappa", "lambda"),
+               lambda N, kappa, lam: FiniteN(N, jacobi.classify(kappa, lam))),
+    "twisted": (("n", "kappa", "lambda", "delta"),
+                lambda n, kappa, lam, delta: Twisted(TwistParams(n, kappa, lam, delta))),
+    "infinite": (("K", "Lambda"), lambda K, Lam: Infinite(jacobi.classify_infinite(K, Lam))),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +351,20 @@ def volume_ratio_audit(
     return VolumeRatioAudit(lhs, rhs, lhs <= rhs + 1e-9)
 
 
-def _random_log_slope_excess(rng, T: float, grid: np.ndarray) -> np.ndarray:
-    """Cumulative integral of a random nonnegative spline on [0, T].
+def _tilted(grid: np.ndarray, base: np.ndarray, rng) -> RadialDensity:
+    """The density base * exp(-E) on ``grid``, E the cumulative integral of a
+    random nonnegative spline on [0, grid[-1]].
 
     The spline is the pointwise excess of -(log theta)' over the curvature
     surrogate; its integral tilts the model density while preserving the
-    comparison inequality.  On a long support it is scaled to 200 at T, so
-    that exp(-E) stays far above the float range's floor.
+    comparison inequality.  On a long support it is scaled to 200 at the
+    end, so that exp(-E) stays far above the float range's floor.
     """
-    knots = np.linspace(0.0, T, rng.integers(4, 9))
+    knots = np.linspace(0.0, grid[-1], rng.integers(4, 9))
     eps = rng.uniform(0.0, 1.5, size=knots.size)
     eps[rng.integers(0, knots.size)] = rng.uniform(0.3, 1.5)  # never identically 0
     E = cumulative_simpson(np.interp(grid, knots, eps), grid)
-    return E * min(1.0, 200.0 / E[-1])
+    return RadialDensity(grid, base * np.exp(-E * min(1.0, 200.0 / E[-1])))
 
 
 def generate_admissible_finite(
@@ -376,8 +388,7 @@ def generate_admissible_finite(
             base = np.asarray(jacobi.s_profile_clamped(cc, t)) ** (N - 1.0)
     except FloatingPointError:
         raise DomainError(f"s^(N-1) overflows on [0, {T:g}] for ({cc.kappa}, {cc.lam})") from None
-    E = _random_log_slope_excess(rng, T, t)
-    return RadialDensity(t, base * np.exp(-E))
+    return _tilted(t, base, rng)
 
 
 def generate_admissible_twisted(tp: TwistParams, rng, points: int = 2001) -> RadialDensity:
@@ -399,5 +410,4 @@ def generate_admissible_infinite(
         T = 14.0 / ic.Lam
     t = np.linspace(0.0, T, points)
     base = np.exp(-0.5 * ic.K * t * t - ic.Lam * t)
-    E = _random_log_slope_excess(rng, T, t)
-    return RadialDensity(t, base * np.exp(-E))
+    return _tilted(t, base, rng)

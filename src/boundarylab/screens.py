@@ -72,11 +72,15 @@ class Screen:
 
     # -- CDF queries ---------------------------------------------------
     def cdf(self, t: float) -> float:
-        raise NotImplementedError
+        return float(self.cdf_fast(t))
 
     def cdf_fast(self, ts: np.ndarray) -> np.ndarray:
-        """The exact CDF at each of ``ts``; grids and atoms vectorize it."""
-        return np.array([self.cdf(t) for t in np.ravel(ts).tolist()])
+        """The exact CDF at each of ``ts``."""
+        raise NotImplementedError
+
+    def _sides(self, ts) -> tuple:
+        """The left limits F(t-) and the values F(t) at each of ``ts``."""
+        raise NotImplementedError
 
     def _breaks(self) -> np.ndarray:
         """Abscissae where the CDF may jump or bend, or the density peak, up to
@@ -85,7 +89,7 @@ class Screen:
 
     def cdf_left(self, t: float) -> float:
         """Left limit F(t-)."""
-        raise NotImplementedError
+        return float(self._sides(t)[0])
 
     def tail_closed(self, r: float) -> float:
         """P[T >= r] (closed superlevel convention)."""
@@ -111,12 +115,14 @@ class Screen:
         raise NotImplementedError
 
     def knots(self) -> np.ndarray:
-        """Abscissae worth probing in scans (``to_csv``)."""
-        raise NotImplementedError
+        """Abscissae worth probing in scans (``to_csv``): a grid's or atom
+        list's own ``t``."""
+        return self.t
 
     def scan_upper(self) -> float:
-        """Finite abscissa beyond which at most ~1e-12 mass remains."""
-        raise NotImplementedError
+        """Finite abscissa beyond which at most ~1e-12 mass remains: the last
+        knot, past which a grid or atom list holds none."""
+        return float(self.t[-1])
 
     def to_json(self) -> str:
         raise NotImplementedError
@@ -153,20 +159,12 @@ class GridScreen(Screen):
         self.full_support = full_support
         self.upper_support = float(t[-1])
 
-    def cdf(self, t):
-        return float(np.interp(t, self.t, self.F))
-
     def cdf_fast(self, ts):
         return np.interp(ts, self.t, self.F)
 
-    def cdf_left(self, t):
-        if t <= 0.0:
-            return 0.0
-        return self.cdf(t)
-
     def _sides(self, ts):
         F = self.cdf_fast(ts)
-        return np.where(ts > 0.0, F, 0.0), F
+        return np.where(ts <= 0.0, 0.0, F), F  # F(t-) = 0 up to the atom at 0; NaN stays NaN
 
     @functools.cached_property
     def _slope(self):
@@ -198,12 +196,6 @@ class GridScreen(Screen):
 
     def scale(self, c):
         return GridScreen(self.t * c, self.F.copy(), self.full_support)
-
-    def knots(self):
-        return self.t
-
-    def scan_upper(self):
-        return float(self.t[-1])
 
     def to_json(self):
         return _text.dumps({"kind": "grid", "t": self.t.tolist(), "F": self.F.tolist(),
@@ -248,14 +240,8 @@ class AtomScreen(Screen):
         step = hi - lo  # TwoSum: the rounding error of each step, exactly
         self._top_err = np.concatenate(([0.0], np.cumsum((lo - (hi - step)) + (self.p[::-1] - step))))
 
-    def cdf(self, t):
-        return float(self._cum[np.searchsorted(self.t, t, side="right")])
-
     def cdf_fast(self, ts):
         return self._cum[np.searchsorted(self.t, ts, side="right")]
-
-    def cdf_left(self, t):
-        return float(self._cum[np.searchsorted(self.t, t, side="left")])
 
     def _sides(self, ts):
         return self._cum[np.searchsorted(self.t, ts)], self.cdf_fast(ts)
@@ -294,12 +280,6 @@ class AtomScreen(Screen):
 
     def scale(self, c):
         return AtomScreen(self.t * c, self.p.copy())
-
-    def knots(self):
-        return self.t
-
-    def scan_upper(self):
-        return float(self.t[-1])
 
     def to_json(self):
         return _text.dumps({"kind": "atoms", "t": self.t.tolist(), "p": self.p.tolist()})
@@ -351,6 +331,9 @@ class DensityScreen(Screen):
         return 1.0 - self.tail_closed(t)
 
     cdf_left = cdf
+
+    def cdf_fast(self, ts):
+        return np.array([self.cdf(t) for t in np.ravel(ts).tolist()])
 
     def quantile(self, xi):
         return self.scale_factor * self._family.inverse(self.kernel, max(1.0 - xi, 0.0))

@@ -174,6 +174,19 @@ class TestClassify:
         report = classify_concentration(spec, 0.5)
         assert report.verdict is Verdict.INCONCLUSIVE
 
+    @pytest.mark.parametrize("values, verdict", [
+        ({2: 1.0, 4: 1.0, 8: 1.0}, Verdict.CONCENTRATES_TO_ZERO),  # driver 2, 4, 8: a 4x rise
+        ({2: 1.0, 4: 0.51, 8: 0.26}, Verdict.BOUNDED_AWAY),        # 2, 2.04, 2.08: at most 1.05x
+        ({2: 1.0, 4: 0.5, 8: 0.2}, Verdict.BOUNDED_AWAY),          # 2, 2, 1.6: nonincreasing
+        ({2: 1.0, 4: 1.0, 8: 0.5}, Verdict.INCONCLUSIVE),          # 2, 4, 4: a 2x rise
+    ])
+    def test_table_schedule_driver_trend(self, values, verdict):
+        """A table schedule has no exponent, so the verdict follows the trend
+        of the driver n * lambda over the sequence."""
+        spec = SequenceSpec("euclid_ball", {"lambda": {"kind": "table", "values": values}},
+                            [2, 4, 8])
+        assert classify_concentration(spec, 0.5).verdict is verdict
+
     def test_schedule_regime_violation_names_n(self):
         spec = SequenceSpec(
             "warped",

@@ -320,6 +320,33 @@ def test_cosh_growth_runs_on_math_and_matches_mpmath():
         assert within(value, float(ref), N), (N, kappa, lam, r, value, float(ref))
 
 
+def mp_growth_outside(N, kappa, lam, r):
+    """int_0^r s^(N-1) in 40 digits where the profile grows without a zero:
+    s = 1 (kappa = 0 = lam), 1 - lam t (kappa = 0 > lam), e^(k t) (lam = -k)
+    and sinh(theta0 + k t) / sinh(theta0) (lam < -k), k = sqrt(-kappa)."""
+    N, lam, r = mp.mpf(N), mp.mpf(lam), mp.mpf(r)
+    if kappa == 0.0:
+        return r if lam == 0 else ((1 - lam * r) ** N - 1) / (-lam * N)
+    k = mp.sqrt(-mp.mpf(kappa))
+    if lam == -k:
+        return mp.expm1((N - 1) * k * r) / ((N - 1) * k)
+    theta0 = mp.atanh(k / -lam)
+    return mp.quad(lambda t: (mp.sinh(theta0 + k * t) / mp.sinh(theta0)) ** (N - 1), [0, r / 2, r])
+
+
+@pytest.mark.parametrize("kappa,lam", [(0.0, 0.0), (0.0, -0.5), (-1.0, -1.0), (-2.25, -1.5),
+                                       (-1.0, -3.0)])
+@pytest.mark.parametrize("N", [1.01, 3.5, 40.0])
+@pytest.mark.parametrize("r", [1e-3, 0.7, 5.0])
+def test_growth_outside_the_ball_regimes(kappa, lam, N, r):
+    """``s_growth`` where the profile grows (kappa = 0 with lam <= 0, and
+    kappa < 0 with lam <= -sqrt(-kappa)) against its closed forms or, for the
+    sinh profile, a 40-digit quadrature, at condition number N."""
+    assert jacobi.classify(kappa, lam).regime is jacobi.Regime.NONE
+    ref = float(mp_growth_outside(N, kappa, lam, r))
+    assert within(jacobi.s_growth(N, classify(kappa, lam), r), ref, N), ref
+
+
 class TestHorospherical:
     @pytest.mark.parametrize("N", [1.01, 3.0, 1000.0])
     def test_improper_growth_closed_form(self, N):

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -401,6 +401,39 @@ def test_held_comparison_kernel_equals_direct_call(case, etas):
         assert _outcome(comparison_bound, kind, eta) == _outcome(direct, eta)
     assert kind == fresh and hash(kind) == hash(fresh) and repr(kind) == repr(fresh)
     assert dataclasses.fields(kind) == dataclasses.fields(fresh)
+
+
+@st.composite
+def convex_twists(draw):
+    """Twist data whose raw pair is a convex ball, |kappa| down to the least
+    subnormal, with a delta of either sign."""
+    kappa = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(
+        st.one_of(st.floats(0.05, 3.0), st.sampled_from([5e-324, 1e-40, 1e-20])))
+    lam = (math.sqrt(-kappa) if kappa < 0 else 0.0) + draw(st.floats(0.01, 2.0))
+    return jacobi.TwistParams(draw(st.integers(2, 8)), kappa, lam, draw(st.floats(-0.5, 0.7)))
+
+
+def _drawn(generate, *args):
+    """The bytes of a generated density's grid and values, or the error it raises."""
+    d = _outcome(generate, *args)
+    return (d.t.tobytes(), d.theta.tobytes()) if isinstance(d, models.RadialDensity) else d
+
+
+# a convex ball whose effective pair rounds onto the horospherical line
+@example(tp=jacobi.TwistParams(3, -(10.0 - 2e-11) ** 2, 10.0, math.log(100.0) / 2), etas=[0.5],
+         seed=0)
+@settings(max_examples=100)
+@given(tp=convex_twists(), etas=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_twisted_ball_is_the_finite_bound_of_its_effective_pair(tp, etas, seed):
+    """A twisted convex ball bounds and generates bitwise as the finite-N
+    kind of its effective pair at N = n, or raises the same error."""
+    kind, finite = Twisted(tp), FiniteN(float(tp.n), tp.effective())
+    for eta in etas:
+        assert _outcome(comparison_bound, kind, eta) == _outcome(comparison_bound, finite, eta)
+    assert (_drawn(models.generate_admissible_twisted, tp, np.random.default_rng(seed), 301)
+            == _drawn(generate_admissible_finite, float(tp.n), tp.effective(),
+                      np.random.default_rng(seed), 301))
 
 
 @settings(max_examples=80)

@@ -227,6 +227,30 @@ class TestQuantileDuality:
                 assert bsep_single(s, eta) <= obs_inradius(s, etap) + 1e-12
 
 
+class TestGridAtomAtZero:
+    """A grid screen with F[0] > 0 holds an atom at 0: F(0-) = 0 while
+    F(0) = F[0], so the closed tail is 1 at 0 and the open one 1 - F[0]."""
+
+    s = GridScreen([0.0, 1.0, 2.0], [0.25, 0.75, 1.0])
+
+    @pytest.mark.parametrize("t, left", [(-1.0, 0.0), (0.0, 0.0), (0.5, 0.5), (1.0, 0.75),
+                                         (2.0, 1.0), (3.0, 1.0)])
+    def test_cdf_left(self, t, left):
+        assert self.s.cdf_left(t) == left
+        assert self.s._sides(np.array([t]))[0][0] == left
+
+    @pytest.mark.parametrize("r, tail", [(-1.0, 1.0), (0.0, 1.0), (0.5, 0.5), (1.0, 0.25),
+                                         (2.0, 0.0), (3.0, 0.0)])
+    def test_tail_closed(self, r, tail):
+        assert self.s.tail_closed(r) == tail
+
+    @pytest.mark.parametrize("eps, tail", [(0.0, 0.75), (0.5, 0.5), (1.0, 0.25), (2.0, 0.0),
+                                           (3.0, 0.0)])
+    def test_tail_open(self, eps, tail):
+        assert self.s.tail_open(eps) == tail
+        assert self.s.cdf(eps) == 1.0 - tail
+
+
 class TestDominance:
     def test_monotone_contraction_on_grid(self):
         """Pushforward under a 1-Lipschitz nondecreasing map with psi(0)=0
