@@ -56,6 +56,13 @@ def _require_finite(what: str, x) -> None:
         raise DomainError(f"{what} must be finite")
 
 
+def _point(t):
+    """``t``; NaN, which orders against no knot, atom or support end, raises."""
+    if math.isnan(t):
+        raise DomainError("a screen query point must be a number, got NaN")
+    return t
+
+
 class ObsBounds(NamedTuple):
     """Lower/upper enclosure for an observable inscribed radius that the
     screen alone cannot pin down (support not declared full)."""
@@ -72,7 +79,7 @@ class Screen:
 
     # -- CDF queries ---------------------------------------------------
     def cdf(self, t: float) -> float:
-        return float(self.cdf_fast(t))
+        return float(self.cdf_fast(_point(t)))
 
     def cdf_fast(self, ts: np.ndarray) -> np.ndarray:
         """The exact CDF at each of ``ts``."""
@@ -89,12 +96,10 @@ class Screen:
 
     def cdf_left(self, t: float) -> float:
         """Left limit F(t-)."""
-        return float(self._sides(t)[0])
+        return float(self._sides(_point(t))[0])
 
     def tail_closed(self, r: float) -> float:
         """P[T >= r] (closed superlevel convention)."""
-        if r <= 0.0:
-            return 1.0
         return 1.0 - self.cdf_left(r)
 
     def tail_open(self, eps: float) -> float:
@@ -160,7 +165,7 @@ class GridScreen(Screen):
         self.upper_support = float(t[-1])
 
     def cdf_fast(self, ts):
-        return np.interp(ts, self.t, self.F)
+        return np.interp(ts, self.t, self.F, left=0.0)
 
     def _sides(self, ts):
         F = self.cdf_fast(ts)
@@ -206,8 +211,8 @@ class AtomScreen(Screen):
     """Finite discrete distribution; all conventions are exact.  Each query
     is one ``searchsorted`` or one array pass over ``_cum``, the CDF, or the
     masses of the k top atoms, held exactly as ``_top`` (``np.cumsum``) plus
-    ``_top_err`` (its rounding errors): ``bsep`` and ``ky_fan`` compare them
-    with eta by the sign of an exact difference, so a tie is a tie."""
+    ``_top_err`` (its rounding errors): ``bsep`` compares them with eta by the
+    sign of an exact difference, so a tie is a tie."""
 
     full_support = False
 
@@ -250,11 +255,11 @@ class AtomScreen(Screen):
         return (np.zeros(np.shape(ts)),) * 2
 
     def tail_closed(self, r):
-        k = self.t.size - np.searchsorted(self.t, r, side="left")
+        k = self.t.size - np.searchsorted(self.t, _point(r), side="left")
         return float(self._top[k] + self._top_err[k])
 
     def tail_open(self, eps):
-        k = self.t.size - np.searchsorted(self.t, eps, side="right")
+        k = self.t.size - np.searchsorted(self.t, _point(eps), side="right")
         return float(self._top[k] + self._top_err[k])
 
     def quantile(self, xi):
@@ -265,18 +270,6 @@ class AtomScreen(Screen):
         # the fewest top atoms that hold eta: the last of them is the answer
         holds = (self._top - eta) + self._top_err >= 0.0
         return float(self.t[self.t.size - np.argmax(holds)]) if holds[-1] else 0.0
-
-    def ky_fan(self):
-        """Exact inf{eps >= 0 : P[T > eps] <= eps} on the atom grid: the
-        tail is a constant v on each [a, b) between atoms, and the answer
-        is max(a, v) on the first one where v <= a or v < b."""
-        a = np.concatenate(([0.0], self.t))
-        b = np.append(self.t, math.inf)
-        k = self.t.size - (self.t[0] == 0.0)  # the atoms past 0; past each atom, those above it
-        top = np.concatenate(([self._top[k]], self._top[-2::-1]))
-        err = np.concatenate(([self._top_err[k]], self._top_err[-2::-1]))
-        j = int(np.argmax(((top - a) + err <= 0.0) | ((top - b) + err < 0.0)))
-        return float(max(a[j], top[j] + err[j]))
 
     def scale(self, c):
         return AtomScreen(self.t * c, self.p.copy())
@@ -317,13 +310,16 @@ class DensityScreen(Screen):
         self._upper = self._family.upper(self.kernel)
         self.upper_support = self.scale_factor * self._upper
 
-    def tail_closed(self, r):
-        r = float(r) / self.scale_factor
+    def _tail(self, r):
+        r = r / self.scale_factor
         if r <= 0.0:
             return 1.0
         if r >= self._upper:
             return 0.0
         return self._family.tail(self.kernel, r)
+
+    def tail_closed(self, r):
+        return self._tail(float(_point(r)))
 
     tail_open = tail_closed  # no atoms
 
@@ -333,7 +329,7 @@ class DensityScreen(Screen):
     cdf_left = cdf
 
     def cdf_fast(self, ts):
-        return np.array([self.cdf(t) for t in np.ravel(ts).tolist()])
+        return np.array([1.0 - self._tail(t) for t in np.ravel(ts).tolist()])
 
     def quantile(self, xi):
         return self.scale_factor * self._family.inverse(self.kernel, max(1.0 - xi, 0.0))
@@ -540,16 +536,19 @@ def obs_inradius(s: Screen, eta: float):
 
 
 def ky_fan_zero(s: Screen) -> float:
-    """Ky Fan distance to zero: inf{eps >= 0 : P[T > eps] <= eps}."""
-    if isinstance(s, AtomScreen):
-        return s.ky_fan()
-    g0 = s.tail_open(0.0)
-    if g0 <= 0.0:
+    """Ky Fan distance to zero, inf{eps >= 0 : P[T > eps] <= eps}: the least float
+    eps with ``tail_open(eps) <= eps``, by bisection on the open tail until its ends
+    are adjacent floats.  The upper end max(1, P[T > 0]) passes, as no tail tops
+    P[T > 0], which tops 1 where an atom screen's masses sum to 1 + 2^-52."""
+    if (g0 := s.tail_open(0.0)) <= 0.0:
         return 0.0
-    import scipy
-    return float(scipy.optimize.brentq(
-        lambda e: s.tail_open(e) - e, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16,
-    ))
+    lo, hi = 0.0, max(1.0, g0)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if s.tail_open(mid) <= mid:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def scale(s: Screen, c: float) -> Screen:

@@ -445,3 +445,87 @@ def test_problem_file_fuzz(capsys, tmp_path, data, command, n, scale, length, gr
     else:
         assert out == "" and err.startswith("error: ")
 
+
+# ---------------------------------------------------------------------------
+# derandomized fuzz of sweep configuration files
+# ---------------------------------------------------------------------------
+
+# family -> parameter -> values in its domain at every n (a warped kappa is
+# negative); "sphere" is no family
+_NEGATIVE = [-4.0, -1.0, -0.5]
+_SWEEP_PARAMS = {
+    "hemisphere": {"kappa": [0.5, 1.0, 2.0]}, "euclid_ball": {"lambda": [0.5, 1.0, 3.0]},
+    "warped": {"kappa": _NEGATIVE},
+    "general_ball": {"kappa": [-1.0, 0.0, 1.0], "lambda": [1.5, 2.0]},
+    "weighted_warped_exp": {"kappa": _NEGATIVE, "N": [2.0, 5.0]},
+    "weighted_warped_gauss": {"kappa": _NEGATIVE, "delta": [-0.3, 0.0, 0.3]},
+    "sphere": {"kappa": [1.0]},
+}
+_SWEEP_NS = [2, 3, 5, 8, 40, 1000, 10**6]
+_SWEEP_ODD = [0.0, -1.0, 1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf, "1", None, True,
+              [1.0], {}, [], [0, 3], [1, 2], [2, -1], [2.5], [True], 3]
+
+
+def _schedules(values):
+    """A schedule over ``values``: a number, a power law, a constant or a
+    table over every n drawn."""
+    good = st.sampled_from(values)
+    return st.one_of(
+        good,
+        st.builds(lambda c, e: {"kind": "power", "coef": c, "exp": e},
+                  good, st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])),
+        st.builds(lambda v: {"kind": "const", "value": v}, good),
+        st.lists(good, min_size=len(_SWEEP_NS), max_size=len(_SWEEP_NS)).map(
+            lambda vs: {"kind": "table", "values": dict(zip(map(str, _SWEEP_NS), vs))}),
+    )
+
+
+_SCHEDULES = {family: {name: _schedules(values) for name, values in params.items()}
+              for family, params in _SWEEP_PARAMS.items()}
+
+
+@st.composite
+def sweep_configs(draw):
+    """A valid canonical sweep or classification of one family, with up to
+    two fields, at any depth, dropped or replaced by an odd value."""
+    family = draw(st.sampled_from(sorted(_SWEEP_PARAMS)))
+    params = _SWEEP_PARAMS[family]
+    config = {"family": family, "eta": draw(st.sampled_from([0.1, 0.5, 0.9])),
+              "n": sorted(draw(st.sets(st.sampled_from(_SWEEP_NS), min_size=1, max_size=5)))}
+    if len(params) == 1 and draw(st.booleans()):
+        (name, values), = params.items()
+        config[name] = draw(st.sampled_from(values))
+    else:
+        config["schedule"] = {name: draw(s) for name, s in _SCHEDULES[family].items()}
+    for _ in range(draw(st.integers(0, 2))):
+        target = config
+        while True:
+            key = draw(st.sampled_from(sorted(target)))
+            if not (isinstance(target[key], dict) and target[key] and draw(st.booleans())):
+                break
+            target = target[key]
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(st.sampled_from(_SWEEP_ODD))
+    return config
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=sweep_configs())
+def test_sweep_config_fuzz(capsys, tmp_path, config):
+    """Every sweep over a configuration file with fields of any family,
+    schedule, n list and eta, non-finite, wrong-typed or missing, exits 0
+    with strict JSON, 2 with a message, or 3 for a curvature pair with no
+    comparison regime."""
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "sweep", "--config", str(path))
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out, parse_constant=_not_strict)
+    else:
+        assert out == "" and err.startswith("error: ")
+

@@ -168,6 +168,20 @@ def test_catalog_screens_load_no_integrate_optimize_or_linalg():
     assert not {"scipy.integrate", "scipy.optimize", "scipy.linalg"} & mods
 
 
+def test_screen_invariants_load_no_scipy():
+    """The Ky Fan distance bisects on the open tail, so it needs SciPy no more
+    than the other invariants of a closed ball screen or a grid screen do."""
+    mods = loaded_after(
+        "from boundarylab import screens\n"
+        "ball = screens.closed_screen('ball', N=4.0, kappa=1.0, lam=0.3)\n"
+        "grid = screens.GridScreen([0.0, 1.0, 2.0], [0.25, 0.75, 1.0])\n"
+        "for s in (ball, grid):\n"
+        "    screens.ky_fan_zero(s), screens.obs_inradius(s, 0.3), screens.bsep_single(s, 0.3)\n"
+        "screens.ks_distance(ball, grid)\n"
+    )
+    assert not {m for m in mods if m == "scipy" or m.startswith("scipy.")}
+
+
 def test_jacobi_loads_no_special():
     """Every kernel, the curved ones of both signs and the growth outside a
     ball included, runs without importing SciPy at all."""
@@ -233,8 +247,8 @@ def test_curved_commands_load_no_special(tmp_path):
 def test_no_command_loads_scipy(tmp_path):
     """Every kind of command the cold-CLI benchmark runs, in one process:
     SciPy is imported only by the library's independent checks
-    (``ky_fan_zero``, ``normalization_audit``, ``volume_ratio_audit``), which
-    no command calls."""
+    (``normalization_audit`` and ``volume_ratio_audit``), which no command
+    calls."""
     hemisphere = tmp_path / "hemisphere.json"
     hemisphere.write_text(json.dumps({"family": "hemisphere", "kappa": 1.0, "eta": 0.5,
                                       "n": [4, 8, 16]}))

@@ -24,7 +24,7 @@ from scipy.optimize import minimize_scalar
 from boundarylab import jacobi
 from boundarylab.asymptotics import _canonical, distribution_law
 from boundarylab.models import boundary_screen
-from boundarylab.screens import AtomScreen, GridScreen, closed_screen, ks_distance
+from boundarylab.screens import AtomScreen, GridScreen, closed_screen, ks_distance, ky_fan_zero
 
 EPS = np.finfo(float).eps
 
@@ -181,7 +181,7 @@ class TestAtomTables:
         etas |= {float(np.sum(s.p[j:])) for j in range(count)}
         for eta in sorted(e for e in etas if e <= 1.0):
             assert s.bsep(eta) == exact_bsep(s, eta), eta
-        assert s.ky_fan() == pytest.approx(exact_ky_fan(s), rel=2 * EPS)
+        assert ky_fan_zero(s) == pytest.approx(exact_ky_fan(s), rel=2 * EPS)
 
     @settings(max_examples=60)
     @given(t=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40),
@@ -192,7 +192,7 @@ class TestAtomTables:
             p[0] = 1.0
         s = AtomScreen(t, p / p.sum())
         assert s.bsep(eta) == exact_bsep(s, eta)
-        assert s.ky_fan() == pytest.approx(exact_ky_fan(s), rel=2 * EPS)
+        assert ky_fan_zero(s) == pytest.approx(exact_ky_fan(s), rel=2 * EPS)
         below, upto = np.searchsorted(s.t, probe), np.searchsorted(s.t, probe, side="right")
         tol = s.t.size * EPS  # np.cumsum rounds once per atom
         assert s.cdf(probe) == pytest.approx(float(exact_sum(s.p[:upto])), abs=tol)

@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -40,6 +40,24 @@ def random_grid_screen(rng, m=None):
     F = np.concatenate([[0.0], np.cumsum(incr)])
     F /= F[-1]
     return GridScreen(ts, F)
+
+
+@st.composite
+def any_screens(draw):
+    """An atom screen, a grid screen (an atom at 0 or none) or a closed screen
+    of any family, scaled."""
+    kind = draw(st.sampled_from(["atoms", "grid", "closed"]))
+    if kind == "closed":
+        return scale(draw(closed_screens()), draw(st.floats(0.05, 20.0)))
+    m = draw(st.integers(1, 30))
+    steps = st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)
+    mass = np.array(draw(steps)) + 1e-3
+    t = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=m, max_size=m)))
+    if kind == "atoms":
+        return AtomScreen(t, mass / mass.sum())
+    # t as the gaps between knots, mass as the CDF's rise over each
+    F = np.cumsum(np.concatenate([[draw(st.sampled_from([0.0, 0.3]))], mass]))
+    return GridScreen(np.concatenate([[0.0], np.cumsum(t + 1e-3)]), F / F[-1])
 
 
 class TestPartInradius:
@@ -132,6 +150,28 @@ class TestKyFan:
     def test_atom_walk(self):
         s = AtomScreen([0.0, 1.0, 2.0], [1 / 3, 1 / 3, 1 / 3])
         assert ky_fan_zero(s) == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    @settings(max_examples=150)
+    @given(s=any_screens())
+    @example(s=closed_screen("ball", N=4.0, kappa=1.0, lam=0.3))
+    @example(s=closed_screen("half_gaussian", K=1.0, Lam=-0.5))
+    def test_least_float_that_passes(self, s):
+        """The value passes, P[T > eps] <= eps, and the float below it fails."""
+        eps = ky_fan_zero(s)
+        assert s.tail_open(eps) <= eps
+        below = math.nextafter(eps, 0.0)
+        assert eps == 0.0 or s.tail_open(below) > below
+
+    def test_mass_just_above_one(self):
+        # the masses sum to 1 + 2^-52 and all sit past it: P[T > 0] is the value
+        s = AtomScreen([5.0, 6.0], [0.5, 0.5 + 2.0 ** -52])
+        assert s.tail_open(0.0) == 1.0000000000000002
+        assert ky_fan_zero(s) == 1.0000000000000002
+
+    def test_exponential_is_the_omega_constant(self):
+        # e^-eps = eps at eps = W(1)
+        s = closed_screen("exponential", rate=1.0)
+        assert ky_fan_zero(s) == float(mpmath.lambertw(1)) == 0.5671432904097838
 
     def test_scaling_monotone_above_one(self):
         rng = np.random.default_rng(9)
@@ -244,8 +284,8 @@ class TestGridAtomAtZero:
     def test_tail_closed(self, r, tail):
         assert self.s.tail_closed(r) == tail
 
-    @pytest.mark.parametrize("eps, tail", [(0.0, 0.75), (0.5, 0.5), (1.0, 0.25), (2.0, 0.0),
-                                           (3.0, 0.0)])
+    @pytest.mark.parametrize("eps, tail", [(-1.0, 1.0), (0.0, 0.75), (0.5, 0.5), (1.0, 0.25),
+                                           (2.0, 0.0), (3.0, 0.0)])
     def test_tail_open(self, eps, tail):
         assert self.s.tail_open(eps) == tail
         assert self.s.cdf(eps) == 1.0 - tail
@@ -349,7 +389,22 @@ class TestNonFiniteInput:
             "grid": uniform_grid_screen(),
             "atoms": AtomScreen([0.0, 1.0, 2.0], [0.25, 0.25, 0.5]),
             "density": closed_screen("exponential", rate=1.0),
+            "ball": closed_screen("ball", N=4.0, kappa=1.0, lam=0.3),
+            "grid_atom": GridScreen([0.0, 1.0, 2.0], [0.25, 0.75, 1.0]),
         }
+
+    @pytest.mark.parametrize("query", ["cdf", "cdf_left", "tail_closed", "tail_open"])
+    @pytest.mark.parametrize("kind", ["grid", "atoms", "density", "ball", "grid_atom"])
+    def test_queries_refuse_nan(self, kind, query):
+        with pytest.raises(DomainError, match="NaN"):
+            getattr(self._screens()[kind], query)(math.nan)
+
+    @pytest.mark.parametrize("kind", ["grid", "atoms", "density", "ball", "grid_atom"])
+    def test_queries_read_infinities_as_limits(self, kind):
+        s = self._screens()[kind]
+        queries = (s.cdf, s.cdf_left, s.tail_closed, s.tail_open)
+        assert [q(-math.inf) for q in queries] == [0.0, 0.0, 1.0, 1.0]
+        assert [q(math.inf) for q in queries] == [1.0, 1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("kind", ["grid", "atoms", "density"])
