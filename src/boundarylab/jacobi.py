@@ -40,26 +40,26 @@ the profile neither underflow nor overflow at N in the thousands:
   (DLMF 7.9.2) beyond.
 
 Each inverse solves log(tail mass) = log eta, whose left side is concave,
-from a start: for kappa > 0 a uniform asymptotic inversion of the
-incomplete beta function after Temme, whose leading term is a
-closed-form inverse of erfc (Giles' erfinv polynomial, or the asymptotic
-form of erfc in the far tail, then one Halley step); for kappa < 0 a
-step from r = 0, where the forward map and its derivatives are known;
-for the Gaussian tail the erfc inverse itself; and an analytic bracket
-end where these fail.  The derivatives of the log tail mass follow from
-its slope by a Riccati equation, so each step is of sixth order at the
-cost of one forward evaluation, and one step usually reaches rounding
-level; bisection is the safeguard.  No quadrature runs here; the adaptive
-quadrature these forms replaced is the oracle of
+from a start: for kappa > 0 the leading term of Temme's uniform
+asymptotic inversion of the incomplete beta function, an inverse of erfc
+(the standard library's inverse normal CDF, imported at a process's first
+inversion); for kappa < 0 a step from r = 0, where the forward map and its
+derivatives are known; for the Gaussian tail the erfc inverse itself; and
+an analytic bracket end where these fail.  The derivatives of the log
+tail mass follow from its slope by a Riccati equation, so each step is of
+sixth order at the cost of one forward evaluation, and one or two steps
+usually reach rounding level; bisection is the safeguard.  No quadrature
+runs here; the adaptive quadrature these forms replaced is the oracle of
 ``tests/test_jacobi_oracle.py``.
 
-Every kernel runs on ``math`` and numpy alone: this module imports no
-SciPy, whose ``scipy.special`` costs more to import than numpy.
+Every kernel runs on ``math``, ``statistics`` and numpy alone: this module
+imports no SciPy, whose ``scipy.special`` costs more to import than numpy.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -825,46 +825,16 @@ def _newton(f, x: float, lo: float, hi: float) -> float:
     return x
 
 
-def _temme_terms(Z: float) -> tuple[float, float]:
-    """(h1, h2) of ``_sin_start``, by their series in Z^4 below |Z| = 1/2."""
-    if abs(Z) < 0.5:
-        Z4 = Z ** 4
-        return (Z ** 3 * (-1 / 48 + Z4 * (1 / 2560 + Z4 * (-61 / 7741440 + Z4 * 1261 / 7431782400))),
-                Z * (-1 / 16 + Z4 * (7 / 2560 + Z4 * (-671 / 7741440 + Z4 * 1261 / 495452160))))
-    tail = math.exp(-Z * Z)
-    h = abs(Z) * math.exp(-0.25 * Z * Z) / math.sqrt(1.0 - tail)
-    h1 = (h - 1.0) / Z
-    slope = h * (1.0 / Z - 0.5 * Z - Z * tail / (1.0 - tail))
-    return h1, (slope - h1) / (Z * Z)
-
-
-def _sin_start(N: float, T: float, log_half_beta: float) -> float:
+def _sin_start(N: float, T: float) -> float:
     """theta with int_0^theta sin^(N-1) = T B(N/2, 1/2) / 2, approximately,
-    for a normal float T < 2: a uniform asymptotic start
-    after N. M. Temme (J. Comput. Appl. Math. 41, 1992, 145-157).
+    for a normal float T < 2: the leading term of N. M. Temme's uniform
+    asymptotic inversion (J. Comput. Appl. Math. 41, 1992, 145-157).
 
-    Let Z^2 = -2 log sin theta, with Z of the sign of pi/2 - theta, and
-    mu = N - 1/2.  Then sin^(N-1) d theta = -e^(-mu Z^2 / 2) h(Z) dZ with
-    h(Z) = |Z| e^(-Z^2 / 4) / sqrt(1 - e^(-Z^2)) = 1 - Z^4/48 + ..., and two
-    integrations by parts give, with y = Z sqrt(mu / 2), h1 = (h - 1) / Z
-    and h2 = h1' / Z,
-
-        T = e^(-y^2) (erfcx(y) + (h1(Z) + h2(Z) / mu) / (mu B(N/2, 1/2) / 2))
-
-    up to O(mu^-3).  Its leading term y = erfc^-1(T) (``_erfc_inverse``)
-    starts one Newton step on the logarithm of this equation (a second
-    saves fewer forward evaluations than it costs).
+    With Z^2 = -2 log sin theta, Z of the sign of pi/2 - theta, and
+    mu = N - 1/2, sin^(N-1) d theta = -e^(-mu Z^2 / 2) (1 - Z^4/48 + ...) dZ,
+    so T = erfc(Z sqrt(mu / 2)) up to O(1 / mu); ``_newton`` takes the rest.
     """
-    mu = N - 0.5
-    root = math.sqrt(2.0 / mu)
-    y = _erfc_inverse(T)
-    h1, h2 = _temme_terms(y * root)
-    e = erfcx(y)
-    total = e + (h1 + h2 / mu) * math.exp(-log_half_beta) / mu
-    slope = -2.0 * y + (2.0 * y * e - 2.0 / _SQRT_PI) / total
-    if total > 0.0 and slope < 0.0:
-        y -= (math.log(total) - y * y - math.log(T)) / slope
-    Z = y * root
+    Z = _erfc_inverse(T) * math.sqrt(2.0 / (N - 0.5))
     # pi/2 - theta = 2 asin(sqrt((1 - sin theta) / 2)) keeps its digits near pi/2
     return _HALF_PI - math.copysign(2.0 * math.asin(math.sqrt(-0.5 * math.expm1(-0.5 * Z * Z))), Z)
 
@@ -877,13 +847,13 @@ def v_inverse(N: float, cc: CurvatureClass, eta: float) -> float:
     concave because G integrates a log-concave power.  So the root lies
     below the tangent's root u = -log eta G(X) / g(X)^(N-1), and below
     X (1 - (eta min(1, g(X)/X)^(N-1))^(1/N)), where v <= eta.  The start is
-    ``_sin_start`` for kappa > 0 where eta G(X) / (B(N/2, 1/2) / 2) is a
-    normal float, and for kappa < 0 a ``_taylor_step`` from u = 0, where
-    the forward map is 0 and its derivatives come from the rim; the lesser
-    bound where that start falls outside the bounds.  The steps of
-    ``_newton`` on the exact forward map, whose slope is -g^(N-1) / G and
-    whose higher derivatives follow from the slope, then converge to
-    rounding level.  ``ball_inverse`` takes many eta on one kernel.
+    ``_sin_start`` (one erfc inverse) for kappa > 0 where eta G(X) /
+    (B(N/2, 1/2) / 2) is a normal float, and for kappa < 0 a ``_taylor_step``
+    from u = 0, where the forward map is 0 and its derivatives come from the
+    rim; the lesser bound where that start falls outside the bounds.  The
+    steps of ``_newton`` on the exact forward map, whose slope is
+    -g^(N-1) / G and whose higher derivatives follow from the slope, then
+    converge to rounding level.  ``ball_inverse`` takes many eta on one kernel.
     """
     return ball_inverse(ball_kernel(N, cc), eta)
 
@@ -924,7 +894,7 @@ def ball_inverse(kernel: BallKernel, eta: float) -> float:
 
     if kernel.cc.kappa > 0:
         T = math.exp(log_eta + log_G - kernel.log_half_beta)
-        u0 = X - _sin_start(N, T, kernel.log_half_beta) if _TINY <= T < 2.0 else u_hi
+        u0 = X - _sin_start(N, T) if _TINY <= T < 2.0 else u_hi
     else:
         # f = -log eta at u = 0, with the slope -g(X)^(N-1) / G(X)
         u0 = _taylor_step(-log_eta, -math.exp(m * log_g - log_G), q_series(0.0))[0]
@@ -942,18 +912,9 @@ def ball_inverse(kernel: BallKernel, eta: float) -> float:
 # ---------------------------------------------------------------------------
 
 _SQRT_PI = math.sqrt(math.pi)
+_SQRT_2 = math.sqrt(2.0)
 _ERFC_NORMAL = 26.5  # erfc(26.5) = 3.4e-307 is still a normal float
 _LAPLACE_TERMS = 8  # from z = 26.5 on, 6 terms of the fraction reach 1 ulp
-
-# Giles' single-precision erfinv polynomials ("Approximating the erfinv
-# function", 2010; GPU Computing Gems, Jade Edition), highest degree
-# first: in w - 2.5 for w < 5 and in sqrt(w) - 3 for 5 <= w < 16, where
-# w = -log(1 - x^2)
-_ERFINV_CENTRAL = (2.81022636e-08, 3.43273939e-07, -3.5233877e-06, -4.39150654e-06,
-                   0.00021858087, -0.00125372503, -0.00417768164, 0.246640727, 1.50140941)
-_ERFINV_TAIL = (-0.000200214257, 0.000100950558, 0.00134934322, -0.00367342844,
-                0.00573950773, -0.0076224613, 0.00943887047, 1.00167406, 2.83297682)
-
 
 def erfcx(z: float) -> float:
     """The scaled complementary error function e^(z^2) erfc(z) (DLMF 7.2).
@@ -976,34 +937,21 @@ def erfcx(z: float) -> float:
     return 1.0 / (_SQRT_PI * t)
 
 
+@functools.cache
+def _inverse_normal_cdf():
+    """``statistics.NormalDist().inv_cdf``, imported at the first call, since
+    ``statistics`` loads ``fractions`` and ``decimal`` (3-5 ms cold)."""
+    from statistics import NormalDist
+    return NormalDist().inv_cdf
+
+
 def _erfc_inverse(p: float) -> float:
     """z with erfc(z) = p, for a normal float p in (0, 2).
 
-    With x = 1 - p and w = -log(p (2 - p)) = -log(1 - x^2), Giles'
-    erfinv polynomial times x serves while w < 16 (relative error below
-    2e-7).  Beyond, z^2 solves z^2 = L - log(sqrt(pi) z) + log(1 - 1/(2 z^2))
-    with L = -log min(p, 2 - p), from erfc(z) ~ e^(-z^2) / (z sqrt(pi))
-    (1 - 1/(2 z^2)) (DLMF 7.12.1), by two substitutions (error below 1e-4).  One Halley
-    step on erfc, whose f''/f' is -2z, then leaves an error below 1e-10.
+    erfc(z) = 2 Phi(-z sqrt(2)), and Phi^-1 is Wichura's AS 241 (Appl.
+    Statist. 37, 1988), within 1e-15 relative of erfc^-1 on this range.
     """
-    x = 1.0 - p
-    w = -math.log(p) - math.log1p(x)
-    if w < 16.0:
-        coefs, v = ((_ERFINV_CENTRAL, w - 2.5) if w < 5.0
-                    else (_ERFINV_TAIL, math.sqrt(w) - 3.0))
-        q = 0.0
-        for c in coefs:
-            q = c + q * v
-        z = q * x
-    else:
-        L = -math.log(min(p, 2.0 - p))
-        y = L - 0.5 * math.log(math.pi * L)
-        y = L - 0.5 * math.log(math.pi * y) + math.log1p(-0.5 / y)
-        z = math.copysign(math.sqrt(y), x)
-    # erfc(z) - p, as (2 - p) - erfc(-z) for z < 0 so that p near 2 keeps its digits
-    excess = math.erfc(z) - p if z >= 0.0 else (2.0 - p) - math.erfc(-z)
-    step = -0.5 * _SQRT_PI * excess * math.exp(z * z)  # f / f'
-    return z - step / (1.0 + z * step)
+    return -_inverse_normal_cdf()(0.5 * p) / _SQRT_2
 
 
 def _require_admissible(ic: InfiniteCurvature) -> None:
@@ -1050,12 +998,13 @@ def gaussian_tail(ic: InfiniteCurvature, r: float) -> float:
 def gaussian_tail_inverse(ic: InfiniteCurvature, eta: float) -> float:
     """Unique r >= 0 with gaussian_tail(ic, r) = eta.
 
-    The start is z = erfc^-1(eta erfc(z0)) in closed form (``_erfc_inverse``)
-    when that product is a normal float, and otherwise the upper bracket
-    where the Gaussian factor alone reaches eta (erfcx decreases, so S
-    lies below that factor); the steps of ``_newton`` on the concave log S,
-    whose slope is -sqrt(2K/pi) / erfcx(z) and whose weight has
-    w'/w = -(K r + Lam), then converge to rounding level.
+    The start is z = erfc^-1(eta erfc(z0)) (``_erfc_inverse``, the
+    standard library's inverse normal CDF) when that product is a normal
+    float, and otherwise the upper bracket where the Gaussian factor alone
+    reaches eta (erfcx decreases, so S lies below that factor); the steps
+    of ``_newton`` on the concave log S, whose slope is
+    -sqrt(2K/pi) / erfcx(z) and whose weight has w'/w = -(K r + Lam), then
+    converge to rounding level.
     """
     _require_admissible(ic)
     eta = float(eta)

@@ -229,9 +229,7 @@ class AtomScreen(Screen):
             raise DomainError("atom masses must be >= 0")
         if abs(p.sum() - 1.0) > _MASS_TOL:
             raise DomainError(f"atom masses must sum to 1 within {_MASS_TOL}")
-        order = np.argsort(t, kind="stable")
-        t, p = t[order], p[order]
-        # merge duplicate locations
+        # merge duplicate locations; np.add.at adds tied masses in input order
         uniq, inv = np.unique(t, return_inverse=True)
         mass = np.zeros(uniq.size)
         np.add.at(mass, inv, p)

@@ -355,3 +355,26 @@ def test_library_scalar_calls_load_no_numpy():
         "        fn(s, 0.3)\n"
     )
     assert "numpy" not in mods
+
+
+STATISTICS = ("statistics", "fractions", "decimal")
+
+
+def test_statistics_loads_at_the_first_kernel_inversion(tmp_path):
+    """``jacobi`` takes erfc^-1 from ``statistics``, which loads ``fractions``
+    and ``decimal``, at its first inversion: importing ``jacobi`` and the
+    commands that invert no kernel load none of the three, and a curved-ball
+    model loads ``statistics``."""
+    assert not set(STATISTICS) & loaded_after("import boundarylab.jacobi")
+    mods = loaded_after_commands(
+        tmp_path,
+        ["spectrum", "--file", "problem.csv", "--k", "3"],
+        ["audit", "--file", "problem.csv", "--k", "3", "--eta", "0.2"],
+        ["graph", "rho", "--file", "graph.json"],
+        ["graph", "bsep", "--file", "graph.json", "--eta", "0.2"],
+        ["model", "--tag", "exponential", "--lambda", "0.7"],
+    )
+    assert not set(STATISTICS) & mods
+    mods = loaded_after_commands(
+        tmp_path, ["model", "--tag", "ball", "--n", "3", "--kappa", "1", "--lambda", "0.2"])
+    assert "statistics" in mods

@@ -420,8 +420,8 @@ class TestErfcx:
 
 
 def test_erfc_inverse_start():
-    """The closed-form start is within 1e-10 of erfc^-1 for every normal
-    p in (0, 2), in all three of its branches."""
+    """The start is within 2e-15 relative of erfc^-1 for every normal p in
+    (0, 2), from the far tail through p near 2."""
     tiny = np.finfo(float).tiny
     ps = [*np.geomspace(tiny, 1.0, 400), *np.linspace(0.01, 1.99, 199),
           *(2.0 - np.geomspace(1e-15, 1e-2, 60))]
@@ -429,7 +429,7 @@ def test_erfc_inverse_start():
         p = float(p)
         z = jacobi._erfc_inverse(p)
         ref = mp.findroot(lambda t: mp.erfc(t) - p, mp.mpf(z))
-        assert abs(z - ref) <= 1e-10 * abs(ref) + 1e-15, p
+        assert abs(z - ref) <= 2e-15 * abs(ref) + 1e-15, p
 
 
 def test_gaussian_inverse_evaluation_count(monkeypatch):

@@ -183,6 +183,24 @@ class TestAtomTables:
             assert s.bsep(eta) == exact_bsep(s, eta), eta
         assert ky_fan_zero(s) == pytest.approx(exact_ky_fan(s), rel=2 * EPS)
 
+    def test_unsorted_tied_atoms_merge_in_input_order(self):
+        """Tied locations merge to one atom whose mass is the sum of theirs
+        taken in input order, atoms of zero mass drop out, and the tables
+        equal those of the merged atoms given sorted."""
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            t = rng.choice([0.0, 0.5, 1.25, 2.0, 3.5], size=40)
+            p = rng.random(40) ** 3 * (rng.random(40) < 0.9)
+            p /= p.sum()
+            merged = {}
+            for ti, pi in zip(t.tolist(), p.tolist()):
+                merged[ti] = merged.get(ti, 0.0) + pi
+            keys = sorted(k for k, m in merged.items() if m > 0.0)
+            s, ref = AtomScreen(t, p), AtomScreen(keys, [merged[k] for k in keys])
+            assert s.t.tolist() == keys and s.p.tolist() == [merged[k] for k in keys]
+            for table in ("_cum", "_top", "_top_err"):
+                assert np.array_equal(getattr(s, table), getattr(ref, table)), table
+
     @settings(max_examples=60)
     @given(t=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40),
            data=st.data(), eta=st.floats(0.001, 1.0), probe=st.floats(-1.0, 11.0))
