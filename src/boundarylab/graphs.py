@@ -10,6 +10,7 @@ with a witnessed family), and the concentration trend report.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import asdict, dataclass, field
@@ -262,17 +263,11 @@ def _greedy_family(g: BoundaryGraph, etas, D: float):
     for v in order:
         if g.rho[v] < below:
             continue
-        conflicts = [
-            gi for gi in range(k)
-            if groups[gi] and d[v, groups[gi]].min() < below
-        ]
+        conflicts = [gi for gi in range(k) if groups[gi] and d[v, groups[gi]].min() < below]
         if len(conflicts) > 1:
             continue
-        if len(conflicts) == 1:
-            gi = conflicts[0]
-        else:
-            deficits = np.asarray(etas) - masses
-            gi = int(np.argmax(deficits))
+        # the one set it conflicts with, else the one with the largest mass deficit
+        gi = conflicts[0] if conflicts else int(np.argmax(np.asarray(etas) - masses))
         groups[gi].append(int(v))
         masses[gi] += g.measure[v]
     # match achieved masses to requested ones (sorted greedily)
@@ -317,22 +312,15 @@ def bsep_k(g: BoundaryGraph, etas, mode: str = "exact") -> float:
         raise DomainError(f"unknown mode {mode!r}")
     if mode == "exact":
         if g.n > _EXACT_VERTEX_GUARD:
-            raise DomainError(
-                f"exact mode enumerates subsets; graph has {g.n} > "
-                f"{_EXACT_VERTEX_GUARD} vertices"
-            )
-        cand = _candidate_values(g)
-        # descending scan with binary search: feasibility is monotone
-        lo, hi = 0, cand.size - 1  # feasible at cand[0] = 0 always
-        if _exact_feasible(g, etas, float(cand[hi])):
-            return float(cand[hi])
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _exact_feasible(g, etas, float(cand[mid])):
-                lo = mid
-            else:
-                hi = mid
-        return float(cand[lo])
+            raise DomainError(f"exact mode enumerates subsets; graph has {g.n} > "
+                              f"{_EXACT_VERTEX_GUARD} vertices")
+        cand = _candidate_values(g).tolist()
+        if _exact_feasible(g, etas, cand[-1]):
+            return cand[-1]
+        # feasibility is monotone and cand[0] = 0 feasible: the first infeasible one, less one
+        i = bisect.bisect_left(cand, True, 1, len(cand) - 1,
+                               key=lambda D: not _exact_feasible(g, etas, D))
+        return cand[i - 1]
     for D in _candidate_values(g)[::-1]:
         family = _greedy_family(g, etas, float(D))
         if family is not None:

@@ -859,7 +859,8 @@ def v_inverse(N: float, cc: CurvatureClass, eta: float) -> float:
 
 
 def ball_inverse(kernel: BallKernel, eta: float) -> float:
-    """``v_inverse`` on a prepared kernel."""
+    """``v_inverse`` on a prepared kernel.  From a start at the rim it is C where eta lies below
+    v at the float u before X, N log(X - u) - log(N G(X)) in log there, as g(w) = w + O(w^3)."""
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
@@ -900,6 +901,8 @@ def ball_inverse(kernel: BallKernel, eta: float) -> float:
         u0 = _taylor_step(-log_eta, -math.exp(m * log_g - log_G), q_series(0.0))[0]
     if not 0.0 < u0 <= u_hi:
         u0 = u_hi
+    if u0 >= X and log_eta < N * math.log(X - math.nextafter(X, 0.0)) - math.log(N) - log_G:
+        return kernel.C
 
     try:  # from N of about 1e20 on, the forward map leaves the float range
         return min(_newton(f, u0, 0.0, u_hi), X) / kernel.k
@@ -1020,6 +1023,8 @@ def gaussian_tail_inverse(ic: InfiniteCurvature, eta: float) -> float:
     disc = math.sqrt(Lam * Lam - 2.0 * K * log_eta)
     # root of K r^2 / 2 + Lam r = -log eta, in the form without cancellation
     r_hi = -2.0 * log_eta / (Lam + disc) if Lam > 0 else (disc - Lam) / K
+    if not math.isfinite(r_hi):  # a subnormal K puts the mass past the float range
+        raise DomainError(f"(K, Lam) = ({K}, {Lam}) has no finite quantile at eta={eta}")
     r0 = r_hi
     p = eta * math.erfc(Lam / root)
     if p >= _TINY:

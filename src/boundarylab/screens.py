@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from typing import Callable, NamedTuple
 
 from . import _text
@@ -535,18 +536,53 @@ def obs_inradius(s: Screen, eta: float):
 
 def ky_fan_zero(s: Screen) -> float:
     """Ky Fan distance to zero, inf{eps >= 0 : P[T > eps] <= eps}: the least float
-    eps with ``tail_open(eps) <= eps``, by bisection on the open tail until its ends
-    are adjacent floats.  The upper end max(1, P[T > 0]) passes, as no tail tops
-    P[T > 0], which tops 1 where an atom screen's masses sum to 1 + 2^-52."""
+    eps with ``tail_open(eps) <= eps``, by ``_bracket`` on eps - P[T > eps] over
+    [0, max(1, P[T > 0])].  The upper end passes, as no tail tops P[T > 0], which
+    tops 1 where an atom screen's masses sum to 1 + 2^-52."""
     if (g0 := s.tail_open(0.0)) <= 0.0:
         return 0.0
-    lo, hi = 0.0, max(1.0, g0)
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if s.tail_open(mid) <= mid:
-            hi = mid
+    hi = max(1.0, g0)
+    return _bracket(lambda eps: ((tail := s.tail_open(eps)) <= eps, eps - tail),
+                    0.0, hi, -g0, hi - s.tail_open(hi), upper=True)
+
+
+def _bits(x: float) -> int:  # a double's bit pattern, which orders like it from 0 (or -0) up
+    return struct.unpack("<q", struct.pack("<d", x + 0.0))[0]
+
+
+def _bracket(f, lo: float, hi: float, v_lo: float, v_hi: float, upper: bool = False,
+             rtol: float = 0.0, weight: str = "pegasus") -> float:
+    """Where a monotone predicate on [lo, hi], 0 <= lo, turns: at adjacent floats, at ``rtol``
+    of hi or at a value of 0; hi if ``upper``, else lo.  ``f(x)`` gives (x on hi's side, a
+    value of v_hi's sign).  Regula falsi steps, two floats inside, scale the other end's value
+    by f_old / (f_old + f_new) after the same end moved twice, hi at the start ("pegasus",
+    Dowell & Jarratt, BIT 12, 1972), or by 1 - f_new / f_old ("anderson-bjorck", BIT 13,
+    1973).  A step bisects where the last halved neither the value it replaced nor, with the
+    one before, the bit width, and from the 65th on: at the midpoint first, as callers size
+    the bracket to the root, then on the bit patterns, closing any bracket in 64 (f <= 128)."""
+    i_lo, i_hi, older, old = _bits(lo), _bits(hi), math.inf, math.inf  # bit widths, 2 and 1 back
+    steps, halved, latest, bisected = 0, False, True, False
+    while (width := i_hi - i_lo) > 1 and hi - lo > rtol * hi:
+        i = i_lo
+        if steps < 64 and (halved or 2 * width <= older) and v_lo != v_hi:
+            e = math.frexp(max(abs(v_lo), abs(v_hi)))[1]  # scaled by a power of 2, exactly
+            a, b = math.ldexp(v_lo, -e), math.ldexp(v_hi, -e)
+            i = min(max(_bits((lo * b - hi * a) / (b - a)), i_lo + 2), i_hi - 2)
+        if not i_lo < i < i_hi:
+            i = (i_lo + i_hi) // 2 if bisected else _bits(0.5 * lo + 0.5 * hi)
+            bisected = True
+        steps, older, old = steps + 1, old, width
+        side, v = f(x := struct.unpack("<d", struct.pack("<q", i))[0])
+        if v == 0.0 and rtol > 0.0:
+            return x
+        halved = abs(v) <= 0.5 * abs(keep := v_hi if side else v_lo)  # keep: the value it replaces
+        if weight == "pegasus":
+            m = (keep / (keep + v) if keep + v else 0.5) if side == latest else 1.0
         else:
-            lo = mid
-    return hi
+            m = 1.0 - v / keep if keep and v / keep < 1.0 else 0.5
+        lo, i_lo, v_lo, hi, i_hi, v_hi, latest = ((lo, i_lo, v_lo * m, x, i, v, side) if side
+                                                  else (x, i, v, hi, i_hi, v_hi * m, side))
+    return hi if upper else lo
 
 
 def scale(s: Screen, c: float) -> Screen:
@@ -563,40 +599,25 @@ def ks_distance(s1: Screen, s2: Screen) -> float:
     density's mode, and scan ends past which under 1e-13 of mass remains), so
     the supremum lies at a knot, on either side, or where the densities
     (``_density``: 0 on atoms, a grid's cell slope, ``pdf``) cross.  Crossings
-    are bracketed on the knots plus 256 cells and root-found; ``_sides`` reads
-    the exact one-sided CDFs there, a closed screen by its exact tail
-    (0.1-0.3 ms for ``distribution_law``'s pairs).  A closed density is
-    monotone on each side of its mode, so against a grid or atom screen a cell
-    holds at most one crossing; two closed screens may cross twice in one
-    cell, and that pair goes unseen."""
+    are bracketed on the knots plus 256 cells and found to 1e-7 of the cell's
+    right end by ``_bracket`` with Anderson-Bjorck weighting; ``_sides`` reads
+    the exact one-sided CDFs there, a closed screen by its exact tail.  A
+    closed density is monotone on each side of its mode, so against a grid or
+    atom screen a cell holds at most one crossing; two closed screens may
+    cross twice in one cell, and that pair goes unseen."""
     knots = np.concatenate([s1._breaks(), s2._breaks()])
     grid = np.unique(np.concatenate([knots, np.linspace(0.0, knots.max(), 257)]))
     (left1, right1), (left2, right2) = s1._density(grid), s2._density(grid)
     g_lo, g_up = (right1 - right2)[:-1], (left1 - left2)[1:]
     turn = g_lo * g_up < 0.0
-    roots = [_crossing(lambda x: float(s1._density(x)[0] - s2._density(x)[0]), *cell)
-             for cell in zip(grid[:-1][turn], grid[1:][turn], g_lo[turn], g_up[turn])]
+
+    def side(x: float, up: bool) -> tuple[bool, float]:
+        g = float(s1._density(x)[0] - s2._density(x)[0])
+        return (g > 0.0) == up, g
+
+    cells = zip(*(c[turn].tolist() for c in (grid[:-1], grid[1:], g_lo, g_up)))
+    roots = [_bracket(functools.partial(side, up=gb > 0.0), a, b, ga, gb, rtol=1e-7,
+                      weight="anderson-bjorck") for a, b, ga, gb in cells]
     ts = np.concatenate([knots, roots])
     return max(float(np.abs(a - b).max()) for a, b in zip(s1._sides(ts), s2._sides(ts)))
 
-
-def _crossing(g, a: float, b: float, ga: float, gb: float) -> float:
-    """A sign change of g in (a, b), g(a) = ga and g(b) = gb of opposite signs, to 1e-7
-    of b by Anderson-Bjorck regula falsi (BIT 13, 1973), which bisects whenever two
-    steps fail to halve the bracket: F1 - F2 is flat to O(dx^2) there."""
-    older = old = math.inf  # the bracket widths two steps back and one step back
-    for _ in range(100):
-        if b - a <= 0.5 * older:
-            x = (a * gb - b * ga) / (gb - ga)
-        else:
-            x = 0.5 * (a + b)
-        older, old = old, b - a
-        if b - a <= 1e-7 * b or (gx := g(x)) == 0.0:
-            break
-        if (gx > 0.0) == (gb > 0.0):  # x replaces b, and the value kept at a shrinks
-            m = 1.0 - gx / gb
-            b, gb, ga = x, gx, ga * (m if m > 0.0 else 0.5)
-        else:
-            m = 1.0 - gx / ga
-            a, ga, gb = x, gx, gb * (m if m > 0.0 else 0.5)
-    return x

@@ -758,12 +758,11 @@ def interval_bsep(p: RadialProblem, etas) -> float:
     separation D.  Each set reads the one mass (``_cum_at``) once, at its
     start, in plain floats, and ends where the mass's closed-form inverse
     puts its target; it fits if it starts before L and its target is at
-    most the total plus 1e-12 of it.  The supremum is a root, found to
-    adjacent floats by Pegasus regula falsi (Dowell & Jarratt, BIT 12, 1972)
-    that bisects when a step stalls.  The last set may end 1e-12 L past
+    most the total plus 1e-12 of it.  The supremum is the largest feasible
+    float: ``screens._bracket`` on the least overshoot, Pegasus-weighted
+    (Dowell & Jarratt, BIT 12, 1972).  The last set may end 1e-12 L past
     L - D, so D scales with the grid.  Masses must be finite and positive;
-    from 1 in sum on the distance is 0, since the sets then leave no gap of
-    positive mass.
+    from 1 in sum on the distance is 0: the sets leave no gap of mass.
     """
     etas = [float(e) for e in etas]
     screens._require_finite("all masses", np.array(etas))
@@ -778,7 +777,7 @@ def interval_bsep(p: RadialProblem, etas) -> float:
     def mass(x: float) -> float:
         return pl_cell(min(x, L), min(bisect_right(grid, x), last) - 1, grid, theta, cum)
 
-    # (feasible, least overshoot): finite, since targets past the total are clamped
+    # (infeasible, least overshoot): finite, since targets past the total are clamped
     def overshoot(D: float) -> tuple[bool, float]:
         feasible, least = False, math.inf
         for perm in perms:
@@ -791,29 +790,15 @@ def interval_bsep(p: RadialProblem, etas) -> float:
                 pos = end + D
             over = end - (L - D + 1e-12 * L) if right_b else target - total * (1.0 + 1e-12)
             feasible, least = feasible or (fits and over <= 0.0), min(least, over)
-        return feasible, least
+        return not feasible, least
 
     # the sets take room, so D * (number of gaps) is below L, plus the end slack
     # at a Dirichlet right end, on every feasible packing
     lo, hi = 0.0, (L + 1e-12 * L * right_b) / max(len(etas) - 1 + left_b + right_b, 1)
-    (ok_lo, f_lo), (ok_hi, f_hi) = overshoot(lo), overshoot(hi)
-    if not ok_lo or ok_hi:
-        return hi if ok_lo else 0.0
-    unit, falsi, moved = math.ulp(L if right_b else total), True, None  # of rounding
-    while math.nextafter(lo, hi) < hi:
-        x = 0.5 * (lo + hi)
-        if falsi and f_lo <= 0.0 < f_hi:  # regula falsi, 2 ulps or more inside the bracket
-            w = max(-f_lo, unit) / (max(-f_lo, unit) + f_hi)  # a zero steps off by a unit
-            y = min(max(lo + (hi - lo) * w, lo + 2.0 * math.ulp(lo)), hi - 2.0 * math.ulp(hi))
-            x = y if lo < y < hi else x
-        ok, f = overshoot(x)
-        old = f_lo if ok else f_hi
-        falsi = abs(f) <= max(0.5 * abs(old), 4.0 * unit)  # halved or rounding, else bisect
-        # Pegasus: an end that moves twice running scales the other end's value
-        scale = (old / (old + f) if old + f else 0.5) if moved is ok else 1.0
-        lo, f_lo, hi, f_hi = (x, f, hi, f_hi * scale) if ok else (lo, f_lo * scale, x, f)
-        moved = ok
-    return lo
+    (over_lo, f_lo), (over_hi, f_hi) = overshoot(lo), overshoot(hi)
+    if over_lo or not over_hi:
+        return 0.0 if over_lo else hi
+    return screens._bracket(overshoot, lo, hi, f_lo, f_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI tests: commands, formats, determinism, exit codes, schemas."""
 
+import copy
 import json
 import math
 from importlib import resources
@@ -529,3 +530,102 @@ def test_sweep_config_fuzz(capsys, tmp_path, config):
     else:
         assert out == "" and err.startswith("error: ")
 
+
+
+# ---------------------------------------------------------------------------
+# derandomized fuzz of model and compare arguments and of graph files
+# ---------------------------------------------------------------------------
+
+# valid runs of every model tag and comparison regime
+_ARGV_BASES = [
+    ["model", "--tag", "ball", "--n", "3", "--kappa", "1", "--lambda", "0.2", "--eta", "0.1",
+     "--eta", "0.9"],
+    ["model", "--tag", "ball", "--n", "2", "--kappa", "-1", "--lambda", "1.5", "--eta", "0.3"],
+    ["model", "--tag", "warped", "--n", "4", "--kappa", "-0.81", "--eta", "0.2"],
+    ["model", "--tag", "half_gaussian", "--K", "2", "--lambda", "-1", "--eta", "0.5"],
+    ["model", "--tag", "exponential", "--lambda", "0.7", "--eta", "0.4"],
+    ["model", "--tag", "weighted_warped_exp", "--n", "2", "--N", "6", "--kappa", "-0.36",
+     "--eta", "0.4"],
+    ["model", "--tag", "weighted_warped_gauss", "--n", "3", "--kappa", "-1", "--delta", "0.4",
+     "--eta", "0.9"],
+    ["model", "--descriptor", '{"tag": "warped", "n": 4, "kappa": -0.25}', "--eta", "0.6"],
+    ["compare", "--regime", "finite", "--N", "4", "--kappa", "1", "--lambda", "0.3",
+     "--eta", "0.4"],
+    ["compare", "--regime", "finite", "--N", "3.5", "--kappa", "-1", "--lambda", "1"],
+    ["compare", "--regime", "twisted", "--n", "3", "--kappa", "0", "--lambda", "1",
+     "--delta", "0.5", "--eta", "0.5"],
+    ["compare", "--regime", "infinite", "--K", "1", "--lambda", "0.5", "--eta", "0.2"],
+    ["compare", "--regime", "infinite", "--K", "0", "--lambda", "2", "--eta", "0.3"],
+]
+_ARGV_ODD = ["nan", "inf", "-inf", "-1", "0", "-0", "5e-324", "1e-320", "1e-300", "1e308",
+             "-1e308", "1e999", "1e12", "1e13", "2.5", "3", "abc", "", "{}", '{"tag": 3}']
+
+
+@st.composite
+def odd_argvs(draw):
+    """A valid model or compare run with one or two values, the tag, regime and
+    descriptor among them, replaced by an odd one."""
+    argv = list(draw(st.sampled_from(_ARGV_BASES)))
+    values = [i for i in range(1, len(argv)) if argv[i - 1].startswith("--")]
+    for i in draw(st.lists(st.sampled_from(values), min_size=1, max_size=2, unique=True)):
+        argv[i] = draw(st.sampled_from(_ARGV_ODD))
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=odd_argvs())
+def test_model_and_compare_argument_fuzz(capsys, argv):
+    """Every model and compare run with non-finite, wrong-typed, subnormal or
+    out-of-range values exits 0 with strict JSON, 2 with a message (argparse's
+    usage line first for an unparsable flag) or 3 for a pair with no regime."""
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out, parse_constant=_not_strict)
+    else:
+        assert out == "" and err
+
+
+_GRAPH = {"vertices": 4, "edges": [[0, 1, 1.0], [1, 2, 0.5], [2, 3, 2.0], [0, 3, 1.5]],
+          "boundary": [0], "measure": [0.1, 0.2, 0.3, 0.4]}
+_GRAPH_ODD = [math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 1e-320, 1e308, -1, 4, 10**6,
+              2.5, "1", None, True, [], {}, [0, 1], [[0, 1]], [0, 1, 2, 3], [1.0, 0.0, 0.0, 0.0],
+              [0.0, 0.0, 5e-324, 1.0]]
+
+
+@st.composite
+def odd_graphs(draw):
+    """The valid four-vertex graph with up to two fields, or entries of its
+    lists at any depth, replaced by an odd value."""
+    graph = json.loads(json.dumps(_GRAPH))
+    for _ in range(draw(st.integers(0, 2))):
+        target, key = graph, draw(st.sampled_from(sorted(graph)))
+        while isinstance(target[key], list) and target[key] and draw(st.booleans()):
+            target, key = target[key], draw(st.integers(0, len(target[key]) - 1))
+        target[key] = copy.deepcopy(draw(st.sampled_from(_GRAPH_ODD)))
+    return graph
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph=odd_graphs(), command=st.sampled_from(["rho", "screen", "bsep"]),
+       mode=st.sampled_from(["exact", "greedy"]),
+       etas=st.lists(st.sampled_from(["0.2", "0.3", "0.45", "1", "0", "-0.1", "nan", "inf",
+                                      "1e-320", "5e-324", "2", "abc"]), max_size=3))
+def test_graph_file_fuzz(capsys, tmp_path, graph, command, mode, etas):
+    """Every graph command on a graph file with non-finite, wrong-typed,
+    subnormal or out-of-range fields, or with such masses, exits 0 with strict
+    JSON or 2 with a message (argparse's usage line first for an unparsable
+    mass)."""
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    argv = ["graph", command, "--file", str(path), "--mode", mode]
+    code, out, err = run(capsys, *argv, *(arg for eta in etas for arg in ("--eta", eta)))
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out, parse_constant=_not_strict)
+    else:
+        assert out == "" and err

@@ -80,6 +80,20 @@ def test_graph_commands_load_no_heavy_scipy(tmp_path):
     assert not set(SCIPY_HEAVY) & mods
 
 
+@pytest.mark.parametrize("argv", [
+    ["graph", "rho", "--file", "graph.json"],
+    ["--format", "csv", "graph", "screen", "--file", "graph.json"],
+    ["graph", "bsep", "--file", "graph.json", "--eta", "0.2", "--eta", "0.3"],
+])
+def test_graph_commands_load_only_the_screen_and_graph_layers(tmp_path, argv):
+    # the graph commands set the median of a fresh process per command, so a
+    # module that one of them newly loads shows in its wall time
+    mods = loaded_after_commands(tmp_path, argv)
+    assert {m for m in mods if m.partition(".")[0] == "boundarylab"} == {
+        "boundarylab", *(f"boundarylab.{m}" for m in
+                         ("cli", "_text", "errors", "_numpy", "screens", "graphs"))}
+
+
 def test_compare_loads_no_linalg_optimize_or_integrate(tmp_path):
     mods = loaded_after_commands(
         tmp_path,

@@ -469,3 +469,31 @@ def test_v_inverse_evaluation_count(monkeypatch):
             counts.append(len(calls) - before)
         assert statistics.median(counts) <= 2
         assert max(counts) <= 8
+
+
+def test_ball_inverse_at_the_rim_takes_no_evaluation(monkeypatch):
+    """6,000 random curved-ball inverses, eta log-uniform down to 1e-300 and N up to
+    1e12: the 363 roots within rounding of the rim C, which bisection took 40-51
+    forward evaluations to close, are C without one, and the others take at most 3,
+    except 56 with kappa < 0 and eta below 1e-10, whose start from u = 0 lands far
+    from the root: they take 4-11."""
+    forward = jacobi._log_ratio
+    calls = []
+    monkeypatch.setattr(jacobi, "_log_ratio", lambda *args: calls.append(args) or forward(*args))
+    rng = np.random.default_rng(2030)
+    at_rim = 0
+    for _ in range(6000):
+        sign = 1.0 if rng.uniform() < 0.5 else -1.0
+        kappa = sign * rng.uniform(0.05, 3.0)
+        lam = rng.uniform(-1.5, 2.0) if sign > 0 else math.sqrt(-kappa) * rng.uniform(1.001, 4.0)
+        N = math.exp(rng.uniform(math.log(1.5), math.log(1e12)))
+        eta = math.exp(rng.uniform(math.log(1e-300), 0.0))
+        kernel = jacobi.ball_kernel(N, classify(kappa, lam))
+        before = len(calls)
+        r = jacobi.ball_inverse(kernel, eta)
+        count = len(calls) - before
+        if count == 0:
+            at_rim += 1
+            assert r == kernel.C
+        assert count <= (3 if kappa > 0.0 or eta > 1e-10 else 11), (kappa, lam, N, eta)
+    assert at_rim == 363

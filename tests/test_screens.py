@@ -26,6 +26,7 @@ from boundarylab.screens import (
     scale,
     screen_from_json,
 )
+from boundarylab.screens import _bracket
 
 
 def uniform_grid_screen(width=1.0, m=401):
@@ -155,12 +156,31 @@ class TestKyFan:
     @given(s=any_screens())
     @example(s=closed_screen("ball", N=4.0, kappa=1.0, lam=0.3))
     @example(s=closed_screen("half_gaussian", K=1.0, Lam=-0.5))
+    @example(s=AtomScreen([0.0, 1.0], [1.0, 1e-13]))
+    @example(s=AtomScreen([0.0, 1.0], [1.0, 1e-300]))
+    @example(s=AtomScreen([0.0, 1.0], [1.0, 5e-324]))
     def test_least_float_that_passes(self, s):
         """The value passes, P[T > eps] <= eps, and the float below it fails."""
         eps = ky_fan_zero(s)
         assert s.tail_open(eps) <= eps
         below = math.nextafter(eps, 0.0)
         assert eps == 0.0 or s.tail_open(below) > below
+
+    @pytest.mark.parametrize("s, most", [
+        (closed_screen("ball", N=4.0, kappa=1.0, lam=0.3), 20),
+        (closed_screen("half_gaussian", K=1.0, Lam=-0.5), 20),
+        (AtomScreen([0.0, 1.0], [1.0, 1e-13]), 12),
+        (AtomScreen([0.0, 1.0], [1.0, 1e-300]), 12),
+        (AtomScreen([0.0, 1.0], [1.0, 5e-324]), 12),
+    ])
+    def test_tail_calls(self, s, most):
+        # bisection at the arithmetic midpoint took 54-55 exact tails on a closed
+        # screen, and about 53 + log2(1/eps) on a small value: 1,075 at 5e-324
+        calls = []
+        tail = s.tail_open
+        s.tail_open = lambda eps: calls.append(eps) or tail(eps)
+        ky_fan_zero(s)
+        assert len(calls) <= most
 
     def test_mass_just_above_one(self):
         # the masses sum to 1 + 2^-52 and all sit past it: P[T > 0] is the value
@@ -180,6 +200,56 @@ class TestKyFan:
             cs = [1.0, 1.5, 2.5, 4.0, 8.0]
             vals = [ky_fan_zero(scale(s, c)) for c in cs]
             assert np.all(np.diff(vals) >= -1e-12)
+
+
+def _thresholds(lo, hi):
+    """Points t in (lo, hi] across the non-negative doubles: the bracket's ends,
+    the least subnormal and normal doubles, 1e-300, and any float between."""
+    special = [math.nextafter(lo, hi), hi, 5e-324, 2.2250738585072014e-308, 1e-300, 0.3]
+    return (st.sampled_from([t for t in special if lo < t <= hi])
+            | st.floats(math.nextafter(lo, hi), hi))
+
+
+class TestBracket:
+    """The one root finder of ky_fan_zero, interval_bsep and ks_distance."""
+
+    # values the predicate's side comes with: its sign only, the distance to the
+    # threshold, and the distance cubed, which is flat there and 0 within 1e-108
+    VALUES = {
+        "sign": lambda d: math.copysign(1.0, d),
+        "distance": lambda d: d,
+        "cube": lambda d: math.copysign(min(abs(d), 1e100) ** 3, d),
+    }
+
+    @given(data=st.data())
+    def test_adjacent_floats_around_any_threshold(self, data):
+        lo, hi = data.draw(st.sampled_from([(0.0, 1.0), (0.0, 4.0), (0.0, 1e300), (1e-300, 0.5)]))
+        t = data.draw(_thresholds(lo, hi))
+        value = self.VALUES[data.draw(st.sampled_from(sorted(self.VALUES)))]
+        upper = data.draw(st.booleans())
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            assert len(calls) <= 2 * 64 + 2
+            return x >= t, value(x - t)
+
+        x = _bracket(f, lo, hi, f(lo)[1], f(hi)[1], upper=upper)
+        other = math.nextafter(x, 0.0 if upper else math.inf)
+        assert (x >= t) is upper and (other >= t) is not upper
+
+    def test_a_flat_value_near_a_subnormal_threshold_takes_the_most(self):
+        # the cubed distance underflows to 0 from 1e-108 on: regula falsi
+        # creeps, and bisection on the bit patterns finishes from the 65th step
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            assert len(calls) <= 2 * 64 + 2
+            return x >= 1e-320, self.VALUES["cube"](x - 1e-320)
+
+        assert _bracket(f, 0.0, 1e300, f(0.0)[1], f(1e300)[1], upper=True) == 1e-320
+        assert len(calls) > 100
 
 
 class TestScale:
