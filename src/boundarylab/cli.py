@@ -18,12 +18,11 @@ from . import _text
 from .errors import DomainError, RegimeError
 
 # Each command imports its own layer modules: a fresh process then loads
-# only what it runs.  No command loads SciPy: it runs only in the library's
-# independent checks, ``quad`` in models.normalization_audit and
-# models.volume_ratio_audit, imported at the call.  model, compare and sweep
-# run on math scalars and load no numpy either: the package imports it at the
-# first array it builds (boundarylab._numpy), which only spectrum, audit and
-# graph do.  Interpreter start plus import is most of a command's wall time.
+# only what it runs.  The package needs numpy alone, and model, compare and
+# sweep run on math scalars and load no numpy either: the package imports it
+# at the first array it builds (boundarylab._numpy), which only spectrum,
+# audit and graph do.  Interpreter start plus import is most of a command's
+# wall time.
 
 EXIT_OK = 0
 EXIT_INPUT = 2

@@ -579,7 +579,9 @@ def ball_kernel(N: float, cc: CurvatureClass) -> BallKernel:
         raise DomainError(f"({cc.kappa}, {cc.lam}) does not admit a comparison ball of finite radius")
     if cc.kappa == 0.0:
         return BallKernel(N, cc, C)
-    if N > 1e12:  # past it the rim's terms lose the quantile's digits: 5e-10 off at N = 1e13
+    # past 1e12 the rim's terms lose the quantile's digits: 5e-10 off at N = 1e13.  Below it
+    # kappa < 0 inverses already lose some, up to 7.6e-9 at N = 9.1e11 and 3.0e-8 at 1.7e11
+    if N > 1e12:
         raise DomainError(f"the curved ball kernel is accurate only up to 1e12, not at dimension N={N:g}")
     k = math.sqrt(abs(cc.kappa))
     if cc.kappa > 0:

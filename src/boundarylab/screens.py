@@ -415,12 +415,15 @@ def _ball(N, kappa, lam):
 
 def _ball_pdf(rim, t):
     """k g(X - k t)^(N-1) / G(X), g = sin (kappa > 0) or sinh (kappa < 0), or
-    N (1 - t/C)^(N-1) / C (kappa = 0), off the kernel's rim; 0 past it."""
+    N (1 - t/C)^(N-1) / C (kappa = 0), off the kernel's rim; 0 past it.  Both
+    powers are taken over g's peak on [0, X]: g(X), or sin(pi/2) = 1 once X passes
+    pi/2, where g(X - k t)^(N-1) / g(X)^(N-1) would overflow at large N."""
     m = rim.N - 1.0
     if rim.cc.kappa == 0.0:
         return np.maximum(1.0 - t / rim.C, 0.0) ** m * (rim.N / rim.C)
     s = (np.sin if rim.cc.kappa > 0 else np.sinh)(np.maximum(rim.X - rim.k * t, 0.0))
-    return (s / math.exp(rim.log_g)) ** m / np.exp(rim.log_G - m * rim.log_g - math.log(rim.k))
+    log_top = 0.0 if rim.cc.kappa > 0 and rim.X > 0.5 * math.pi else rim.log_g
+    return (s / math.exp(log_top)) ** m / np.exp(rim.log_G - m * log_top - math.log(rim.k))
 
 
 def _half_gaussian(K, Lam):

@@ -950,7 +950,7 @@ def truncated_ray_problem(
         length = s.quantile(1.0 - tail_mass)
     t = np.linspace(0.0, float(length), points)
     theta = np.asarray(s.pdf(t), dtype=float)
-    theta = np.maximum(theta, theta[theta > 0].min() * 1e-280)
+    theta = np.maximum(theta, theta.max() * 1e-280)  # a density that underflows stays positive
     return RadialProblem(
         t, theta,
         left_bc=Endpoint.DIRICHLET, right_bc=Endpoint.NEUMANN,

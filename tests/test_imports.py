@@ -1,5 +1,6 @@
 """Import footprint: a fresh process loads only the layers its command
-uses, and no command loads SciPy.
+uses, and no command loads SciPy; the package imports nothing but the
+standard library and numpy, and runs without SciPy.
 
 Each check runs in a new interpreter and reads ``sys.modules``, so it does
 not depend on timing.  Interpreter start plus import is most of a CLI
@@ -7,8 +8,11 @@ command's wall time, and each of the four SciPy submodules below costs
 more to import than numpy does.
 """
 
+import ast
 import json
+import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -259,10 +263,8 @@ def test_curved_commands_load_no_special(tmp_path):
 
 
 def test_no_command_loads_scipy(tmp_path):
-    """Every kind of command the cold-CLI benchmark runs, in one process:
-    SciPy is imported only by the library's independent checks
-    (``normalization_audit`` and ``volume_ratio_audit``), which no command
-    calls."""
+    """Every kind of command the cold-CLI benchmark runs, in one process,
+    loads no SciPy module: no module of the package imports SciPy."""
     hemisphere = tmp_path / "hemisphere.json"
     hemisphere.write_text(json.dumps({"family": "hemisphere", "kappa": 1.0, "eta": 0.5,
                                       "n": [4, 8, 16]}))
@@ -392,3 +394,81 @@ def test_statistics_loads_at_the_first_kernel_inversion(tmp_path):
     mods = loaded_after_commands(
         tmp_path, ["model", "--tag", "ball", "--n", "3", "--kappa", "1", "--lambda", "0.2"])
     assert "statistics" in mods
+
+
+PACKAGE = pathlib.Path(boundarylab.__file__).parent
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    """Every import statement in the package names the standard library,
+    numpy or the package itself, and numpy is its one declared dependency."""
+    tomllib = pytest.importorskip("tomllib")
+    allowed = set(sys.stdlib_module_names) | {"numpy", "boundarylab"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in allowed, f"{path.name}:{node.lineno}: {name}"
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+
+
+# (tag, constructor arguments): every catalog tag, and balls whose density peaks inside
+AUDITED_MODELS = [
+    ("ball", [3, 1.0, 0.2]), ("ball", [5, 0.0, 0.3]), ("ball", [40, -1.0, 1.5]),
+    ("ball", [10**4, 1.0, -0.5]), ("ball", [10**4, 4.0, -3.0]), ("ball", [10**4, -1.0, 2.0]),
+    ("warped", [3, -1.0]), ("half_gaussian", [1.0, -2.0]), ("half_gaussian", [0.5, 1.0]),
+    ("exponential", [0.7]), ("weighted_warped_exp", [3, 7.5, -0.49]),
+    ("weighted_warped_gauss", [4, -2.0, 0.3]),
+]
+# (regime, its parameters, r, R) for volume_ratio_audit
+AUDITED_RATIOS = [
+    ("finite", [4.0, 1.0, 0.3], 0.2, 0.9), ("finite", [3.0, -1.0, 1.0], 0.5, 3.0),
+    ("infinite", [1.0, 0.5], 0.3, 1.2), ("infinite", [0.5, -2.0], 0.1, 6.0),
+    ("infinite", [0.0, 2.0], 1e-3, 4.0), ("infinite", [1.0, 0.5], 0.3, math.inf),
+]
+
+
+def test_audits_run_with_scipy_blocked(tmp_path):
+    """Both independent checks run in a process where ``import scipy``
+    fails, and each value matches ``quad`` computed here."""
+    from scipy.integrate import quad
+
+    from boundarylab import jacobi, models
+
+    cases = tmp_path / "audits.json"
+    cases.write_text(json.dumps([AUDITED_MODELS, AUDITED_RATIOS]))
+    loaded_after(
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # import scipy raises ImportError\n"
+        "import numpy as np\n"
+        "from boundarylab import models\n"
+        f"catalog, kinds = json.loads(open({str(cases)!r}).read())\n"
+        "t = np.linspace(0.0, 8.0, 801)\n"
+        "density = models.RadialDensity(t, np.exp(-t))\n"
+        "out = [[models.normalization_audit(getattr(models.ModelSpace, tag)(*args))\n"
+        "        for tag, args in catalog],\n"
+        "       [models.volume_ratio_audit(density, models.REGIMES[regime][1](*args), r, R).rhs\n"
+        "        for regime, args, r, R in kinds]]\n"
+        f"open({str(cases)!r}, 'w').write(json.dumps(out))\n"
+    )
+    masses, ratios = json.loads(cases.read_text())
+    for (tag, args), mass in zip(AUDITED_MODELS, masses, strict=True):
+        s = models.boundary_screen(getattr(models.ModelSpace, tag)(*args))
+        want = sum(quad(s.pdf, a, b, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+                   for a, b in zip(s._breaks()[:-1], s._breaks()[1:]) if b > a)
+        assert mass == pytest.approx(want, rel=1e-11), (tag, args)
+        assert mass == pytest.approx(1.0, abs=1e-11), (tag, args)
+    for (regime, args, r, R), ratio in zip(AUDITED_RATIOS, ratios, strict=True):
+        if regime == "finite":
+            cc = jacobi.classify(*args[1:])
+            w = lambda t: float(jacobi.s_profile_clamped(cc, t)) ** (args[0] - 1.0)  # noqa: E731
+        else:
+            w = lambda t: math.exp(-t * (0.5 * args[0] * t + args[1]))  # noqa: E731
+        num, den = (quad(w, 0.0, x, epsrel=1e-13, limit=400)[0] for x in (R, r))
+        assert ratio == pytest.approx(num / den, rel=1e-12), (regime, args, r, R)

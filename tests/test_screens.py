@@ -590,6 +590,20 @@ class TestClosedScreenParameters:
                 assert s.pdf(t) == pytest.approx(float(pdf), rel=1e-13)
         assert s.quantile(0.5) == pytest.approx(40.0, rel=1e-15)
 
+    @pytest.mark.parametrize("N, kappa, lam", [(1e4, 1.0, -0.5), (1e5, 1.0, -0.5),
+                                               (1e4, 4.0, -3.0), (1e5, 4.0, -3.0)])
+    def test_ball_pdf_past_a_right_rim_angle(self, N, kappa, lam):
+        # the rim angle X passes pi/2, so g(X) = sin X < 1 = g at the mode: neither
+        # g(X - k t)^(N-1) / g(X)^(N-1) nor G(X) / g(X)^(N-1) stays in the float range
+        s = closed_screen("ball", N=N, kappa=kappa, lam=lam)
+        assert s.kernel.X > 0.5 * math.pi
+        mode, h = s._breaks()[1], 1e-6
+        pdf = s.pdf(mode)
+        assert math.isfinite(pdf) and pdf > 0.0
+        slope = (s.tail_closed(mode - h) - s.tail_closed(mode + h)) / (2.0 * h)
+        assert pdf == pytest.approx(slope, rel=1e-6)
+        assert np.isfinite(s.pdf(np.linspace(0.0, s.upper_support, 101))).all()
+
     def test_bounded_support_ends_quantiles(self):
         s = scale(closed_screen("ball", N=3.0, kappa=1.0, lam=0.2), 2.0)
         assert part_inradius(s, 1.0) == s.upper_support

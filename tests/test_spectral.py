@@ -104,6 +104,12 @@ class TestSpectrum:
         assert nu1 == pytest.approx(1.0, rel=1e-2)
         assert "truncated" in p.note
 
+    @pytest.mark.parametrize("n, kappa, lam", [(10**4, 1.0, -0.5), (10**5, 4.0, -3.0)])
+    def test_truncated_ball_past_a_right_rim_angle(self, n, kappa, lam):
+        # the density peaks inside (X > pi/2) and underflows to 0 near the boundary
+        p = truncated_ray_problem(ModelSpace.ball(n, kappa, lam), points=2001)
+        assert np.isfinite(p.theta).all() and p.theta.max() > 0.0
+
     def test_second_order_convergence(self):
         errs = []
         for m in (251, 501, 1001):
